@@ -702,8 +702,10 @@ fn emit_min_scan_and_mark(a: &mut Asm, layout: &DijkstraLayout, v: u64) {
     a.sb(regs::T[1], regs::T[0], 0);
 }
 
-/// Runs the Dijkstra benchmark on a `v`-node graph.
-pub fn run(variant: BenchVariant, v: u32, avg_deg: u32, seed: u64) -> AppResult {
+/// Builds a ready-to-run Dijkstra system on a `v`-node graph — graph
+/// installed, program loaded, accelerator attached (accelerated variants)
+/// or caches warmed (baseline) — plus the reference distances.
+pub fn prepare(variant: BenchVariant, v: u32, avg_deg: u32, seed: u64) -> (System, Vec<u32>) {
     let layout = DijkstraLayout::new();
     let g = Graph::generate(v, avg_deg, seed);
     let expected = g.dijkstra_ref();
@@ -797,6 +799,13 @@ pub fn run(variant: BenchVariant, v: u32, avg_deg: u32, seed: u64) -> AppResult 
         sys.warm_shared(layout.dist, u64::from(v) * 4, 0);
         sys.warm_shared(layout.visited, u64::from(v), 0);
     }
+    (sys, expected)
+}
+
+/// Runs the Dijkstra benchmark on a `v`-node graph.
+pub fn run(variant: BenchVariant, v: u32, avg_deg: u32, seed: u64) -> AppResult {
+    let layout = DijkstraLayout::new();
+    let (mut sys, expected) = prepare(variant, v, avg_deg, seed);
     let runtime = sys
         .run_until_halt(Time::from_us(60_000))
         .unwrap_or_else(|e| panic!("{e}"));

@@ -442,8 +442,17 @@ fn emit_process_event(a: &mut Asm, layout: &PdesLayout, id: &str, sched_label: &
     a.label(&format!("succ_done_{id}"));
 }
 
-/// Runs the PDES benchmark with `p` workers on a `width × layers` circuit.
-pub fn run(variant: BenchVariant, p: usize, width: u32, layers: u32, seed: u64) -> AppResult {
+/// Builds a ready-to-run PDES system with `p` workers on a
+/// `width × layers` circuit — circuit installed, programs loaded, scheduler
+/// attached (accelerated variants) or caches warmed (baseline) — plus the
+/// reference gate outputs.
+pub fn prepare(
+    variant: BenchVariant,
+    p: usize,
+    width: u32,
+    layers: u32,
+    seed: u64,
+) -> (System, Vec<u32>) {
     let layout = PdesLayout::new();
     let c = Circuit::generate(width, layers, seed);
     let expected = c.eval_ref();
@@ -629,13 +638,21 @@ pub fn run(variant: BenchVariant, p: usize, width: u32, layers: u32, seed: u64) 
             sys.warm_shared(layout.gates, u64::from(c.total_gates()) * 16, core);
         }
     }
+    (sys, expected)
+}
+
+/// Runs the PDES benchmark with `p` workers on a `width × layers` circuit.
+pub fn run(variant: BenchVariant, p: usize, width: u32, layers: u32, seed: u64) -> AppResult {
+    let layout = PdesLayout::new();
+    let (mut sys, expected) = prepare(variant, p, width, layers, seed);
     let runtime = sys
         .run_until_halt(Time::from_us(60_000))
         .unwrap_or_else(|e| panic!("{e}"));
     sys.quiesce(Time::from_us(61_000))
         .unwrap_or_else(|e| panic!("{e}"));
-    let correct = (0..c.total_gates() as u64)
-        .all(|g| sys.peek_u32(layout.out + g * 4) == expected[g as usize]);
+    let correct = (0u64..)
+        .zip(&expected)
+        .all(|(g, &want)| sys.peek_u32(layout.out + g * 4) == want);
     AppResult {
         name: format!("pdes/{p}"),
         variant,

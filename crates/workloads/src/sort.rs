@@ -389,9 +389,10 @@ fn emit_quicksort(a: &mut Asm, base_reg: duet_cpu::isa::Reg, n: u64, stack_base:
     a.label("qs_done");
 }
 
-/// Runs the sort benchmark: `n` u32 elements sorted in `slice`-element
-/// accelerator passes plus a CPU merge (or quicksort for the baseline).
-pub fn run(variant: BenchVariant, slice: u64, n: u64, seed: u64) -> AppResult {
+/// Builds a ready-to-run sort system — input installed, program loaded,
+/// accelerator attached (accelerated variants) or caches warmed (baseline)
+/// — plus the address of the output region and the expected contents.
+pub fn prepare(variant: BenchVariant, slice: u64, n: u64, seed: u64) -> (System, u64, Vec<u32>) {
     assert!(
         n.is_multiple_of(slice),
         "n must be a multiple of the slice size"
@@ -530,6 +531,14 @@ pub fn run(variant: BenchVariant, slice: u64, n: u64, seed: u64) -> AppResult {
     if variant == BenchVariant::ProcOnly {
         sys.warm_shared(layout.input, n * 4, 0);
     }
+    (sys, out_region, expected)
+}
+
+/// Runs the sort benchmark: `n` u32 elements sorted in `slice`-element
+/// accelerator passes plus a CPU merge (or quicksort for the baseline).
+pub fn run(variant: BenchVariant, slice: u64, n: u64, seed: u64) -> AppResult {
+    let (mut sys, out_region, expected) = prepare(variant, slice, n, seed);
+    let mhz = sort_mhz(slice);
     let runtime = sys
         .run_until_halt(Time::from_us(400_000))
         .unwrap_or_else(|e| panic!("{e}"));
