@@ -28,8 +28,7 @@ use std::time::Instant;
 /// Sweep workers multiply with *intra-run* simulation threads
 /// (`SystemConfig::sim_threads` / `DUET_SIM_THREADS`): a sweep of S
 /// workers each running a T-shard simulation occupies up to S×T host
-/// threads. Harnesses that sweep `sim_threads` should cap the product —
-/// bench_smoke runs its intra-run scaling cells with one sweep worker.
+/// threads. Harnesses that sweep `sim_threads` should cap the product.
 pub fn configured_threads() -> usize {
     let auto = || std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut args = std::env::args();

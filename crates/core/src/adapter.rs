@@ -375,38 +375,10 @@ impl DuetAdapter {
     }
 }
 
-mod snap_impls {
-    use duet_sim::{Pack, Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{Clock, DuetAdapter};
-
-    impl Snap for DuetAdapter {
-        /// The eFPGA clock is state (software can reprogram it mid-run), so
-        /// it is saved before the hubs; each CDC link additionally carries
-        /// its own clocks inside its own section of state. Tracer handles
-        /// are re-installed by the owning system.
-        fn save(&self, w: &mut SnapWriter) {
-            self.fpga_clock.pack(w);
-            self.control.save(w);
-            w.len64(self.hubs.len());
-            for h in &self.hubs {
-                h.save(w);
-            }
-        }
-        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.fpga_clock = Clock::unpack(r)?;
-            self.control.load(r)?;
-            let n = r.len64()?;
-            if n != self.hubs.len() {
-                return Err(SnapError::Corrupt("adapter hub count mismatch"));
-            }
-            for h in &mut self.hubs {
-                h.load(r)?;
-            }
-            Ok(())
-        }
-    }
-}
+// The eFPGA clock is state (software can reprogram it mid-run), so it is
+// saved before the hubs; each CDC link additionally carries its own clocks.
+// Tracer handles are re-installed by the owning system.
+duet_sim::snap_fields!(DuetAdapter { fpga_clock, control, [hubs] });
 
 /// Re-export for users of the IRQ type.
 pub use crate::msg::IrqCause as AdapterIrq;

@@ -854,194 +854,38 @@ impl ControlHub {
     }
 }
 
-mod snap_impls {
-    use duet_sim::{Pack, Snap, SnapError, SnapReader, SnapWriter, Time};
-
-    use super::{ControlHub, ControlHubStats, ProgStatus, RegDown, RegMode, WaitSt};
-
-    impl Pack for RegMode {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u8(*self as u8);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            RegMode::from_u64(u64::from(r.u8()?))
-                .ok_or(SnapError::Corrupt("invalid RegMode discriminant"))
-        }
-    }
-
-    impl Pack for ProgStatus {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u8(*self as u8);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => ProgStatus::Idle,
-                1 => ProgStatus::Programming,
-                2 => ProgStatus::Done,
-                3 => ProgStatus::Error,
-                _ => return Err(SnapError::Corrupt("invalid ProgStatus discriminant")),
-            })
-        }
-    }
-
-    impl Pack for ControlHubStats {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.mmio_ops);
-            w.u64(self.shadow_fast);
-            w.u64(self.normal_crossings);
-            w.u64(self.timeouts);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(ControlHubStats {
-                mmio_ops: r.u64()?,
-                shadow_fast: r.u64()?,
-                normal_crossings: r.u64()?,
-                timeouts: r.u64()?,
-            })
-        }
-    }
-
-    impl Pack for WaitSt {
-        fn pack(&self, w: &mut SnapWriter) {
-            match self {
-                WaitSt::NormalTxn {
-                    txn,
-                    id,
-                    reply_to,
-                    started,
-                } => {
-                    w.u8(0);
-                    w.u64(*txn);
-                    w.u64(*id);
-                    w.len64(*reply_to);
-                    started.pack(w);
-                }
-                WaitSt::CpuBound {
-                    reg,
-                    id,
-                    reply_to,
-                    started,
-                } => {
-                    w.u8(1);
-                    w.u8(*reg);
-                    w.u64(*id);
-                    w.len64(*reply_to);
-                    started.pack(w);
-                }
-                WaitSt::DownSpace { ev, id, reply_to } => {
-                    w.u8(2);
-                    ev.pack(w);
-                    w.u64(*id);
-                    w.len64(*reply_to);
-                }
-                WaitSt::DownSpaceThenTxn {
-                    ev,
-                    txn,
-                    id,
-                    reply_to,
-                } => {
-                    w.u8(3);
-                    ev.pack(w);
-                    w.u64(*txn);
-                    w.u64(*id);
-                    w.len64(*reply_to);
-                }
-            }
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => WaitSt::NormalTxn {
-                    txn: r.u64()?,
-                    id: r.u64()?,
-                    reply_to: r.len64()?,
-                    started: Time::unpack(r)?,
-                },
-                1 => WaitSt::CpuBound {
-                    reg: r.u8()?,
-                    id: r.u64()?,
-                    reply_to: r.len64()?,
-                    started: Time::unpack(r)?,
-                },
-                2 => WaitSt::DownSpace {
-                    ev: RegDown::unpack(r)?,
-                    id: r.u64()?,
-                    reply_to: r.len64()?,
-                },
-                3 => WaitSt::DownSpaceThenTxn {
-                    ev: RegDown::unpack(r)?,
-                    txn: r.u64()?,
-                    id: r.u64()?,
-                    reply_to: r.len64()?,
-                },
-                _ => return Err(SnapError::Corrupt("invalid WaitSt discriminant")),
-            })
-        }
-    }
-
-    impl Snap for ControlHub {
-        /// Everything observable is serialized; the tracer handle is not
-        /// (the owning system re-installs it after a restore). The CDC
-        /// links carry their own clock state, so a snapshot taken after a
-        /// software clock change restores the retimed FIFOs exactly.
-        fn save(&self, w: &mut SnapWriter) {
-            self.modes.pack(w);
-            self.plain.pack(w);
-            self.cpu_fifo.pack(w);
-            self.tokens.pack(w);
-            self.down.save(w);
-            self.up.save(w);
-            self.mmio_in.pack(w);
-            self.waiting.pack(w);
-            self.txn_results.pack(w);
-            w.u64(self.txn_next);
-            self.out.save(w);
-            self.active.pack(w);
-            w.u64(self.error_code);
-            w.u64(self.timeout_cycles);
-            self.fpga_clock_mhz.pack(w);
-            self.pending_clock_mhz.pack(w);
-            self.prog_status.pack(w);
-            w.u64(self.prog_expected_checksum);
-            w.u64(self.prog_remaining);
-            w.u64(self.prog_acc);
-            self.reset_pulse.pack(w);
-            self.tlb_vpn_latch.pack(w);
-            self.stats.pack(w);
-            self.irqs.pack(w);
-        }
-        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.modes = Pack::unpack(r)?;
-            self.plain = Pack::unpack(r)?;
-            let cpu_fifo: Vec<std::collections::VecDeque<u64>> = Pack::unpack(r)?;
-            if cpu_fifo.len() != super::REG_COUNT {
-                return Err(SnapError::Corrupt("cpu_fifo register count mismatch"));
-            }
-            self.cpu_fifo = cpu_fifo;
-            self.tokens = Pack::unpack(r)?;
-            self.down.load(r)?;
-            self.up.load(r)?;
-            self.mmio_in = Pack::unpack(r)?;
-            self.waiting = Pack::unpack(r)?;
-            self.txn_results = Pack::unpack(r)?;
-            self.txn_next = r.u64()?;
-            self.out.load(r)?;
-            self.active = Pack::unpack(r)?;
-            self.error_code = r.u64()?;
-            self.timeout_cycles = r.u64()?;
-            self.fpga_clock_mhz = Pack::unpack(r)?;
-            self.pending_clock_mhz = Pack::unpack(r)?;
-            self.prog_status = Pack::unpack(r)?;
-            self.prog_expected_checksum = r.u64()?;
-            self.prog_remaining = r.u64()?;
-            self.prog_acc = r.u64()?;
-            self.reset_pulse = Pack::unpack(r)?;
-            self.tlb_vpn_latch = Pack::unpack(r)?;
-            self.stats = ControlHubStats::unpack(r)?;
-            self.irqs = Pack::unpack(r)?;
-            Ok(())
-        }
-    }
-}
+duet_sim::pack_enum!(RegMode {
+    0 => Normal,
+    1 => ShadowPlain,
+    2 => FpgaBound,
+    3 => CpuBound,
+    4 => Token,
+});
+duet_sim::pack_enum!(ProgStatus { 0 => Idle, 1 => Programming, 2 => Done, 3 => Error });
+duet_sim::pack_struct!(ControlHubStats {
+    mmio_ops,
+    shadow_fast,
+    normal_crossings,
+    timeouts
+});
+duet_sim::pack_enum!(WaitSt {
+    0 => NormalTxn { txn, id, reply_to, started },
+    1 => CpuBound { reg, id, reply_to, started },
+    2 => DownSpace { ev, id, reply_to },
+    3 => DownSpaceThenTxn { ev, txn, id, reply_to },
+});
+// Everything observable is serialized; the tracer handle is not (the owning
+// system re-installs it after a restore). The CDC links carry their own
+// clock state, so a snapshot taken after a software clock change restores
+// the retimed FIFOs exactly.
+duet_sim::snap_fields!(ControlHub {
+    modes, plain, cpu_fifo, tokens, down, up, mmio_in, waiting, txn_results, txn_next, out,
+    active, error_code, timeout_cycles, fpga_clock_mhz, pending_clock_mhz, prog_status,
+    prog_expected_checksum, prog_remaining, prog_acc, reset_pulse, tlb_vpn_latch, stats, irqs
+} check |c| duet_sim::snapshot::ensure(
+    c.cpu_fifo.len() == REG_COUNT,
+    "cpu_fifo register count mismatch"
+));
 
 impl Component for ControlHub {
     fn name(&self) -> String {

@@ -583,103 +583,43 @@ impl MemoryHub {
     }
 }
 
-mod snap_impls {
-    use duet_sim::{Pack, Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{HubStats, HubSwitches, LatencyBreakdown, MemoryHub, Pending};
-
-    impl Pack for HubSwitches {
-        fn pack(&self, w: &mut SnapWriter) {
-            self.active.pack(w);
-            self.fwd_inv.pack(w);
-            self.tlb_enabled.pack(w);
-            self.atomics.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(HubSwitches {
-                active: bool::unpack(r)?,
-                fwd_inv: bool::unpack(r)?,
-                tlb_enabled: bool::unpack(r)?,
-                atomics: bool::unpack(r)?,
-            })
-        }
-    }
-
-    impl Pack for HubStats {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.requests);
-            w.u64(self.loads);
-            w.u64(self.stores);
-            w.u64(self.amos);
-            w.u64(self.invs_forwarded);
-            w.u64(self.page_faults);
-            w.u64(self.exceptions);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(HubStats {
-                requests: r.u64()?,
-                loads: r.u64()?,
-                stores: r.u64()?,
-                amos: r.u64()?,
-                invs_forwarded: r.u64()?,
-                page_faults: r.u64()?,
-                exceptions: r.u64()?,
-            })
-        }
-    }
-
-    impl Pack for Pending {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.fabric_id);
-            self.base.pack(w);
-            self.is_amo.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Pending {
-                fabric_id: r.u64()?,
-                base: LatencyBreakdown::unpack(r)?,
-                is_amo: bool::unpack(r)?,
-            })
-        }
-    }
-
-    impl Snap for MemoryHub {
-        /// Everything observable is serialized; the tracer handles (hub and
-        /// proxy) are not — the owning system re-installs them after a
-        /// restore.
-        fn save(&self, w: &mut SnapWriter) {
-            self.proxy.save(w);
-            self.req_fifo.save(w);
-            self.resp_fifo.save(w);
-            self.resp_stage.pack(w);
-            self.tlb.save(w);
-            self.switches.pack(w);
-            w.u64(self.error_code);
-            self.pending.pack(w);
-            w.u64(self.next_proxy_id);
-            self.fault.pack(w);
-            self.irqs.pack(w);
-            self.va_of_pa.pack(w);
-            self.stats.pack(w);
-        }
-        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.proxy.load(r)?;
-            self.req_fifo.load(r)?;
-            self.resp_fifo.load(r)?;
-            self.resp_stage = Pack::unpack(r)?;
-            self.tlb.load(r)?;
-            self.switches = Pack::unpack(r)?;
-            self.error_code = r.u64()?;
-            self.pending = Pack::unpack(r)?;
-            self.next_proxy_id = r.u64()?;
-            self.fault = Pack::unpack(r)?;
-            self.irqs = Pack::unpack(r)?;
-            self.va_of_pa = Pack::unpack(r)?;
-            self.stats = HubStats::unpack(r)?;
-            Ok(())
-        }
-    }
-}
+duet_sim::pack_struct!(HubSwitches {
+    active,
+    fwd_inv,
+    tlb_enabled,
+    atomics
+});
+duet_sim::pack_struct!(HubStats {
+    requests,
+    loads,
+    stores,
+    amos,
+    invs_forwarded,
+    page_faults,
+    exceptions
+});
+duet_sim::pack_struct!(Pending {
+    fabric_id,
+    base,
+    is_amo
+});
+// Everything observable is serialized; the tracer handles (hub and proxy)
+// are not — the owning system re-installs them after a restore.
+duet_sim::snap_fields!(MemoryHub {
+    proxy,
+    req_fifo,
+    resp_fifo,
+    resp_stage,
+    tlb,
+    switches,
+    error_code,
+    pending,
+    next_proxy_id,
+    fault,
+    irqs,
+    va_of_pa,
+    stats
+});
 
 impl Component for MemoryHub {
     fn name(&self) -> String {

@@ -79,87 +79,13 @@ impl DuetMsg {
     }
 }
 
-mod pack_impls {
-    use duet_mem::msg::CoherenceMsg;
-    use duet_mem::types::{MemReq, MemResp};
-    use duet_sim::{Pack, SnapError, SnapReader, SnapWriter};
-
-    use super::{DuetMsg, IrqCause};
-
-    impl Pack for IrqCause {
-        fn pack(&self, w: &mut SnapWriter) {
-            match self {
-                IrqCause::PageFault {
-                    vaddr,
-                    is_write,
-                    hub,
-                } => {
-                    w.u8(0);
-                    w.u64(*vaddr);
-                    is_write.pack(w);
-                    w.len64(*hub);
-                }
-                IrqCause::Exception { code } => {
-                    w.u8(1);
-                    w.u64(*code);
-                }
-            }
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => IrqCause::PageFault {
-                    vaddr: r.u64()?,
-                    is_write: bool::unpack(r)?,
-                    hub: r.len64()?,
-                },
-                1 => IrqCause::Exception { code: r.u64()? },
-                _ => return Err(SnapError::Corrupt("invalid IrqCause discriminant")),
-            })
-        }
-    }
-
-    impl Pack for DuetMsg {
-        fn pack(&self, w: &mut SnapWriter) {
-            match self {
-                DuetMsg::Coherence(c) => {
-                    w.u8(0);
-                    c.pack(w);
-                }
-                DuetMsg::MmioReq { req, reply_to } => {
-                    w.u8(1);
-                    req.pack(w);
-                    w.len64(*reply_to);
-                }
-                DuetMsg::MmioResp { resp } => {
-                    w.u8(2);
-                    resp.pack(w);
-                }
-                DuetMsg::Interrupt { cause, from } => {
-                    w.u8(3);
-                    cause.pack(w);
-                    w.len64(*from);
-                }
-            }
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => DuetMsg::Coherence(CoherenceMsg::unpack(r)?),
-                1 => DuetMsg::MmioReq {
-                    req: MemReq::unpack(r)?,
-                    reply_to: r.len64()?,
-                },
-                2 => DuetMsg::MmioResp {
-                    resp: MemResp::unpack(r)?,
-                },
-                3 => DuetMsg::Interrupt {
-                    cause: IrqCause::unpack(r)?,
-                    from: r.len64()?,
-                },
-                _ => return Err(SnapError::Corrupt("invalid DuetMsg discriminant")),
-            })
-        }
-    }
-}
+duet_sim::pack_enum!(IrqCause { 0 => PageFault { vaddr, is_write, hub }, 1 => Exception { code } });
+duet_sim::pack_enum!(DuetMsg {
+    0 => Coherence(msg),
+    1 => MmioReq { req, reply_to },
+    2 => MmioResp { resp },
+    3 => Interrupt { cause, from },
+});
 
 #[cfg(test)]
 mod tests {

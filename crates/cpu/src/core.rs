@@ -577,145 +577,43 @@ impl Core {
     }
 }
 
-mod snap_impls {
-    use std::collections::VecDeque;
-
-    use duet_mem::types::Width;
-    use duet_sim::{LatencyBreakdown, Pack, Snap, SnapError, SnapReader, SnapWriter, Time};
-
-    use super::{Core, CoreStats, Wait};
-    use crate::isa::Reg;
-
-    impl Pack for Reg {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u8(self.0);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let v = r.u8()?;
-            if v >= 32 {
-                return Err(SnapError::Corrupt("register index out of range"));
-            }
-            Ok(Reg(v))
-        }
-    }
-
-    impl Pack for Wait {
-        fn pack(&self, w: &mut SnapWriter) {
-            match self {
-                Wait::None => w.u8(0),
-                Wait::Load(id, rd, width, signed, addr) => {
-                    w.u8(1);
-                    w.u64(*id);
-                    rd.pack(w);
-                    width.pack(w);
-                    signed.pack(w);
-                    w.u64(*addr);
-                }
-                Wait::Amo(id, rd) => {
-                    w.u8(2);
-                    w.u64(*id);
-                    rd.pack(w);
-                }
-                Wait::MmioLoad(id, rd, width, signed) => {
-                    w.u8(3);
-                    w.u64(*id);
-                    rd.pack(w);
-                    width.pack(w);
-                    signed.pack(w);
-                }
-                Wait::MmioStore(id) => {
-                    w.u8(4);
-                    w.u64(*id);
-                }
-                Wait::Drain => w.u8(5),
-                Wait::Halted => w.u8(6),
-            }
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => Wait::None,
-                1 => Wait::Load(
-                    r.u64()?,
-                    Reg::unpack(r)?,
-                    Width::unpack(r)?,
-                    bool::unpack(r)?,
-                    r.u64()?,
-                ),
-                2 => Wait::Amo(r.u64()?, Reg::unpack(r)?),
-                3 => Wait::MmioLoad(
-                    r.u64()?,
-                    Reg::unpack(r)?,
-                    Width::unpack(r)?,
-                    bool::unpack(r)?,
-                ),
-                4 => Wait::MmioStore(r.u64()?),
-                5 => Wait::Drain,
-                6 => Wait::Halted,
-                _ => return Err(SnapError::Corrupt("invalid Wait discriminant")),
-            })
-        }
-    }
-
-    impl Pack for CoreStats {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.instret);
-            w.u64(self.load_misses);
-            w.u64(self.load_hits);
-            w.u64(self.stores);
-            w.u64(self.amos);
-            w.u64(self.mmio_ops);
-            w.u64(self.mem_stall_cycles);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(CoreStats {
-                instret: r.u64()?,
-                load_misses: r.u64()?,
-                load_hits: r.u64()?,
-                stores: r.u64()?,
-                amos: r.u64()?,
-                mmio_ops: r.u64()?,
-                mem_stall_cycles: r.u64()?,
-            })
-        }
-    }
-
-    impl Snap for Core {
-        /// The program is identified by the owning system's config, not
-        /// serialized; everything architectural and micro-architectural is.
-        fn save(&self, w: &mut SnapWriter) {
-            self.regs.pack(w);
-            w.len64(self.pc);
-            self.next_issue.pack(w);
-            self.wait.pack(w);
-            self.store_buf.pack(w);
-            self.store_inflight.pack(w);
-            w.u64(self.next_id);
-            self.out.pack(w);
-            self.l1.save(w);
-            self.stats.pack(w);
-            self.halted.pack(w);
-            self.last_breakdown.pack(w);
-            self.fill_poisoned.pack(w);
-        }
-        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.regs = Pack::unpack(r)?;
-            self.pc = r.len64()?;
-            self.next_issue = Time::unpack(r)?;
-            self.wait = Wait::unpack(r)?;
-            self.store_buf = VecDeque::unpack(r)?;
-            self.store_inflight = Option::unpack(r)?;
-            self.next_id = r.u64()?;
-            self.out = VecDeque::unpack(r)?;
-            // UFCS: `L1Cache::load` (the cache lookup) shadows `Snap::load`.
-            Snap::load(&mut self.l1, r)?;
-            self.stats = CoreStats::unpack(r)?;
-            self.halted = bool::unpack(r)?;
-            self.last_breakdown = LatencyBreakdown::unpack(r)?;
-            self.fill_poisoned = bool::unpack(r)?;
-            Ok(())
-        }
-    }
-}
+duet_sim::pack_struct!(Reg { 0 }
+    check |r| duet_sim::snapshot::ensure(r.0 < 32, "register index out of range"));
+duet_sim::pack_enum!(Wait {
+    0 => None,
+    1 => Load(id, rd, width, signed, addr),
+    2 => Amo(id, rd),
+    3 => MmioLoad(id, rd, width, signed),
+    4 => MmioStore(id),
+    5 => Drain,
+    6 => Halted,
+});
+duet_sim::pack_struct!(CoreStats {
+    instret,
+    load_misses,
+    load_hits,
+    stores,
+    amos,
+    mmio_ops,
+    mem_stall_cycles
+});
+// The program is identified by the owning system's config, not serialized;
+// everything architectural and micro-architectural is.
+duet_sim::snap_fields!(Core {
+    regs,
+    pc,
+    next_issue,
+    wait,
+    store_buf,
+    store_inflight,
+    next_id,
+    out,
+    l1,
+    stats,
+    halted,
+    last_breakdown,
+    fill_poisoned
+});
 
 impl duet_sim::Component for Core {
     fn name(&self) -> String {

@@ -137,180 +137,35 @@ pub enum RegUp {
     },
 }
 
-mod pack_impls {
-    use duet_mem::types::{AmoOp, LineAddr, LineData, Width};
-    use duet_sim::{LatencyBreakdown, Pack, SnapError, SnapReader, SnapWriter, Time};
-
-    use super::{FpgaMemOp, FpgaMemReq, FpgaMemResp, FpgaRespKind, RegDown, RegUp};
-
-    impl Pack for FpgaMemOp {
-        fn pack(&self, w: &mut SnapWriter) {
-            match self {
-                FpgaMemOp::LoadLine => w.u8(0),
-                FpgaMemOp::Store(width) => {
-                    w.u8(1);
-                    width.pack(w);
-                }
-                FpgaMemOp::Amo(op, width) => {
-                    w.u8(2);
-                    op.pack(w);
-                    width.pack(w);
-                }
-            }
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => FpgaMemOp::LoadLine,
-                1 => FpgaMemOp::Store(Width::unpack(r)?),
-                2 => FpgaMemOp::Amo(AmoOp::unpack(r)?, Width::unpack(r)?),
-                _ => return Err(SnapError::Corrupt("invalid FpgaMemOp discriminant")),
-            })
-        }
-    }
-
-    impl Pack for FpgaMemReq {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.id);
-            self.op.pack(w);
-            w.u64(self.addr);
-            w.u64(self.wdata);
-            w.u64(self.expected);
-            self.issued_at.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(FpgaMemReq {
-                id: r.u64()?,
-                op: FpgaMemOp::unpack(r)?,
-                addr: r.u64()?,
-                wdata: r.u64()?,
-                expected: r.u64()?,
-                issued_at: Time::unpack(r)?,
-            })
-        }
-    }
-
-    impl Pack for FpgaRespKind {
-        fn pack(&self, w: &mut SnapWriter) {
-            match self {
-                FpgaRespKind::LoadAck { data } => {
-                    w.u8(0);
-                    data.pack(w);
-                }
-                FpgaRespKind::StoreAck { old } => {
-                    w.u8(1);
-                    w.u64(*old);
-                }
-                FpgaRespKind::Inv { line } => {
-                    w.u8(2);
-                    line.pack(w);
-                }
-            }
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => FpgaRespKind::LoadAck {
-                    data: LineData::unpack(r)?,
-                },
-                1 => FpgaRespKind::StoreAck { old: r.u64()? },
-                2 => FpgaRespKind::Inv {
-                    line: LineAddr::unpack(r)?,
-                },
-                _ => return Err(SnapError::Corrupt("invalid FpgaRespKind discriminant")),
-            })
-        }
-    }
-
-    impl Pack for FpgaMemResp {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.id);
-            self.kind.pack(w);
-            self.breakdown.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(FpgaMemResp {
-                id: r.u64()?,
-                kind: FpgaRespKind::unpack(r)?,
-                breakdown: LatencyBreakdown::unpack(r)?,
-            })
-        }
-    }
-
-    impl Pack for RegDown {
-        fn pack(&self, w: &mut SnapWriter) {
-            match self {
-                RegDown::ShadowWrite { reg, value } => {
-                    w.u8(0);
-                    w.u8(*reg);
-                    w.u64(*value);
-                }
-                RegDown::ReadReq { txn, reg } => {
-                    w.u8(1);
-                    w.u64(*txn);
-                    w.u8(*reg);
-                }
-                RegDown::WriteReq { txn, reg, value } => {
-                    w.u8(2);
-                    w.u64(*txn);
-                    w.u8(*reg);
-                    w.u64(*value);
-                }
-            }
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => RegDown::ShadowWrite {
-                    reg: r.u8()?,
-                    value: r.u64()?,
-                },
-                1 => RegDown::ReadReq {
-                    txn: r.u64()?,
-                    reg: r.u8()?,
-                },
-                2 => RegDown::WriteReq {
-                    txn: r.u64()?,
-                    reg: r.u8()?,
-                    value: r.u64()?,
-                },
-                _ => return Err(SnapError::Corrupt("invalid RegDown discriminant")),
-            })
-        }
-    }
-
-    impl Pack for RegUp {
-        fn pack(&self, w: &mut SnapWriter) {
-            match self {
-                RegUp::Push { reg, value } => {
-                    w.u8(0);
-                    w.u8(*reg);
-                    w.u64(*value);
-                }
-                RegUp::ReadResp { txn, value } => {
-                    w.u8(1);
-                    w.u64(*txn);
-                    w.u64(*value);
-                }
-                RegUp::WriteAck { txn } => {
-                    w.u8(2);
-                    w.u64(*txn);
-                }
-            }
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => RegUp::Push {
-                    reg: r.u8()?,
-                    value: r.u64()?,
-                },
-                1 => RegUp::ReadResp {
-                    txn: r.u64()?,
-                    value: r.u64()?,
-                },
-                2 => RegUp::WriteAck { txn: r.u64()? },
-                _ => return Err(SnapError::Corrupt("invalid RegUp discriminant")),
-            })
-        }
-    }
-}
+duet_sim::pack_enum!(FpgaMemOp { 0 => LoadLine, 1 => Store(width), 2 => Amo(op, width) });
+duet_sim::pack_struct!(FpgaMemReq {
+    id,
+    op,
+    addr,
+    wdata,
+    expected,
+    issued_at
+});
+duet_sim::pack_enum!(FpgaRespKind {
+    0 => LoadAck { data },
+    1 => StoreAck { old },
+    2 => Inv { line },
+});
+duet_sim::pack_struct!(FpgaMemResp {
+    id,
+    kind,
+    breakdown
+});
+duet_sim::pack_enum!(RegDown {
+    0 => ShadowWrite { reg, value },
+    1 => ReadReq { txn, reg },
+    2 => WriteReq { txn, reg, value },
+});
+duet_sim::pack_enum!(RegUp {
+    0 => Push { reg, value },
+    1 => ReadResp { txn, value },
+    2 => WriteAck { txn },
+});
 
 /// Fabric-side handle on one Memory Hub's request/response CDC link pair.
 pub struct HubPort<'a> {
@@ -457,7 +312,14 @@ pub struct FabricPorts<'a> {
 /// Implementations model the RTL/HLS accelerators of Sec. V-D: they may
 /// take multiple ticks per result (pipeline depth / initiation interval)
 /// and interact with the system only through [`FabricPorts`].
-pub trait SoftAccelerator {
+///
+/// The [`Snap`](duet_sim::Snap) supertrait carries the design's internal
+/// state (FSM phase, counters, soft caches, register endpoints) through
+/// system snapshots and forks: declare it with one
+/// [`snap_fields!`](duet_sim::snap_fields) list — empty only for a
+/// stateless design. A state field left off the list makes a restored run
+/// silently diverge from the uninterrupted one.
+pub trait SoftAccelerator: duet_sim::Snap {
     /// Human-readable name (used in reports).
     fn name(&self) -> &str;
 
@@ -470,20 +332,6 @@ pub trait SoftAccelerator {
     /// Resets all internal state (on reconfiguration or feature-switch
     /// reset).
     fn reset(&mut self) {}
-
-    /// Serializes the design's internal state for a system snapshot. The
-    /// default writes nothing — correct only for stateless designs. A
-    /// design with any internal state (FSM phase, counters, soft caches,
-    /// register endpoints) must override both this and
-    /// [`load_state`](SoftAccelerator::load_state), or a restored run will
-    /// silently diverge from the uninterrupted one.
-    fn save_state(&self, _w: &mut duet_sim::SnapWriter) {}
-
-    /// Restores state written by [`save_state`](SoftAccelerator::save_state)
-    /// into an already-constructed (freshly built) design.
-    fn load_state(&mut self, _r: &mut duet_sim::SnapReader<'_>) -> Result<(), duet_sim::SnapError> {
-        Ok(())
-    }
 
     /// Whether the design attests that, with no input visible on any of its
     /// ports, [`tick`](SoftAccelerator::tick) neither changes observable

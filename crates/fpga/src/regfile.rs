@@ -226,65 +226,13 @@ impl FabricRegFile {
     }
 }
 
-mod snap_impls {
-    use std::collections::VecDeque;
-
-    use duet_sim::{Pack, Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{FabricRegFile, FabricRegKind};
-
-    impl Pack for FabricRegKind {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                FabricRegKind::Value => 0,
-                FabricRegKind::Queue => 1,
-                FabricRegKind::Barrier => 2,
-                FabricRegKind::TokenQueue => 3,
-            });
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => FabricRegKind::Value,
-                1 => FabricRegKind::Queue,
-                2 => FabricRegKind::Barrier,
-                3 => FabricRegKind::TokenQueue,
-                _ => return Err(SnapError::Corrupt("invalid FabricRegKind discriminant")),
-            })
-        }
-    }
-
-    impl Snap for FabricRegFile {
-        /// `push_mode` is construction-time configuration; it is saved only
-        /// to cross-check that the restored endpoint was built the same way.
-        fn save(&self, w: &mut SnapWriter) {
-            self.push_mode.pack(w);
-            self.kinds.pack(w);
-            self.values.pack(w);
-            self.inbox.pack(w);
-            self.outbox.pack(w);
-            self.pending_reads.pack(w);
-            self.pending_acks.pack(w);
-        }
-        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            let push_mode = bool::unpack(r)?;
-            if push_mode != self.push_mode {
-                return Err(SnapError::Corrupt("regfile push_mode mismatch"));
-            }
-            self.kinds = Pack::unpack(r)?;
-            self.values = Pack::unpack(r)?;
-            let inbox: Vec<VecDeque<u64>> = Pack::unpack(r)?;
-            let outbox: Vec<VecDeque<u64>> = Pack::unpack(r)?;
-            if inbox.len() != 32 || outbox.len() != 32 {
-                return Err(SnapError::Corrupt("regfile queue count mismatch"));
-            }
-            self.inbox = inbox;
-            self.outbox = outbox;
-            self.pending_reads = Pack::unpack(r)?;
-            self.pending_acks = Pack::unpack(r)?;
-            Ok(())
-        }
-    }
-}
+duet_sim::pack_enum!(FabricRegKind { 0 => Value, 1 => Queue, 2 => Barrier, 3 => TokenQueue });
+duet_sim::snap_fields!(FabricRegFile {
+    const push_mode, kinds, values, inbox, outbox, pending_reads, pending_acks
+} check |f| duet_sim::snapshot::ensure(
+    f.inbox.len() == 32 && f.outbox.len() == 32,
+    "regfile queue count mismatch"
+));
 
 #[cfg(test)]
 mod tests {

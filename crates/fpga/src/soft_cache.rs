@@ -240,66 +240,26 @@ impl SoftCache {
     }
 }
 
-mod snap_impls {
-    use duet_mem::types::{LineAddr, Width};
-    use duet_sim::{Pack, Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{PendingStore, SoftCache, SoftCacheStats};
-
-    impl Pack for PendingStore {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.id);
-            w.u64(self.addr);
-            self.width.pack(w);
-            w.u64(self.value);
-            self.sent.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(PendingStore {
-                id: r.u64()?,
-                addr: r.u64()?,
-                width: Width::unpack(r)?,
-                value: r.u64()?,
-                sent: bool::unpack(r)?,
-            })
-        }
-    }
-
-    impl Pack for SoftCacheStats {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.hits);
-            w.u64(self.misses);
-            w.u64(self.stores);
-            w.u64(self.invalidations);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(SoftCacheStats {
-                hits: r.u64()?,
-                misses: r.u64()?,
-                stores: r.u64()?,
-                invalidations: r.u64()?,
-            })
-        }
-    }
-
-    impl Snap for SoftCache {
-        fn save(&self, w: &mut SnapWriter) {
-            self.array.save(w);
-            self.wbuf.pack(w);
-            self.pending_fills.pack(w);
-            w.u64(self.id_next);
-            self.stats.pack(w);
-        }
-        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.array.load(r)?;
-            self.wbuf = Pack::unpack(r)?;
-            self.pending_fills = Vec::<(u64, LineAddr)>::unpack(r)?;
-            self.id_next = r.u64()?;
-            self.stats = SoftCacheStats::unpack(r)?;
-            Ok(())
-        }
-    }
-}
+duet_sim::pack_struct!(PendingStore {
+    id,
+    addr,
+    width,
+    value,
+    sent
+});
+duet_sim::pack_struct!(SoftCacheStats {
+    hits,
+    misses,
+    stores,
+    invalidations
+});
+duet_sim::snap_fields!(SoftCache {
+    array,
+    wbuf,
+    pending_fills,
+    id_next,
+    stats
+});
 
 #[cfg(test)]
 mod tests {

@@ -226,50 +226,15 @@ impl<M> CacheArray<M> {
     }
 }
 
-mod snap_impls {
-    use duet_sim::{Pack, Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{CacheArray, Way};
-    use crate::types::LineData;
-
-    impl<M: Pack> Pack for Way<M> {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.tag);
-            self.valid.pack(w);
-            w.u64(self.lru);
-            self.meta.pack(w);
-            self.data.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Way {
-                tag: r.u64()?,
-                valid: bool::unpack(r)?,
-                lru: r.u64()?,
-                meta: M::unpack(r)?,
-                data: LineData::unpack(r)?,
-            })
-        }
-    }
-
-    impl<M: Pack> Snap for CacheArray<M> {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u64(self.tick);
-            // Lazy backing: `lines` is either empty (never touched) or
-            // exactly sets*ways slots. The length distinguishes the two.
-            self.lines.pack(w);
-        }
-        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            let tick = r.u64()?;
-            let lines: Vec<Option<Way<M>>> = Vec::unpack(r)?;
-            if !lines.is_empty() && lines.len() != self.sets * self.ways {
-                return Err(SnapError::Corrupt("cache array geometry mismatch"));
-            }
-            self.tick = tick;
-            self.lines = lines;
-            Ok(())
-        }
-    }
-}
+duet_sim::pack_struct!(Way<M> { tag, valid, lru, meta, data });
+// Lazy backing: `lines` is either empty (never touched) or exactly
+// sets*ways slots. The length distinguishes the two.
+duet_sim::snap_fields!(CacheArray<M> {
+    tick, lines
+} check |a| duet_sim::snapshot::ensure(
+    a.lines.is_empty() || a.lines.len() == a.sets * a.ways,
+    "cache array geometry mismatch"
+));
 
 #[cfg(test)]
 mod tests {

@@ -662,118 +662,31 @@ impl L3Shard {
     }
 }
 
-mod snap_impls {
-    use std::collections::VecDeque;
-
-    use duet_sim::{Pack, Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{BusyTxn, DirLine, DirState, DirStats, L3Shard};
-
-    impl Pack for DirState {
-        fn pack(&self, w: &mut SnapWriter) {
-            match self {
-                DirState::I => w.u8(0),
-                DirState::S { sharers } => {
-                    w.u8(1);
-                    sharers.pack(w);
-                }
-                DirState::EorM { owner } => {
-                    w.u8(2);
-                    w.len64(*owner);
-                }
-            }
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => DirState::I,
-                1 => DirState::S {
-                    sharers: Vec::unpack(r)?,
-                },
-                2 => DirState::EorM { owner: r.len64()? },
-                _ => return Err(SnapError::Corrupt("invalid DirState discriminant")),
-            })
-        }
-    }
-
-    impl Pack for BusyTxn {
-        fn pack(&self, w: &mut SnapWriter) {
-            self.need_unblock.pack(w);
-            self.need_wbdata.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(BusyTxn {
-                need_unblock: bool::unpack(r)?,
-                need_wbdata: bool::unpack(r)?,
-            })
-        }
-    }
-
-    impl Pack for DirLine {
-        fn pack(&self, w: &mut SnapWriter) {
-            self.state.pack(w);
-            self.busy.pack(w);
-            self.queued.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(DirLine {
-                state: DirState::unpack(r)?,
-                busy: Option::unpack(r)?,
-                queued: VecDeque::unpack(r)?,
-            })
-        }
-    }
-
-    impl Pack for DirStats {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.gets);
-            w.u64(self.getm);
-            w.u64(self.putm);
-            w.u64(self.invs_sent);
-            w.u64(self.fwds_sent);
-            w.u64(self.l3_hits);
-            w.u64(self.l3_misses);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(DirStats {
-                gets: r.u64()?,
-                getm: r.u64()?,
-                putm: r.u64()?,
-                invs_sent: r.u64()?,
-                fwds_sent: r.u64()?,
-                l3_hits: r.u64()?,
-                l3_misses: r.u64()?,
-            })
-        }
-    }
-
-    impl Snap for L3Shard {
-        /// `blocked_lines` is derived (recomputed on load); the tracer
-        /// handle is re-installed by the owning system.
-        fn save(&self, w: &mut SnapWriter) {
-            self.dir.pack(w);
-            self.backing.save(w);
-            self.l3_tags.save(w);
-            self.incoming.pack(w);
-            self.out.save(w);
-            self.stats.pack(w);
-        }
-        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.dir = Pack::unpack(r)?;
-            self.backing.load(r)?;
-            self.l3_tags.load(r)?;
-            self.incoming = Pack::unpack(r)?;
-            self.out.load(r)?;
-            self.stats = DirStats::unpack(r)?;
-            self.blocked_lines = self
-                .dir
-                .sorted_keys()
-                .into_iter()
-                .filter(|&k| self.line_blocked(k))
-                .count();
-            Ok(())
-        }
-    }
-}
+duet_sim::pack_enum!(DirState { 0 => I, 1 => S { sharers }, 2 => EorM { owner } });
+duet_sim::pack_struct!(BusyTxn {
+    need_unblock,
+    need_wbdata
+});
+duet_sim::pack_struct!(DirLine {
+    state,
+    busy,
+    queued
+});
+duet_sim::pack_struct!(DirStats {
+    gets,
+    getm,
+    putm,
+    invs_sent,
+    fwds_sent,
+    l3_hits,
+    l3_misses
+});
+// `blocked_lines` is derived (recomputed on load); the tracer handle is
+// re-installed by the owning system.
+duet_sim::snap_fields!(L3Shard { dir, backing, l3_tags, incoming, out, stats } check |s| {
+    s.blocked_lines = s.dir.sorted_keys().into_iter().filter(|&k| s.line_blocked(k)).count();
+    Ok(())
+});
 
 impl Component for L3Shard {
     fn name(&self) -> String {

@@ -124,40 +124,13 @@ impl L1Cache {
     }
 }
 
-mod snap_impls {
-    use duet_sim::{Pack, Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{L1Cache, L1Stats};
-
-    impl Pack for L1Stats {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.hits);
-            w.u64(self.misses);
-            w.u64(self.stores);
-            w.u64(self.invalidations);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(L1Stats {
-                hits: r.u64()?,
-                misses: r.u64()?,
-                stores: r.u64()?,
-                invalidations: r.u64()?,
-            })
-        }
-    }
-
-    impl Snap for L1Cache {
-        fn save(&self, w: &mut SnapWriter) {
-            self.array.save(w);
-            self.stats.pack(w);
-        }
-        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.array.load(r)?;
-            self.stats = L1Stats::unpack(r)?;
-            Ok(())
-        }
-    }
-}
+duet_sim::pack_struct!(L1Stats {
+    hits,
+    misses,
+    stores,
+    invalidations
+});
+duet_sim::snap_fields!(L1Cache { array, stats });
 
 #[cfg(test)]
 mod tests {

@@ -182,165 +182,21 @@ impl CoherenceMsg {
     }
 }
 
-mod pack_impls {
-    use duet_sim::{LatencyBreakdown, Pack, SnapError, SnapReader, SnapWriter};
-
-    use super::{CoherenceMsg, Grant};
-    use crate::types::{LineAddr, LineData};
-
-    impl Pack for Grant {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                Grant::S => 0,
-                Grant::E => 1,
-                Grant::M => 2,
-            });
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(Grant::S),
-                1 => Ok(Grant::E),
-                2 => Ok(Grant::M),
-                _ => Err(SnapError::Corrupt("invalid Grant discriminant")),
-            }
-        }
-    }
-
-    impl Pack for CoherenceMsg {
-        fn pack(&self, w: &mut SnapWriter) {
-            match self {
-                CoherenceMsg::GetS { line } => {
-                    w.u8(0);
-                    line.pack(w);
-                }
-                CoherenceMsg::GetM { line } => {
-                    w.u8(1);
-                    line.pack(w);
-                }
-                CoherenceMsg::PutM { line, data } => {
-                    w.u8(2);
-                    line.pack(w);
-                    data.pack(w);
-                }
-                CoherenceMsg::FwdGetS {
-                    line,
-                    requestor,
-                    breakdown,
-                } => {
-                    w.u8(3);
-                    line.pack(w);
-                    w.len64(*requestor);
-                    breakdown.pack(w);
-                }
-                CoherenceMsg::FwdGetM {
-                    line,
-                    requestor,
-                    breakdown,
-                } => {
-                    w.u8(4);
-                    line.pack(w);
-                    w.len64(*requestor);
-                    breakdown.pack(w);
-                }
-                CoherenceMsg::Inv { line, requestor } => {
-                    w.u8(5);
-                    line.pack(w);
-                    w.len64(*requestor);
-                }
-                CoherenceMsg::PutAck { line } => {
-                    w.u8(6);
-                    line.pack(w);
-                }
-                CoherenceMsg::Data {
-                    line,
-                    data,
-                    grant,
-                    acks,
-                    breakdown,
-                } => {
-                    w.u8(7);
-                    line.pack(w);
-                    data.pack(w);
-                    grant.pack(w);
-                    acks.pack(w);
-                    breakdown.pack(w);
-                }
-                CoherenceMsg::DataOwner {
-                    line,
-                    data,
-                    grant,
-                    breakdown,
-                } => {
-                    w.u8(8);
-                    line.pack(w);
-                    data.pack(w);
-                    grant.pack(w);
-                    breakdown.pack(w);
-                }
-                CoherenceMsg::InvAck { line } => {
-                    w.u8(9);
-                    line.pack(w);
-                }
-                CoherenceMsg::WBData { line, data } => {
-                    w.u8(10);
-                    line.pack(w);
-                    data.pack(w);
-                }
-                CoherenceMsg::Unblock { line } => {
-                    w.u8(11);
-                    line.pack(w);
-                }
-            }
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let tag = r.u8()?;
-            let line = LineAddr::unpack(r)?;
-            Ok(match tag {
-                0 => CoherenceMsg::GetS { line },
-                1 => CoherenceMsg::GetM { line },
-                2 => CoherenceMsg::PutM {
-                    line,
-                    data: LineData::unpack(r)?,
-                },
-                3 => CoherenceMsg::FwdGetS {
-                    line,
-                    requestor: r.len64()?,
-                    breakdown: LatencyBreakdown::unpack(r)?,
-                },
-                4 => CoherenceMsg::FwdGetM {
-                    line,
-                    requestor: r.len64()?,
-                    breakdown: LatencyBreakdown::unpack(r)?,
-                },
-                5 => CoherenceMsg::Inv {
-                    line,
-                    requestor: r.len64()?,
-                },
-                6 => CoherenceMsg::PutAck { line },
-                7 => CoherenceMsg::Data {
-                    line,
-                    data: LineData::unpack(r)?,
-                    grant: Grant::unpack(r)?,
-                    acks: u32::unpack(r)?,
-                    breakdown: LatencyBreakdown::unpack(r)?,
-                },
-                8 => CoherenceMsg::DataOwner {
-                    line,
-                    data: LineData::unpack(r)?,
-                    grant: Grant::unpack(r)?,
-                    breakdown: LatencyBreakdown::unpack(r)?,
-                },
-                9 => CoherenceMsg::InvAck { line },
-                10 => CoherenceMsg::WBData {
-                    line,
-                    data: LineData::unpack(r)?,
-                },
-                11 => CoherenceMsg::Unblock { line },
-                _ => return Err(SnapError::Corrupt("invalid CoherenceMsg discriminant")),
-            })
-        }
-    }
-}
+duet_sim::pack_enum!(Grant { 0 => S, 1 => E, 2 => M });
+duet_sim::pack_enum!(CoherenceMsg {
+    0 => GetS { line },
+    1 => GetM { line },
+    2 => PutM { line, data },
+    3 => FwdGetS { line, requestor, breakdown },
+    4 => FwdGetM { line, requestor, breakdown },
+    5 => Inv { line, requestor },
+    6 => PutAck { line },
+    7 => Data { line, data, grant, acks, breakdown },
+    8 => DataOwner { line, data, grant, breakdown },
+    9 => InvAck { line },
+    10 => WBData { line, data },
+    11 => Unblock { line },
+});
 
 #[cfg(test)]
 mod tests {

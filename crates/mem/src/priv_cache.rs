@@ -914,156 +914,42 @@ impl Component for PrivCache {
     }
 }
 
-mod snap_impls {
-    use std::collections::VecDeque;
-
-    use duet_sim::{LatencyBreakdown, Pack, Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{CacheStats, InvalReason, LineState, Mshr, PrivCache, WbEntry, WbState};
-    use crate::msg::Grant;
-    use crate::types::{LineData, MemReq};
-
-    impl Pack for LineState {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                LineState::S => 0,
-                LineState::E => 1,
-                LineState::M => 2,
-            });
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(LineState::S),
-                1 => Ok(LineState::E),
-                2 => Ok(LineState::M),
-                _ => Err(SnapError::Corrupt("invalid LineState discriminant")),
-            }
-        }
-    }
-
-    impl Pack for InvalReason {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                InvalReason::Coherence => 0,
-                InvalReason::Eviction => 1,
-            });
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(InvalReason::Coherence),
-                1 => Ok(InvalReason::Eviction),
-                _ => Err(SnapError::Corrupt("invalid InvalReason discriminant")),
-            }
-        }
-    }
-
-    impl Pack for WbState {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                WbState::MiA => 0,
-                WbState::SiA => 1,
-                WbState::IiA => 2,
-            });
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(WbState::MiA),
-                1 => Ok(WbState::SiA),
-                2 => Ok(WbState::IiA),
-                _ => Err(SnapError::Corrupt("invalid WbState discriminant")),
-            }
-        }
-    }
-
-    impl Pack for WbEntry {
-        fn pack(&self, w: &mut SnapWriter) {
-            self.state.pack(w);
-            self.data.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(WbEntry {
-                state: WbState::unpack(r)?,
-                data: LineData::unpack(r)?,
-            })
-        }
-    }
-
-    impl Pack for Mshr {
-        fn pack(&self, w: &mut SnapWriter) {
-            self.want_m.pack(w);
-            self.was_s.pack(w);
-            self.data.pack(w);
-            self.acks_needed.pack(w);
-            self.acks_got.pack(w);
-            self.fill_invalidated.pack(w);
-            self.pending.pack(w);
-            self.breakdown.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Mshr {
-                want_m: bool::unpack(r)?,
-                was_s: bool::unpack(r)?,
-                data: Option::<(LineData, Grant)>::unpack(r)?,
-                acks_needed: Option::<u32>::unpack(r)?,
-                acks_got: u32::unpack(r)?,
-                fill_invalidated: bool::unpack(r)?,
-                pending: VecDeque::<MemReq>::unpack(r)?,
-                breakdown: LatencyBreakdown::unpack(r)?,
-            })
-        }
-    }
-
-    impl Pack for CacheStats {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.hits);
-            w.u64(self.misses);
-            w.u64(self.mshr_merges);
-            w.u64(self.writebacks);
-            w.u64(self.invs);
-            w.u64(self.downgrades);
-            w.u64(self.fwd_getm);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(CacheStats {
-                hits: r.u64()?,
-                misses: r.u64()?,
-                mshr_merges: r.u64()?,
-                writebacks: r.u64()?,
-                invs: r.u64()?,
-                downgrades: r.u64()?,
-                fwd_getm: r.u64()?,
-            })
-        }
-    }
-
-    impl Snap for PrivCache {
-        /// Everything observable is serialized; the tracer handle is not
-        /// (the owning system re-installs it after a restore).
-        fn save(&self, w: &mut SnapWriter) {
-            self.array.save(w);
-            self.mshrs.pack(w);
-            self.wb.pack(w);
-            self.req_in.pack(w);
-            self.noc_in.pack(w);
-            self.resp_out.save(w);
-            self.noc_out.save(w);
-            self.back_inval.pack(w);
-            self.stats.pack(w);
-        }
-        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.array.load(r)?;
-            self.mshrs = Pack::unpack(r)?;
-            self.wb = Pack::unpack(r)?;
-            self.req_in = Pack::unpack(r)?;
-            self.noc_in = Pack::unpack(r)?;
-            self.resp_out.load(r)?;
-            self.noc_out.load(r)?;
-            self.back_inval = Pack::unpack(r)?;
-            self.stats = CacheStats::unpack(r)?;
-            Ok(())
-        }
-    }
-}
+duet_sim::pack_enum!(LineState { 0 => S, 1 => E, 2 => M });
+duet_sim::pack_enum!(InvalReason { 0 => Coherence, 1 => Eviction });
+duet_sim::pack_enum!(WbState { 0 => MiA, 1 => SiA, 2 => IiA });
+duet_sim::pack_struct!(WbEntry { state, data });
+duet_sim::pack_struct!(Mshr {
+    want_m,
+    was_s,
+    data,
+    acks_needed,
+    acks_got,
+    fill_invalidated,
+    pending,
+    breakdown
+});
+duet_sim::pack_struct!(CacheStats {
+    hits,
+    misses,
+    mshr_merges,
+    writebacks,
+    invs,
+    downgrades,
+    fwd_getm
+});
+// Everything observable is serialized; the tracer handle is not (the owning
+// system re-installs it after a restore).
+duet_sim::snap_fields!(PrivCache {
+    array,
+    mshrs,
+    wb,
+    req_in,
+    noc_in,
+    resp_out,
+    noc_out,
+    back_inval,
+    stats
+});
 
 /// Adds pipeline-wait time into a breakdown-carrying message.
 fn add_wait(msg: CoherenceMsg, wait: Time, slow: bool) -> CoherenceMsg {

@@ -213,92 +213,23 @@ impl Tlb {
     }
 }
 
-mod snap_impls {
-    use duet_sim::{LineMap, Pack, Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{PagePerms, PageTable, Ppn, Tlb, TlbStats, Vpn};
-
-    impl Pack for Vpn {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.0);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Vpn(r.u64()?))
-        }
-    }
-
-    impl Pack for Ppn {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.0);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Ppn(r.u64()?))
-        }
-    }
-
-    impl Pack for PagePerms {
-        fn pack(&self, w: &mut SnapWriter) {
-            self.read.pack(w);
-            self.write.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(PagePerms {
-                read: bool::unpack(r)?,
-                write: bool::unpack(r)?,
-            })
-        }
-    }
-
-    impl Pack for TlbStats {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.hits);
-            w.u64(self.misses);
-            w.u64(self.faults);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(TlbStats {
-                hits: r.u64()?,
-                misses: r.u64()?,
-                faults: r.u64()?,
-            })
-        }
-    }
-
-    impl Pack for PageTable {
-        fn pack(&self, w: &mut SnapWriter) {
-            self.map.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(PageTable {
-                map: LineMap::unpack(r)?,
-            })
-        }
-    }
-
-    impl Snap for Tlb {
-        fn save(&self, w: &mut SnapWriter) {
-            w.len64(self.capacity);
-            // Entry order is observable: `swap_remove` on eviction makes
-            // future victim choices depend on slot positions.
-            self.entries.pack(w);
-            w.u64(self.tick);
-            self.stats.pack(w);
-        }
-        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            if r.len64()? != self.capacity {
-                return Err(SnapError::Corrupt("tlb capacity mismatch"));
-            }
-            let entries: Vec<(Vpn, Ppn, PagePerms, u64)> = Vec::unpack(r)?;
-            if entries.len() > self.capacity {
-                return Err(SnapError::Corrupt("tlb entry count exceeds capacity"));
-            }
-            self.entries = entries;
-            self.tick = r.u64()?;
-            self.stats = TlbStats::unpack(r)?;
-            Ok(())
-        }
-    }
-}
+duet_sim::pack_struct!(Vpn { 0 });
+duet_sim::pack_struct!(Ppn { 0 });
+duet_sim::pack_struct!(PagePerms { read, write });
+duet_sim::pack_struct!(TlbStats {
+    hits,
+    misses,
+    faults
+});
+duet_sim::pack_struct!(PageTable { map });
+// Entry order is observable: `swap_remove` on eviction makes future victim
+// choices depend on slot positions.
+duet_sim::snap_fields!(Tlb {
+    const capacity, entries, tick, stats
+} check |t| duet_sim::snapshot::ensure(
+    t.entries.len() <= t.capacity,
+    "tlb entry count exceeds capacity"
+));
 
 #[cfg(test)]
 mod tests {

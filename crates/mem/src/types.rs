@@ -185,132 +185,38 @@ pub struct MemResp {
     pub breakdown: LatencyBreakdown,
 }
 
-mod pack_impls {
-    use duet_sim::{Pack, SnapError, SnapReader, SnapWriter};
-
-    use super::{LineAddr, MemOp, MemReq, MemResp, Width};
-    use crate::types::AmoOp;
-
-    impl Pack for LineAddr {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.0);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(LineAddr(r.u64()?))
-        }
-    }
-
-    impl Pack for Width {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u8(*self as u8);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                1 => Ok(Width::B1),
-                2 => Ok(Width::B2),
-                4 => Ok(Width::B4),
-                8 => Ok(Width::B8),
-                _ => Err(SnapError::Corrupt("invalid access width")),
-            }
-        }
-    }
-
-    impl Pack for AmoOp {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                AmoOp::Swap => 0,
-                AmoOp::Add => 1,
-                AmoOp::And => 2,
-                AmoOp::Or => 3,
-                AmoOp::Max => 4,
-                AmoOp::Min => 5,
-                AmoOp::Cas => 6,
-            });
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(AmoOp::Swap),
-                1 => Ok(AmoOp::Add),
-                2 => Ok(AmoOp::And),
-                3 => Ok(AmoOp::Or),
-                4 => Ok(AmoOp::Max),
-                5 => Ok(AmoOp::Min),
-                6 => Ok(AmoOp::Cas),
-                _ => Err(SnapError::Corrupt("invalid AMO opcode")),
-            }
-        }
-    }
-
-    impl Pack for MemOp {
-        fn pack(&self, w: &mut SnapWriter) {
-            match self {
-                MemOp::Load(width) => {
-                    w.u8(0);
-                    width.pack(w);
-                }
-                MemOp::Store(width) => {
-                    w.u8(1);
-                    width.pack(w);
-                }
-                MemOp::Amo(op, width) => {
-                    w.u8(2);
-                    op.pack(w);
-                    width.pack(w);
-                }
-                MemOp::LoadLine => w.u8(3),
-                MemOp::IFetch => w.u8(4),
-            }
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(MemOp::Load(Width::unpack(r)?)),
-                1 => Ok(MemOp::Store(Width::unpack(r)?)),
-                2 => Ok(MemOp::Amo(AmoOp::unpack(r)?, Width::unpack(r)?)),
-                3 => Ok(MemOp::LoadLine),
-                4 => Ok(MemOp::IFetch),
-                _ => Err(SnapError::Corrupt("invalid MemOp discriminant")),
-            }
-        }
-    }
-
-    impl Pack for MemReq {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.id);
-            self.op.pack(w);
-            w.u64(self.addr);
-            w.u64(self.wdata);
-            w.u64(self.expected);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(MemReq {
-                id: r.u64()?,
-                op: MemOp::unpack(r)?,
-                addr: r.u64()?,
-                wdata: r.u64()?,
-                expected: r.u64()?,
-            })
-        }
-    }
-
-    impl Pack for MemResp {
-        fn pack(&self, w: &mut SnapWriter) {
-            w.u64(self.id);
-            w.u64(self.rdata);
-            self.line.pack(w);
-            self.cacheable.pack(w);
-            self.breakdown.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(MemResp {
-                id: r.u64()?,
-                rdata: r.u64()?,
-                line: Option::unpack(r)?,
-                cacheable: bool::unpack(r)?,
-                breakdown: Pack::unpack(r)?,
-            })
-        }
-    }
-}
+duet_sim::pack_struct!(LineAddr { 0 });
+duet_sim::pack_enum!(Width { 1 => B1, 2 => B2, 4 => B4, 8 => B8 });
+duet_sim::pack_enum!(AmoOp {
+    0 => Swap,
+    1 => Add,
+    2 => And,
+    3 => Or,
+    4 => Max,
+    5 => Min,
+    6 => Cas,
+});
+duet_sim::pack_enum!(MemOp {
+    0 => Load(width),
+    1 => Store(width),
+    2 => Amo(op, width),
+    3 => LoadLine,
+    4 => IFetch,
+});
+duet_sim::pack_struct!(MemReq {
+    id,
+    op,
+    addr,
+    wdata,
+    expected
+});
+duet_sim::pack_struct!(MemResp {
+    id,
+    rdata,
+    line,
+    cacheable,
+    breakdown
+});
 
 /// Reads `width` bytes at `offset` in a line as a little-endian u64.
 ///

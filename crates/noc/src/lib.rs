@@ -38,9 +38,10 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
+use duet_sim::snapshot::ensure;
 use duet_sim::{
-    merge_min, partition_balanced, Clock, ClockDomain, Component, Link, LinkReport, LoadEwma, Pack,
-    PushError, Snap, SnapError, SnapReader, SnapWriter, Time,
+    merge_min, pack_enum, pack_struct, partition_balanced, Clock, ClockDomain, Component, Link,
+    LinkReport, LoadEwma, Pack, PushError, Snap, SnapError, SnapReader, SnapWriter, Time,
 };
 use duet_trace::{pack_hop, pack_noc, EventKind, Tracer};
 
@@ -370,15 +371,6 @@ impl<P: Clone> Clone for MeshTickLane<P> {
             deactivated: self.deactivated.clone(),
             events: self.events.clone(),
         }
-    }
-}
-
-impl<P> MeshTickLane<P> {
-    fn is_empty(&self) -> bool {
-        self.forwards.is_empty()
-            && self.ejects.is_empty()
-            && self.deactivated.is_empty()
-            && self.events.is_empty()
     }
 }
 
@@ -1014,109 +1006,30 @@ impl<P> Component for Mesh<P> {
     }
 }
 
-impl Pack for VNet {
-    fn pack(&self, w: &mut SnapWriter) {
-        w.u8(*self as u8);
-    }
-    fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(VNet::Req),
-            1 => Ok(VNet::Fwd),
-            2 => Ok(VNet::Resp),
-            _ => Err(SnapError::Corrupt("invalid VNet discriminant")),
-        }
+pack_enum!(VNet { 0 => Req, 1 => Fwd, 2 => Resp });
+pack_struct!(Message<P> { src, dst, vnet, flits, injected_at, trace_id, payload }
+    check |m| ensure(m.flits != 0, "zero-flit message"));
+pack_struct!(MeshStats {
+    delivered,
+    delivered_flits,
+    total_latency,
+    injected
+});
+
+/// Writes per-shard lists as one list, concatenated in shard order.
+fn pack_concat<'a, T: Pack + 'a>(
+    w: &mut SnapWriter,
+    parts: impl Iterator<Item = &'a Vec<T>> + Clone,
+) {
+    w.len64(parts.clone().map(Vec::len).sum());
+    for item in parts.flatten() {
+        item.pack(w);
     }
 }
 
-impl<P: Pack> Pack for Message<P> {
-    fn pack(&self, w: &mut SnapWriter) {
-        w.len64(self.src);
-        w.len64(self.dst);
-        self.vnet.pack(w);
-        self.flits.pack(w);
-        self.injected_at.pack(w);
-        w.u64(self.trace_id);
-        self.payload.pack(w);
-    }
-    fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let src = r.len64()?;
-        let dst = r.len64()?;
-        let vnet = VNet::unpack(r)?;
-        let flits = u32::unpack(r)?;
-        if flits == 0 {
-            return Err(SnapError::Corrupt("zero-flit message"));
-        }
-        let injected_at = Time::unpack(r)?;
-        let trace_id = r.u64()?;
-        let payload = P::unpack(r)?;
-        Ok(Message {
-            src,
-            dst,
-            vnet,
-            flits,
-            injected_at,
-            trace_id,
-            payload,
-        })
-    }
-}
-
-impl Pack for MeshStats {
-    fn pack(&self, w: &mut SnapWriter) {
-        w.u64(self.delivered);
-        w.u64(self.delivered_flits);
-        self.total_latency.pack(w);
-        w.u64(self.injected);
-    }
-    fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MeshStats {
-            delivered: r.u64()?,
-            delivered_flits: r.u64()?,
-            total_latency: Time::unpack(r)?,
-            injected: r.u64()?,
-        })
-    }
-}
-
-impl<P: Pack> Pack for MeshTickLane<P> {
-    /// Serializes the deferred movement state (forwards, ejections,
-    /// deactivations). Trace `events` are a session resource, like the
-    /// tracer handle itself, and stay out of snapshots.
-    fn pack(&self, w: &mut SnapWriter) {
-        w.len64(self.forwards.len());
-        for (node, in_port, vn, m) in &self.forwards {
-            w.len64(*node);
-            w.u8(*in_port);
-            w.u8(*vn);
-            m.pack(w);
-        }
-        w.len64(self.ejects.len());
-        for (node, vn, m) in &self.ejects {
-            w.len64(*node);
-            w.u8(*vn);
-            m.pack(w);
-        }
-        w.len64(self.deactivated.len());
-        for &n in &self.deactivated {
-            w.len64(n);
-        }
-    }
-    fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut lane = MeshTickLane::default();
-        for _ in 0..r.len64()? {
-            lane.forwards
-                .push((r.len64()?, r.u8()?, r.u8()?, Message::unpack(r)?));
-        }
-        for _ in 0..r.len64()? {
-            lane.ejects.push((r.len64()?, r.u8()?, Message::unpack(r)?));
-        }
-        for _ in 0..r.len64()? {
-            lane.deactivated.push(r.len64()?);
-        }
-        Ok(lane)
-    }
-}
-
+/// Hand-written: the per-shard lanes are encoded shard-count-invariantly,
+/// the geometry is cross-checked, and every derived worklist is recomputed
+/// from the loaded buffers instead of being trusted from the bytes.
 impl<P: Pack> Snap for Mesh<P> {
     /// Serializes router buffers, ejection queues, traffic stats, the
     /// trace-id counter, and the boundary-exchange lane state (one
@@ -1149,31 +1062,11 @@ impl<P: Pack> Snap for Mesh<P> {
         }
         self.stats.pack(w);
         w.u64(self.trace_seq);
-        // One combined lane, concatenated in shard order — same wire
-        // format as `MeshTickLane::pack`, written without cloning.
-        w.len64(self.lanes.iter().map(|l| l.forwards.len()).sum());
-        for lane in &self.lanes {
-            for (node, in_port, vn, m) in &lane.forwards {
-                w.len64(*node);
-                w.u8(*in_port);
-                w.u8(*vn);
-                m.pack(w);
-            }
-        }
-        w.len64(self.lanes.iter().map(|l| l.ejects.len()).sum());
-        for lane in &self.lanes {
-            for (node, vn, m) in &lane.ejects {
-                w.len64(*node);
-                w.u8(*vn);
-                m.pack(w);
-            }
-        }
-        w.len64(self.lanes.iter().map(|l| l.deactivated.len()).sum());
-        for lane in &self.lanes {
-            for &n in &lane.deactivated {
-                w.len64(n);
-            }
-        }
+        // One combined lane (forwards, ejections, deactivations; trace
+        // `events` are a session resource and stay out of snapshots).
+        pack_concat(w, self.lanes.iter().map(|l| &l.forwards));
+        pack_concat(w, self.lanes.iter().map(|l| &l.ejects));
+        pack_concat(w, self.lanes.iter().map(|l| &l.deactivated));
     }
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         if r.len64()? != self.routers.len() {
@@ -1218,9 +1111,8 @@ impl<P: Pack> Snap for Mesh<P> {
         // Snapshots are taken between clock edges, where every lane has
         // been drained by `finish_tick`; a non-empty lane means the buffer
         // was produced mid-tick (or corrupted).
-        let combined = MeshTickLane::<P>::unpack(r)?;
-        if !combined.is_empty() {
-            return Err(SnapError::Corrupt("mesh tick lane not drained"));
+        for _ in 0..3 {
+            ensure(r.len64()? == 0, "mesh tick lane not drained")?;
         }
         for lane in &mut self.lanes {
             lane.forwards.clear();
@@ -1240,25 +1132,10 @@ impl<P: Pack> Snap for Mesh<P> {
     }
 }
 
-impl Pack for DirtyNodes {
-    fn pack(&self, w: &mut SnapWriter) {
-        w.len64(self.nodes.len());
-        for &n in &self.nodes {
-            w.len64(n);
-        }
-    }
-    fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.len64()?;
-        let mut nodes = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            nodes.push(r.len64()?);
-        }
-        if !nodes.windows(2).all(|w| w[0] < w[1]) {
-            return Err(SnapError::Corrupt("dirty node list not strictly ascending"));
-        }
-        Ok(DirtyNodes { nodes })
-    }
-}
+pack_struct!(DirtyNodes { nodes } check |d| ensure(
+    d.nodes.windows(2).all(|w| w[0] < w[1]),
+    "dirty node list not strictly ascending"
+));
 
 /// A sorted, duplicate-free set of node ids, used as a dirty list by the
 /// run loop: nodes whose injection pipes are non-empty. Iteration order is
@@ -1830,16 +1707,10 @@ mod tests {
         let mut buf = w.finish();
         // The clean save ends with three zero-length lane counts; rewrite
         // the tail with a lane carrying one deactivation instead.
-        let mut lane: MeshTickLane<u32> = MeshTickLane::default();
-        lane.deactivated.push(1);
         let mut lw = SnapWriter::new();
-        lane.pack(&mut lw);
-        let lane_bytes = lw.finish();
-        let mut empty_lw = SnapWriter::new();
-        MeshTickLane::<u32>::default().pack(&mut empty_lw);
-        let empty_len = empty_lw.finish().len();
-        buf.truncate(buf.len() - empty_len);
-        buf.extend_from_slice(&lane_bytes);
+        (0usize, 0usize, vec![1usize]).pack(&mut lw);
+        buf.truncate(buf.len() - 3 * 8);
+        buf.extend_from_slice(&lw.finish());
         let mut b: Mesh<u32> = Mesh::new(cfg);
         let mut r = SnapReader::new(&buf);
         assert!(matches!(b.load(&mut r), Err(SnapError::Corrupt(_))));

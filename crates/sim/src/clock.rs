@@ -269,44 +269,14 @@ impl DualClock {
     }
 }
 
-impl crate::snapshot::Pack for Clock {
-    fn pack(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.u64(self.period_ps);
-        w.u64(self.offset_ps);
-    }
-    fn unpack(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        let period_ps = r.u64()?;
-        let offset_ps = r.u64()?;
-        if period_ps == 0 {
-            return Err(crate::snapshot::SnapError::Corrupt("zero clock period"));
-        }
-        Ok(Clock {
-            period_ps,
-            offset_ps,
-        })
-    }
-}
-
-impl crate::snapshot::Snap for DualClock {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        use crate::snapshot::Pack;
-        self.fast.pack(w);
-        self.slow.pack(w);
-        self.now.pack(w);
-        self.started.pack(w);
-    }
-    fn load(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::Pack;
-        self.fast = Clock::unpack(r)?;
-        self.slow = Clock::unpack(r)?;
-        self.now = Time::unpack(r)?;
-        self.started = bool::unpack(r)?;
-        Ok(())
-    }
-}
+crate::pack_struct!(Clock { period_ps, offset_ps }
+    check |c| crate::snapshot::ensure(c.period_ps != 0, "zero clock period"));
+crate::snap_fields!(DualClock {
+    fast,
+    slow,
+    now,
+    started
+});
 
 #[cfg(test)]
 mod tests {

@@ -301,92 +301,14 @@ impl<T> AsyncFifo<T> {
     }
 }
 
-impl<T: crate::snapshot::Pack> crate::snapshot::Snap for Fifo<T> {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        use crate::snapshot::Pack;
-        w.len64(self.capacity);
-        self.latency.pack(w);
-        w.len64(self.slots.len());
-        for s in &self.slots {
-            s.ready_at.pack(w);
-            s.item.pack(w);
-        }
-    }
-    fn load(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::Pack;
-        if r.len64()? != self.capacity {
-            return Err(crate::snapshot::SnapError::Corrupt(
-                "fifo capacity mismatch",
-            ));
-        }
-        self.latency = Time::unpack(r)?;
-        let n = r.len64()?;
-        self.slots.clear();
-        for _ in 0..n {
-            let ready_at = Time::unpack(r)?;
-            let item = T::unpack(r)?;
-            self.slots.push_back(Slot { ready_at, item });
-        }
-        Ok(())
-    }
-}
-
-impl<T: crate::snapshot::Pack> crate::snapshot::Snap for AsyncFifo<T> {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        use crate::snapshot::Pack;
-        w.len64(self.capacity);
-        w.u32(self.sync_stages);
-        // Clocks are mutable state: the Control Hub can reprogram the
-        // eFPGA clock mid-run.
-        self.producer_clock.pack(w);
-        self.consumer_clock.pack(w);
-        w.len64(self.slots.len());
-        for s in &self.slots {
-            s.ready_at.pack(w);
-            s.item.pack(w);
-        }
-        w.len64(self.pending_pops.len());
-        for p in &self.pending_pops {
-            p.producer_sees_at.pack(w);
-        }
-    }
-    fn load(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::Pack;
-        if r.len64()? != self.capacity {
-            return Err(crate::snapshot::SnapError::Corrupt(
-                "async fifo capacity mismatch",
-            ));
-        }
-        if r.u32()? != self.sync_stages {
-            return Err(crate::snapshot::SnapError::Corrupt(
-                "async fifo sync stages mismatch",
-            ));
-        }
-        self.producer_clock = Clock::unpack(r)?;
-        self.consumer_clock = Clock::unpack(r)?;
-        let n = r.len64()?;
-        self.slots.clear();
-        for _ in 0..n {
-            let ready_at = Time::unpack(r)?;
-            let item = T::unpack(r)?;
-            self.slots.push_back(Slot { ready_at, item });
-        }
-        let n = r.len64()?;
-        self.pending_pops.clear();
-        for _ in 0..n {
-            self.pending_pops.push_back(PopRecord {
-                producer_sees_at: Time::unpack(r)?,
-            });
-        }
-        Ok(())
-    }
-}
+crate::pack_struct!(Slot<T> { ready_at, item });
+crate::pack_struct!(PopRecord { producer_sees_at });
+crate::snap_fields!(Fifo<T> { const capacity, latency, slots });
+// Clocks are mutable state: the Control Hub can reprogram the eFPGA clock
+// mid-run.
+crate::snap_fields!(AsyncFifo<T> {
+    const capacity, const sync_stages, producer_clock, consumer_clock, slots, pending_pops
+});
 
 #[cfg(test)]
 mod tests {

@@ -373,80 +373,40 @@ impl<T> Link<T> {
     }
 }
 
-impl crate::snapshot::Pack for LinkStats {
-    fn pack(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.u64(self.pushes);
-        w.u64(self.pops);
-        w.u64(self.rejected_pushes);
-        w.len64(self.peak_occupancy);
-        self.occupancy_hist.pack(w);
-    }
-    fn unpack(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        Ok(LinkStats {
-            pushes: r.u64()?,
-            pops: r.u64()?,
-            rejected_pushes: r.u64()?,
-            peak_occupancy: r.len64()?,
-            occupancy_hist: <[u64; OCCUPANCY_BUCKETS] as crate::snapshot::Pack>::unpack(r)?,
-        })
-    }
-}
+crate::pack_struct!(LinkStats {
+    pushes,
+    pops,
+    rejected_pushes,
+    peak_occupancy,
+    occupancy_hist
+});
+crate::pack_struct!(PipeSlot<T> { ready_at, item });
+crate::snap_fields!(Link<T> { transport, stats, frozen });
 
-impl<T: crate::snapshot::Pack> crate::snapshot::Snap for Link<T> {
+/// Hand-written: the transport kind is wiring, not state — the tag is
+/// cross-checked and the body loaded into the already-built variant.
+impl<T: crate::snapshot::Pack> crate::snapshot::Snap for Transport<T> {
     fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        use crate::snapshot::Pack;
-        let kind: u8 = match &self.transport {
-            Transport::Sync(_) => 0,
-            Transport::Cdc(_) => 1,
-            Transport::Pipe(_) => 2,
+        let (kind, body): (u8, &dyn crate::snapshot::Snap) = match self {
+            Transport::Sync(f) => (0, f),
+            Transport::Cdc(f) => (1, f),
+            Transport::Pipe(q) => (2, q),
         };
         w.u8(kind);
-        match &self.transport {
-            Transport::Sync(f) => f.save(w),
-            Transport::Cdc(f) => f.save(w),
-            Transport::Pipe(q) => {
-                w.len64(q.len());
-                for s in q {
-                    s.ready_at.pack(w);
-                    s.item.pack(w);
-                }
-            }
-        }
-        self.stats.pack(w);
-        self.frozen.pack(w);
+        body.save(w);
     }
     fn load(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
     ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::Pack;
-        let kind = r.u8()?;
-        let expected: u8 = match &self.transport {
-            Transport::Sync(_) => 0,
-            Transport::Cdc(_) => 1,
-            Transport::Pipe(_) => 2,
-        };
-        if kind != expected {
-            return Err(crate::snapshot::SnapError::Corrupt(
+        match (r.u8()?, self) {
+            (0, Transport::Sync(f)) => f.load(r),
+            (1, Transport::Cdc(f)) => f.load(r),
+            (2, Transport::Pipe(q)) => q.load(r),
+            _ => Err(crate::snapshot::SnapError::Corrupt(
                 "link transport kind mismatch",
-            ));
+            )),
         }
-        match &mut self.transport {
-            Transport::Sync(f) => f.load(r)?,
-            Transport::Cdc(f) => f.load(r)?,
-            Transport::Pipe(q) => {
-                let n = r.len64()?;
-                q.clear();
-                for _ in 0..n {
-                    let ready_at = Time::unpack(r)?;
-                    let item = T::unpack(r)?;
-                    q.push_back(PipeSlot { ready_at, item });
-                }
-            }
-        }
-        self.stats = LinkStats::unpack(r)?;
-        self.frozen = bool::unpack(r)?;
-        Ok(())
     }
 }
 

@@ -91,20 +91,7 @@ impl SimRng {
     }
 }
 
-impl crate::snapshot::Snap for SimRng {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        use crate::snapshot::Pack;
-        self.s.pack(w);
-    }
-    fn load(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::Pack;
-        self.s = <[u64; 4]>::unpack(r)?;
-        Ok(())
-    }
-}
+crate::snap_fields!(SimRng { s });
 
 #[cfg(test)]
 mod tests {

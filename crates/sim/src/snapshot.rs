@@ -28,12 +28,20 @@
 //!   then overwritten in place: `save` serializes the mutable state,
 //!   `load` restores it into an already-constructed instance.
 //!
+//! Impls are declared, not written: [`pack_struct!`](crate::pack_struct),
+//! [`pack_enum!`](crate::pack_enum) and [`snap_fields!`](crate::snap_fields)
+//! generate both directions from one field list, so what `save` writes
+//! and what `load` reads cannot drift apart. Only the base encodings in
+//! this file, and the few containers that transform rather than list
+//! (each says why), are written by hand.
+//!
 //! All encodings are little-endian and fixed-width; there is no
 //! varint layer, because snapshots are a cold path and debuggability
 //! beats density.
 
 use std::collections::{BTreeMap, VecDeque};
 
+use crate::stats::LatencyBreakdown;
 use crate::time::Time;
 
 /// Leading magic bytes of every snapshot.
@@ -254,7 +262,8 @@ impl<'a> SnapReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        if self.pos + n > self.limit {
+        // `n` may be a hostile length prefix: `pos + n` could overflow.
+        if n > self.remaining() {
             return Err(SnapError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -309,7 +318,7 @@ impl<'a> SnapReader<'a> {
             });
         }
         let body_len = self.len64()?;
-        if self.pos + body_len > self.limit {
+        if body_len > self.remaining() {
             return Err(SnapError::Truncated);
         }
         let outer_limit = self.limit;
@@ -351,6 +360,13 @@ pub trait Pack: Sized {
     fn pack(&self, w: &mut SnapWriter);
     /// Reads a value.
     fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+    /// Reads a value over `self`. Growable containers override this to
+    /// refill in place, so a preallocated queue keeps its allocation
+    /// across a restore.
+    fn unpack_over(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = Self::unpack(r)?;
+        Ok(())
+    }
 }
 
 /// A component whose identity comes from configuration and whose mutable
@@ -369,9 +385,220 @@ impl<T: Pack> Snap for T {
         self.pack(w);
     }
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        *self = T::unpack(r)?;
-        Ok(())
+        self.unpack_over(r)
     }
+}
+
+/// `Ok` when `ok` holds, [`SnapError::Corrupt`]`(what)` otherwise — the
+/// one-line form of a post-load validity check.
+pub fn ensure(ok: bool, what: &'static str) -> Result<(), SnapError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(SnapError::Corrupt(what))
+    }
+}
+
+/// Reads a `T` and fails unless it equals `built`: construction-time
+/// values (a capacity, a mode) are written only to cross-check that the
+/// restoring instance was built the same way.
+pub fn expect_same<T: Pack + PartialEq>(
+    built: &T,
+    r: &mut SnapReader<'_>,
+    what: &'static str,
+) -> Result<(), SnapError> {
+    ensure(T::unpack(r)? == *built, what)
+}
+
+/// Writes a fixed-structure sequence of components: the count, then each
+/// element's state.
+pub fn save_each<T: Snap>(items: &[T], w: &mut SnapWriter) {
+    w.len64(items.len());
+    for item in items {
+        item.save(w);
+    }
+}
+
+/// Loads what [`save_each`] wrote into the already-built elements; the
+/// count must match the built structure.
+pub fn load_each<T: Snap>(
+    items: &mut [T],
+    r: &mut SnapReader<'_>,
+    what: &'static str,
+) -> Result<(), SnapError> {
+    ensure(r.len64()? == items.len(), what)?;
+    items.iter_mut().try_for_each(|item| item.load(r))
+}
+
+/// Implements [`Pack`] for a struct from one field list: `pack` writes the
+/// fields in the listed order and `unpack` reads them back in the same
+/// order, so the two directions cannot drift. Tuple structs list their
+/// fields by index (`Vpn { 0 }`); one type parameter is supported and
+/// bound by `Pack`. An optional `check |v| expr` runs on the decoded value
+/// and must evaluate to `Result<(), SnapError>` (see [`ensure`]).
+///
+/// The listed order *is* the wire layout: reordering, adding or removing a
+/// name changes the bytes and needs a [`FORMAT_VERSION`] bump.
+///
+/// ```
+/// use duet_sim::snapshot::ensure;
+/// use duet_sim::{Pack, Snap, SnapReader, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span { from: u64, len: u32 }
+/// duet_sim::pack_struct!(Span { from, len } check |s| ensure(s.len > 0, "empty span"));
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Job { Idle, Copy(Span, u64), Fill { span: Span, byte: u8 } }
+/// duet_sim::pack_enum!(Job { 0 => Idle, 1 => Copy(span, dst), 2 => Fill { span, byte } });
+///
+/// struct Engine { lanes: usize, queue: Vec<Job>, done: u64, scratch: Vec<u8> }
+/// // `lanes` is configuration (cross-checked), `scratch` is not state.
+/// duet_sim::snap_fields!(Engine { const lanes, queue, done });
+///
+/// let queue = vec![Job::Copy(Span { from: 8, len: 4 }, 64)];
+/// let a = Engine { lanes: 2, queue, done: 7, scratch: vec![1] };
+/// let mut w = SnapWriter::new();
+/// a.save(&mut w);
+/// let bytes = w.finish();
+/// let mut b = Engine { lanes: 2, queue: vec![], done: 0, scratch: vec![] };
+/// b.load(&mut SnapReader::new(&bytes)).unwrap();
+/// assert_eq!((b.queue, b.done), (a.queue, 7));
+/// let mut wrong = Engine { lanes: 3, queue: vec![], done: 0, scratch: vec![] };
+/// assert!(wrong.load(&mut SnapReader::new(&bytes)).is_err());
+/// ```
+#[macro_export]
+macro_rules! pack_struct {
+    ($ty:ident $(<$g:ident>)? { $($f:tt),+ $(,)? } $(check |$v:ident| $check:expr)?) => {
+        impl $(<$g: $crate::snapshot::Pack>)? $crate::snapshot::Pack for $ty $(<$g>)? {
+            fn pack(&self, w: &mut $crate::snapshot::SnapWriter) {
+                $( $crate::snapshot::Pack::pack(&self.$f, w); )+
+            }
+            fn unpack(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapError> {
+                let value = $ty { $( $f: $crate::snapshot::Pack::unpack(r)? ),+ };
+                $( let $v = &value; $check?; )?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Implements [`Pack`] for an enum from one variant list: each variant is
+/// a `u8` tag followed by its fields in the listed order. Unit, tuple
+/// (`3 => Amo(op, width)`, the names are just binders) and struct
+/// (`1 => S { sharers }`) variants are supported; an unknown tag decodes
+/// to [`SnapError::Corrupt`]. Tags are part of the wire layout — never
+/// renumber one. See [`pack_struct!`] for an example.
+#[macro_export]
+macro_rules! pack_enum {
+    ($ty:ident {
+        $( $tag:literal => $var:ident $( ( $($t:ident),+ ) )? $( { $($s:ident),+ } )? ),+ $(,)?
+    }) => {
+        impl $crate::snapshot::Pack for $ty {
+            fn pack(&self, w: &mut $crate::snapshot::SnapWriter) {
+                match self {
+                    $( Self::$var $( ( $($t),+ ) )? $( { $($s),+ } )? => {
+                        w.u8($tag);
+                        $( $( $crate::snapshot::Pack::pack($t, w); )+ )?
+                        $( $( $crate::snapshot::Pack::pack($s, w); )+ )?
+                    } )+
+                }
+            }
+            fn unpack(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapError> {
+                Ok(match r.u8()? {
+                    $( $tag => Self::$var
+                        $( ( $( { let $t = $crate::snapshot::Pack::unpack(r)?; $t } ),+ ) )?
+                        $( { $( $s: $crate::snapshot::Pack::unpack(r)? ),+ } )?, )+
+                    _ => {
+                        return Err($crate::snapshot::SnapError::Corrupt(concat!(
+                            "invalid ",
+                            stringify!($ty),
+                            " discriminant"
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`Snap`] for a component from one list of its *state*
+/// fields (anything not listed — configuration, tracer handles, derived
+/// worklists — is left as built). Each entry is one of:
+///
+/// * `name` — saved and loaded in place through the field's own `Snap`
+///   (every `Pack` value is one);
+/// * `const name` — a construction-time value, written and cross-checked
+///   on load with [`expect_same`];
+/// * `[name]` — a fixed-structure `Vec`/slice of components, count-checked
+///   and loaded element by element ([`save_each`]/[`load_each`]).
+///
+/// An optional `check |this| expr` runs after the last field is loaded,
+/// with `this: &mut Self`, to validate the result or recompute derived
+/// fields; it must evaluate to `Result<(), SnapError>`. One type parameter
+/// is supported and bound by `Pack`. The listed order *is* the wire
+/// layout. See [`pack_struct!`] for an example.
+#[macro_export]
+macro_rules! snap_fields {
+    ($ty:ident $(<$g:ident>)? { $($fields:tt)* } $(check |$this:ident| $check:expr)?) => {
+        impl $(<$g: $crate::snapshot::Pack>)? $crate::snapshot::Snap for $ty $(<$g>)? {
+            fn save(&self, w: &mut $crate::snapshot::SnapWriter) {
+                $crate::snap_fields!(@save self, w; $($fields)*);
+            }
+            fn load(
+                &mut self,
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<(), $crate::snapshot::SnapError> {
+                $crate::snap_fields!(@load self, r; $($fields)*);
+                $( let $this = &mut *self; $check?; )?
+                Ok(())
+            }
+        }
+    };
+    // End of list. Touching the writer/reader keeps an empty list (a
+    // stateless design) free of unused-variable warnings.
+    (@save $s:ident, $w:ident;) => {
+        let _ = $w;
+    };
+    (@save $s:ident, $w:ident; const $f:ident $(, $($rest:tt)*)?) => {
+        $crate::snapshot::Pack::pack(&$s.$f, $w);
+        $crate::snap_fields!(@save $s, $w; $($($rest)*)?);
+    };
+    (@save $s:ident, $w:ident; [$f:ident] $(, $($rest:tt)*)?) => {
+        $crate::snapshot::save_each(&$s.$f, $w);
+        $crate::snap_fields!(@save $s, $w; $($($rest)*)?);
+    };
+    (@save $s:ident, $w:ident; $f:ident $(, $($rest:tt)*)?) => {
+        $crate::snapshot::Snap::save(&$s.$f, $w);
+        $crate::snap_fields!(@save $s, $w; $($($rest)*)?);
+    };
+    (@load $s:ident, $r:ident;) => {
+        let _ = $r;
+    };
+    (@load $s:ident, $r:ident; const $f:ident $(, $($rest:tt)*)?) => {
+        $crate::snapshot::expect_same(
+            &$s.$f,
+            $r,
+            concat!(stringify!($f), " differs from the built component"),
+        )?;
+        $crate::snap_fields!(@load $s, $r; $($($rest)*)?);
+    };
+    (@load $s:ident, $r:ident; [$f:ident] $(, $($rest:tt)*)?) => {
+        $crate::snapshot::load_each(
+            &mut $s.$f,
+            $r,
+            concat!(stringify!($f), " count differs from the built component"),
+        )?;
+        $crate::snap_fields!(@load $s, $r; $($($rest)*)?);
+    };
+    (@load $s:ident, $r:ident; $f:ident $(, $($rest:tt)*)?) => {
+        $crate::snapshot::Snap::load(&mut $s.$f, $r)?;
+        $crate::snap_fields!(@load $s, $r; $($($rest)*)?);
+    };
 }
 
 impl Pack for u8 {
@@ -487,12 +714,16 @@ impl<T: Pack> Pack for Vec<T> {
         }
     }
     fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.len64()?;
         let mut out = Vec::new();
-        for _ in 0..n {
-            out.push(T::unpack(r)?);
-        }
+        out.unpack_over(r)?;
         Ok(out)
+    }
+    fn unpack_over(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.clear();
+        for _ in 0..r.len64()? {
+            self.push(T::unpack(r)?);
+        }
+        Ok(())
     }
 }
 
@@ -504,12 +735,16 @@ impl<T: Pack> Pack for VecDeque<T> {
         }
     }
     fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.len64()?;
         let mut out = VecDeque::new();
-        for _ in 0..n {
-            out.push_back(T::unpack(r)?);
-        }
+        out.unpack_over(r)?;
         Ok(out)
+    }
+    fn unpack_over(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.clear();
+        for _ in 0..r.len64()? {
+            self.push_back(T::unpack(r)?);
+        }
+        Ok(())
     }
 }
 
@@ -606,22 +841,12 @@ impl Pack for () {
     }
 }
 
-impl Pack for crate::stats::LatencyBreakdown {
-    fn pack(&self, w: &mut SnapWriter) {
-        self.noc.pack(w);
-        self.cache_fast.pack(w);
-        self.cache_slow.pack(w);
-        self.cdc.pack(w);
-    }
-    fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::stats::LatencyBreakdown {
-            noc: Time::unpack(r)?,
-            cache_fast: Time::unpack(r)?,
-            cache_slow: Time::unpack(r)?,
-            cdc: Time::unpack(r)?,
-        })
-    }
-}
+crate::pack_struct!(LatencyBreakdown {
+    noc,
+    cache_fast,
+    cache_slow,
+    cdc
+});
 
 /// Streaming 64-bit hasher for configuration fingerprints, built on the
 /// same fixed SplitMix64-style mixer as [`crate::storage::LineMap`]. Not
@@ -829,6 +1054,37 @@ mod tests {
             let res = r.section(*b"AAAA", |r| Vec::<u64>::unpack(r));
             assert!(res.is_err(), "cut at {cut} must fail");
         }
+    }
+
+    /// A `u64::MAX` length prefix used to overflow `pos + n` (panic in
+    /// debug, wrap then slice-panic in release).
+    #[test]
+    fn hostile_value_lengths_are_truncation_not_overflow() {
+        let mut w = SnapWriter::new();
+        w.u64(u64::MAX);
+        let bytes = w.finish();
+        assert_eq!(
+            String::unpack(&mut SnapReader::new(&bytes)).unwrap_err(),
+            SnapError::Truncated
+        );
+        let mut r = SnapReader::new(&bytes);
+        r.u8().unwrap();
+        assert_eq!(r.bytes(usize::MAX).unwrap_err(), SnapError::Truncated);
+        assert_eq!(r.remaining(), 7, "a failed read consumes nothing");
+    }
+
+    #[test]
+    fn hostile_section_length_is_truncation_not_overflow() {
+        let mut w = SnapWriter::new();
+        w.bytes(b"AAAA");
+        w.u64(u64::MAX);
+        7u64.pack(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(
+            r.section(*b"AAAA", |r| u64::unpack(r)).unwrap_err(),
+            SnapError::Truncated
+        );
     }
 
     #[test]

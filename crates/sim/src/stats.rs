@@ -68,42 +68,15 @@ impl fmt::Display for Counter {
     }
 }
 
-impl crate::snapshot::Snap for Counter {
-    /// Only the value is state; the name is fixed at construction.
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.u64(self.value);
-    }
-    fn load(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        self.value = r.u64()?;
-        Ok(())
-    }
-}
-
-impl crate::snapshot::Snap for RunningStats {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        use crate::snapshot::Pack;
-        self.count.pack(w);
-        self.mean.pack(w);
-        self.m2.pack(w);
-        self.min.pack(w);
-        self.max.pack(w);
-    }
-    fn load(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::Pack;
-        self.count = u64::unpack(r)?;
-        self.mean = f64::unpack(r)?;
-        self.m2 = f64::unpack(r)?;
-        self.min = f64::unpack(r)?;
-        self.max = f64::unpack(r)?;
-        Ok(())
-    }
-}
+// Only the value is state; the name is fixed at construction.
+crate::snap_fields!(Counter { value });
+crate::snap_fields!(RunningStats {
+    count,
+    mean,
+    m2,
+    min,
+    max
+});
 
 /// Online mean/min/max/count accumulator (Welford's variance).
 #[derive(Clone, Debug, Default)]

@@ -427,6 +427,8 @@ impl<V: Copy + Default> PagedMem<V> {
     }
 }
 
+/// Hand-written: the probe table is not the wire format — entries are
+/// written in sorted key order and the table rebuilt by insertion.
 impl<V: crate::snapshot::Pack> crate::snapshot::Pack for LineMap<V> {
     /// Serialized as `len` followed by `(key, value)` pairs in ascending
     /// key order — the map's only observable order. Unpacking rebuilds by
@@ -453,29 +455,16 @@ impl<V: crate::snapshot::Pack> crate::snapshot::Pack for LineMap<V> {
     }
 }
 
-impl<V: crate::snapshot::Pack> crate::snapshot::Pack for IdSlab<V> {
-    /// Slots and free list are serialized verbatim: freed ids are reused
-    /// LIFO, so the free list's exact order is observable through future
-    /// `insert` calls.
-    fn pack(&self, w: &mut crate::snapshot::SnapWriter) {
-        self.slots.pack(w);
-        self.free.pack(w);
-    }
-    fn unpack(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        let slots = Vec::<Option<V>>::unpack(r)?;
-        let free = Vec::<u32>::unpack(r)?;
-        for &i in &free {
-            let live = slots.get(i as usize).map(|s| s.is_some());
-            if live != Some(false) {
-                return Err(crate::snapshot::SnapError::Corrupt(
-                    "IdSlab free list names a live or out-of-range slot",
-                ));
-            }
-        }
-        Ok(IdSlab { slots, free })
-    }
-}
+// Slots and free list are serialized verbatim: freed ids are reused LIFO,
+// so the free list's exact order is observable through future `insert`
+// calls.
+crate::pack_struct!(IdSlab<V> { slots, free } check |s| crate::snapshot::ensure(
+    s.free.iter().all(|&i| matches!(s.slots.get(i as usize), Some(None))),
+    "IdSlab free list names a live or out-of-range slot"
+));
 
+/// Hand-written: only allocated pages are written, keyed by page number,
+/// and restore rebuilds fresh uniquely-owned pages.
 impl<V: crate::snapshot::Pack + Copy + Default> crate::snapshot::Snap for PagedMem<V> {
     /// Serialized as the allocated page set in ascending page-number order
     /// (direct pages first, then overflow pages — overflow keys are all

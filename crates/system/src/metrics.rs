@@ -23,17 +23,6 @@ pub fn record(edges: u64, sim_ps: u64) {
     SIM_PS.fetch_add(sim_ps, Ordering::Relaxed);
 }
 
-/// Resets both counters to zero. Back-to-back sweeps in one process call
-/// this between runs so each run's throughput is measured from a clean
-/// slate instead of by subtracting snapshots.
-///
-/// Not atomic across the two counters: do not call concurrently with
-/// in-flight run loops.
-pub fn reset() {
-    EDGES.store(0, Ordering::Relaxed);
-    SIM_PS.store(0, Ordering::Relaxed);
-}
-
 /// Totals since process start: `(edges, simulated_ps)`.
 pub fn snapshot() -> (u64, u64) {
     (

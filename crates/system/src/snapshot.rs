@@ -25,7 +25,7 @@
 //! L1/L2/TLB, the mesh (routers, in-flight messages, per-link stats), L3
 //! shards (directory + backing memory), the adapter (control hub, memory
 //! hubs, proxy caches, CDC FIFOs), the accelerator's registered state
-//! ([`SoftAccelerator::save_state`]), the OS stub (page table, pending
+//! (its [`Snap`] supertrait impl), the OS stub (page table, pending
 //! tasks, MMIO id space), fault-injection progress, and the runtime
 //! checkers. Host-side plumbing is *not*: trace sessions, shard pools and
 //! lanes, the edge-skip knob, and the mesh-tick rebalancer (per-router
@@ -51,54 +51,46 @@
 //! discarded (fail-loud poisoning; no rollback).
 //!
 //! [`SystemConfig`]: crate::config::SystemConfig
-//! [`SoftAccelerator::save_state`]: duet_fpga::SoftAccelerator
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use duet_fpga::SoftAccelerator;
-use duet_sim::{Pack, Snap, SnapError, SnapHasher, SnapReader, SnapWriter};
+use duet_sim::snapshot::{ensure, load_each, save_each};
+use duet_sim::{
+    pack_enum, pack_struct, snap_fields, Pack, Snap, SnapError, SnapHasher, SnapReader, SnapWriter,
+};
 use duet_trace::Tracer;
 
 use crate::run_loop::OsTask;
 use crate::stats::RunStats;
 use crate::system::System;
+use crate::wiring::SlowHubCdc;
 
-impl Pack for RunStats {
-    fn pack(&self, w: &mut SnapWriter) {
-        w.u64(self.fast_edges);
-        w.u64(self.slow_edges);
-        w.u64(self.exceptions);
-        w.u64(self.page_faults);
-    }
-    fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RunStats {
-            fast_edges: r.u64()?,
-            slow_edges: r.u64()?,
-            exceptions: r.u64()?,
-            page_faults: r.u64()?,
-        })
+pack_struct!(RunStats {
+    fast_edges,
+    slow_edges,
+    exceptions,
+    page_faults
+});
+pack_enum!(OsTask { 0 => TlbFill { vaddr, hub } });
+snap_fields!(SlowHubCdc { into_hub, from_hub });
+
+/// Writes an optional component: a presence byte, then its state.
+fn save_opt<T: Snap + ?Sized>(item: Option<&T>, w: &mut SnapWriter) {
+    w.u8(u8::from(item.is_some()));
+    if let Some(item) = item {
+        item.save(w);
     }
 }
 
-impl Pack for OsTask {
-    fn pack(&self, w: &mut SnapWriter) {
-        match self {
-            OsTask::TlbFill { vaddr, hub } => {
-                w.u8(0);
-                vaddr.pack(w);
-                hub.pack(w);
-            }
-        }
-    }
-    fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(OsTask::TlbFill {
-                vaddr: Pack::unpack(r)?,
-                hub: Pack::unpack(r)?,
-            }),
-            _ => Err(SnapError::Corrupt("invalid OsTask discriminant")),
-        }
-    }
+/// Loads what [`save_opt`] wrote; presence must match the built structure.
+fn load_opt<T: Snap + ?Sized>(
+    item: Option<&mut T>,
+    r: &mut SnapReader<'_>,
+    what: &'static str,
+) -> Result<(), SnapError> {
+    ensure((r.u8()? != 0) == item.is_some(), what)?;
+    item.map_or(Ok(()), |item| item.load(r))
 }
 
 impl System {
@@ -177,57 +169,34 @@ impl System {
     /// `FLT`/`HOST` sections) and
     /// [`divergence_fingerprint`](System::divergence_fingerprint) (which
     /// hashes exactly these bytes).
+    ///
+    /// Hand-written (with [`read_state`](System::read_state) as its
+    /// mirror): the tagged sections frame groups of `System` fields, and
+    /// the adapter and accelerator are optional structure whose presence
+    /// is cross-checked rather than loaded.
     fn write_state(&self, w: &mut SnapWriter) {
         w.section(*b"TIME", |w| {
             self.dual.save(w);
             self.now.pack(w);
             self.stats.pack(w);
         });
-        w.section(*b"CORE", |w| {
-            w.len64(self.cores.len());
-            for c in &self.cores {
-                c.save(w);
-            }
-        });
+        w.section(*b"CORE", |w| save_each(&self.cores, w));
         w.section(*b"MESH", |w| self.mesh.save(w));
-        w.section(*b"L2\0\0", |w| {
-            w.len64(self.l2s.len());
-            for l2 in &self.l2s {
-                l2.save(w);
-            }
-        });
-        w.section(*b"L3\0\0", |w| {
-            w.len64(self.shards.len());
-            for s in &self.shards {
-                s.save(w);
-            }
-        });
+        w.section(*b"L2\0\0", |w| save_each(&self.l2s, w));
+        w.section(*b"L3\0\0", |w| save_each(&self.shards, w));
         w.section(*b"ADPT", |w| {
-            w.u8(u8::from(self.adapter.is_some()));
-            if let Some(a) = &self.adapter {
-                a.save(w);
-            }
-            w.len64(self.slow_cdc.len());
-            for cdc in &self.slow_cdc {
-                cdc.into_hub.save(w);
-                cdc.from_hub.save(w);
-            }
+            save_opt(self.adapter.as_ref(), w);
+            save_each(&self.slow_cdc, w);
         });
         w.section(*b"ACCL", |w| {
             self.accel_busy.pack(w);
             self.accel_fenced.pack(w);
             self.watchdog_sig.pack(w);
             self.watchdog_since.pack(w);
-            w.u8(u8::from(self.accel.is_some()));
-            if let Some(a) = &self.accel {
-                a.save_state(w);
-            }
+            save_opt(self.accel.as_deref(), w);
         });
         w.section(*b"SYS\0", |w| {
-            w.len64(self.inject_pending.len());
-            for l in &self.inject_pending {
-                l.save(w);
-            }
+            save_each(&self.inject_pending, w);
             self.inject_dirty.pack(w);
             self.core_held.pack(w);
             self.mmio_ids.pack(w);
@@ -251,97 +220,55 @@ impl System {
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.section(*b"TIME", |r| {
             self.dual.load(r)?;
-            self.now = Pack::unpack(r)?;
-            self.stats = Pack::unpack(r)?;
-            Ok(())
+            self.now.load(r)?;
+            self.stats.load(r)
         })?;
         r.section(*b"CORE", |r| {
-            if r.len64()? != self.cores.len() {
-                return Err(SnapError::Corrupt("core count mismatch"));
-            }
-            for c in &mut self.cores {
-                c.load(r)?;
-            }
-            Ok(())
+            load_each(&mut self.cores, r, "core count mismatch")
         })?;
         r.section(*b"MESH", |r| self.mesh.load(r))?;
         r.section(*b"L2\0\0", |r| {
-            if r.len64()? != self.l2s.len() {
-                return Err(SnapError::Corrupt("L2 count mismatch"));
-            }
-            for l2 in &mut self.l2s {
-                Snap::load(l2, r)?;
-            }
-            Ok(())
+            load_each(&mut self.l2s, r, "L2 count mismatch")
         })?;
         r.section(*b"L3\0\0", |r| {
-            if r.len64()? != self.shards.len() {
-                return Err(SnapError::Corrupt("L3 shard count mismatch"));
-            }
-            for s in &mut self.shards {
-                s.load(r)?;
-            }
-            Ok(())
+            load_each(&mut self.shards, r, "L3 shard count mismatch")
         })?;
         r.section(*b"ADPT", |r| {
-            let present = r.u8()? != 0;
-            if present != self.adapter.is_some() {
-                return Err(SnapError::Corrupt("adapter presence mismatch"));
-            }
-            if let Some(a) = &mut self.adapter {
-                a.load(r)?;
-            }
-            if r.len64()? != self.slow_cdc.len() {
-                return Err(SnapError::Corrupt("slow-CDC count mismatch"));
-            }
-            for cdc in &mut self.slow_cdc {
-                cdc.into_hub.load(r)?;
-                cdc.from_hub.load(r)?;
-            }
-            Ok(())
+            load_opt(self.adapter.as_mut(), r, "adapter presence mismatch")?;
+            load_each(&mut self.slow_cdc, r, "slow-CDC count mismatch")
         })?;
         r.section(*b"ACCL", |r| {
-            self.accel_busy = Pack::unpack(r)?;
-            self.accel_fenced = Pack::unpack(r)?;
-            self.watchdog_sig = Pack::unpack(r)?;
-            self.watchdog_since = Pack::unpack(r)?;
-            let present = r.u8()? != 0;
-            if present != self.accel.is_some() {
-                return Err(SnapError::Corrupt("accelerator presence mismatch"));
-            }
-            if let Some(a) = &mut self.accel {
-                a.load_state(r)?;
-            }
-            Ok(())
+            self.accel_busy.load(r)?;
+            self.accel_fenced.load(r)?;
+            self.watchdog_sig.load(r)?;
+            self.watchdog_since.load(r)?;
+            load_opt(
+                self.accel.as_deref_mut(),
+                r,
+                "accelerator presence mismatch",
+            )
         })?;
         r.section(*b"SYS\0", |r| {
-            if r.len64()? != self.inject_pending.len() {
-                return Err(SnapError::Corrupt("injection pipe count mismatch"));
-            }
-            for l in &mut self.inject_pending {
-                l.load(r)?;
-            }
-            self.inject_dirty = Pack::unpack(r)?;
-            self.core_held = Pack::unpack(r)?;
-            if self.core_held.len() != self.cores.len() {
-                return Err(SnapError::Corrupt("core_held count mismatch"));
-            }
-            self.mmio_ids = Pack::unpack(r)?;
-            self.next_os_mmio_id = Pack::unpack(r)?;
-            self.page_table = Pack::unpack(r)?;
-            self.os_tasks = Pack::unpack(r)?;
-            self.reorder_stash = Pack::unpack(r)?;
-            self.fences = Pack::unpack(r)?;
-            Ok(())
+            load_each(&mut self.inject_pending, r, "injection pipe count mismatch")?;
+            self.inject_dirty.load(r)?;
+            self.core_held.load(r)?;
+            ensure(
+                self.core_held.len() == self.cores.len(),
+                "core_held count mismatch",
+            )?;
+            self.mmio_ids.load(r)?;
+            self.next_os_mmio_id.load(r)?;
+            self.page_table.load(r)?;
+            self.os_tasks.load(r)?;
+            self.reorder_stash.load(r)?;
+            self.fences.load(r)
         })?;
         r.section(*b"VRFY", |r| {
             self.mesi_checker.load(r)?;
             self.noc_checker.load(r)?;
-            self.adapter_violations = Pack::unpack(r)?;
-            self.pending_violation = Pack::unpack(r)?;
-            Ok(())
-        })?;
-        Ok(())
+            self.adapter_violations.load(r)?;
+            self.pending_violation.load(r)
+        })
     }
 
     /// `(allocated, privately owned)` backing-memory page counts summed
@@ -454,7 +381,7 @@ impl System {
     /// `Box<dyn SoftAccelerator>` cannot be cloned, so the caller supplies
     /// a freshly built instance of the *same design*; the parent's
     /// registered state is transferred through the design's
-    /// `save_state`/`load_state` hooks. Fails if this system has no
+    /// [`Snap`] impl. Fails if this system has no
     /// accelerator or if the fresh instance rejects (or fails to fully
     /// consume) the parent's state.
     pub fn fork_with(&self, mut accel: Box<dyn SoftAccelerator>) -> Result<System, SnapError> {
@@ -464,10 +391,10 @@ impl System {
             ));
         };
         let mut w = SnapWriter::new();
-        parent.save_state(&mut w);
+        parent.save(&mut w);
         let buf = w.finish();
         let mut r = SnapReader::new(&buf);
-        accel.load_state(&mut r)?;
+        accel.load(&mut r)?;
         r.expect_end()?;
         let mut child = self.fork();
         child.accel = Some(accel);

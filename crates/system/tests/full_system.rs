@@ -27,6 +27,8 @@ impl EchoPlusOne {
     }
 }
 
+duet_sim::snap_fields!(EchoPlusOne { regs });
+
 impl SoftAccelerator for EchoPlusOne {
     fn name(&self) -> &str {
         "echo-plus-one"
@@ -67,6 +69,8 @@ impl LineSummer {
         LineSummer { regs, addr: None }
     }
 }
+
+duet_sim::snap_fields!(LineSummer { regs, addr });
 
 impl SoftAccelerator for LineSummer {
     fn name(&self) -> &str {

@@ -157,40 +157,13 @@ impl MesiChecker {
     }
 }
 
-mod snap_impls {
-    use duet_sim::{Pack, Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{MesiChecker, ShadowLine};
-
-    impl Pack for ShadowLine {
-        fn pack(&self, w: &mut SnapWriter) {
-            self.writer.pack(w);
-            self.readers.pack(w);
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(ShadowLine {
-                writer: Pack::unpack(r)?,
-                readers: Pack::unpack(r)?,
-            })
-        }
-    }
-
-    impl Snap for MesiChecker {
-        fn save(&self, w: &mut SnapWriter) {
-            self.lines.pack(w);
-            self.checked.pack(w);
-            self.violations.pack(w);
-            self.first.pack(w);
-        }
-        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.lines = Pack::unpack(r)?;
-            self.checked = Pack::unpack(r)?;
-            self.violations = Pack::unpack(r)?;
-            self.first = Pack::unpack(r)?;
-            Ok(())
-        }
-    }
-}
+duet_sim::pack_struct!(ShadowLine { writer, readers });
+duet_sim::snap_fields!(MesiChecker {
+    lines,
+    checked,
+    violations,
+    first
+});
 
 /// Nodes above 63 fall out of the diagnostic reader mask; writer tracking
 /// (the checked invariant) is exact for any node count.

@@ -88,27 +88,12 @@ impl NocOrderChecker {
     }
 }
 
-mod snap_impls {
-    use duet_sim::{Pack, Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::NocOrderChecker;
-
-    impl Snap for NocOrderChecker {
-        fn save(&self, w: &mut SnapWriter) {
-            self.last.pack(w);
-            self.checked.pack(w);
-            self.violations.pack(w);
-            self.first.pack(w);
-        }
-        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.last = Pack::unpack(r)?;
-            self.checked = Pack::unpack(r)?;
-            self.violations = Pack::unpack(r)?;
-            self.first = Pack::unpack(r)?;
-            Ok(())
-        }
-    }
-}
+duet_sim::snap_fields!(NocOrderChecker {
+    last,
+    checked,
+    violations,
+    first
+});
 
 #[cfg(test)]
 mod tests {

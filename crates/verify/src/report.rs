@@ -227,101 +227,13 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-mod snap_impls {
-    use duet_sim::{Pack, SnapError, SnapReader, SnapWriter};
-
-    use super::Violation;
-
-    impl Pack for Violation {
-        fn pack(&self, w: &mut SnapWriter) {
-            match self {
-                Violation::MesiDoubleOwner {
-                    line,
-                    holder,
-                    granted_to,
-                    at_ps,
-                } => {
-                    w.u8(0);
-                    line.pack(w);
-                    holder.pack(w);
-                    granted_to.pack(w);
-                    at_ps.pack(w);
-                }
-                Violation::MesiReaderWhileWriter {
-                    line,
-                    writer,
-                    reader,
-                    at_ps,
-                } => {
-                    w.u8(1);
-                    line.pack(w);
-                    writer.pack(w);
-                    reader.pack(w);
-                    at_ps.pack(w);
-                }
-                Violation::MesiDirectoryMismatch { line, detail } => {
-                    w.u8(2);
-                    line.pack(w);
-                    detail.pack(w);
-                }
-                Violation::NocOrderInversion {
-                    src,
-                    dst,
-                    vnet,
-                    prev_id,
-                    id,
-                    at_ps,
-                } => {
-                    w.u8(3);
-                    src.pack(w);
-                    dst.pack(w);
-                    vnet.pack(w);
-                    prev_id.pack(w);
-                    id.pack(w);
-                    at_ps.pack(w);
-                }
-                Violation::AdapterInvariant { detail, at_ps } => {
-                    w.u8(4);
-                    detail.pack(w);
-                    at_ps.pack(w);
-                }
-            }
-        }
-        fn unpack(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => Violation::MesiDoubleOwner {
-                    line: Pack::unpack(r)?,
-                    holder: Pack::unpack(r)?,
-                    granted_to: Pack::unpack(r)?,
-                    at_ps: Pack::unpack(r)?,
-                },
-                1 => Violation::MesiReaderWhileWriter {
-                    line: Pack::unpack(r)?,
-                    writer: Pack::unpack(r)?,
-                    reader: Pack::unpack(r)?,
-                    at_ps: Pack::unpack(r)?,
-                },
-                2 => Violation::MesiDirectoryMismatch {
-                    line: Pack::unpack(r)?,
-                    detail: Pack::unpack(r)?,
-                },
-                3 => Violation::NocOrderInversion {
-                    src: Pack::unpack(r)?,
-                    dst: Pack::unpack(r)?,
-                    vnet: Pack::unpack(r)?,
-                    prev_id: Pack::unpack(r)?,
-                    id: Pack::unpack(r)?,
-                    at_ps: Pack::unpack(r)?,
-                },
-                4 => Violation::AdapterInvariant {
-                    detail: Pack::unpack(r)?,
-                    at_ps: Pack::unpack(r)?,
-                },
-                _ => return Err(SnapError::Corrupt("invalid Violation discriminant")),
-            })
-        }
-    }
-}
+duet_sim::pack_enum!(Violation {
+    0 => MesiDoubleOwner { line, holder, granted_to, at_ps },
+    1 => MesiReaderWhileWriter { line, writer, reader, at_ps },
+    2 => MesiDirectoryMismatch { line, detail },
+    3 => NocOrderInversion { src, dst, vnet, prev_id, id, at_ps },
+    4 => AdapterInvariant { detail, at_ps },
+});
 
 #[cfg(test)]
 mod tests {

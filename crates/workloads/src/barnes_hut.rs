@@ -262,64 +262,25 @@ impl BhAccel {
     }
 }
 
-impl duet_sim::Pack for InFlight {
-    fn pack(&self, w: &mut duet_sim::SnapWriter) {
-        self.core.pack(w);
-        self.addr.pack(w);
-        self.fills.pack(w);
-        self.line0.pack(w);
-        self.line1.pack(w);
-        self.line2.pack(w);
-        self.is_set.pack(w);
-    }
-
-    fn unpack(r: &mut duet_sim::SnapReader<'_>) -> Result<Self, duet_sim::SnapError> {
-        use duet_sim::Pack;
-        Ok(InFlight {
-            core: Pack::unpack(r)?,
-            addr: Pack::unpack(r)?,
-            fills: Pack::unpack(r)?,
-            line0: Pack::unpack(r)?,
-            line1: Pack::unpack(r)?,
-            line2: Pack::unpack(r)?,
-            is_set: Pack::unpack(r)?,
-        })
-    }
-}
+duet_sim::pack_struct!(InFlight {
+    core,
+    addr,
+    fills,
+    line0,
+    line1,
+    line2,
+    is_set
+});
+duet_sim::snap_fields!(BhAccel {
+    regs, pos, acc, outstanding, pending_get, cmds, inflight, next_id
+} check |b| duet_sim::snapshot::ensure(
+    b.pos.len() == b.cores && b.acc.len() == b.cores,
+    "barnes-hut core count mismatch"
+));
 
 impl SoftAccelerator for BhAccel {
     fn name(&self) -> &str {
         "barnes-hut"
-    }
-
-    fn save_state(&self, w: &mut duet_sim::SnapWriter) {
-        use duet_sim::{Pack, Snap};
-        self.regs.save(w);
-        self.pos.pack(w);
-        self.acc.pack(w);
-        self.outstanding.pack(w);
-        self.pending_get.pack(w);
-        self.cmds.pack(w);
-        self.inflight.pack(w);
-        self.next_id.pack(w);
-    }
-
-    fn load_state(&mut self, r: &mut duet_sim::SnapReader<'_>) -> Result<(), duet_sim::SnapError> {
-        use duet_sim::{Pack, Snap};
-        self.regs.load(r)?;
-        self.pos = Pack::unpack(r)?;
-        self.acc = Pack::unpack(r)?;
-        self.outstanding = Pack::unpack(r)?;
-        self.pending_get = Pack::unpack(r)?;
-        self.cmds = Pack::unpack(r)?;
-        self.inflight = Pack::unpack(r)?;
-        self.next_id = Pack::unpack(r)?;
-        if self.pos.len() != self.cores || self.acc.len() != self.cores {
-            return Err(duet_sim::SnapError::Corrupt(
-                "barnes-hut core count mismatch",
-            ));
-        }
-        Ok(())
     }
 
     fn tick(&mut self, ports: &mut FabricPorts<'_>) {

@@ -150,37 +150,14 @@ impl FrontierQueues {
     }
 }
 
+duet_sim::snap_fields!(FrontierQueues {
+    regs, queue, delivered, consumed, enqueued, received, idle, done
+} check |q| duet_sim::snapshot::ensure(
+    q.consumed.len() == q.cores && q.idle.len() == q.cores,
+    "bfs frontier core count mismatch"
+));
+
 impl SoftAccelerator for FrontierQueues {
-    fn save_state(&self, w: &mut duet_sim::SnapWriter) {
-        use duet_sim::{Pack, Snap};
-        self.regs.save(w);
-        self.queue.pack(w);
-        self.delivered.pack(w);
-        self.consumed.pack(w);
-        self.enqueued.pack(w);
-        self.received.pack(w);
-        self.idle.pack(w);
-        self.done.pack(w);
-    }
-
-    fn load_state(&mut self, r: &mut duet_sim::SnapReader<'_>) -> Result<(), duet_sim::SnapError> {
-        use duet_sim::{Pack, Snap};
-        self.regs.load(r)?;
-        self.queue = Pack::unpack(r)?;
-        self.delivered = Pack::unpack(r)?;
-        self.consumed = Pack::unpack(r)?;
-        self.enqueued = Pack::unpack(r)?;
-        self.received = Pack::unpack(r)?;
-        self.idle = Pack::unpack(r)?;
-        self.done = Pack::unpack(r)?;
-        if self.consumed.len() != self.cores || self.idle.len() != self.cores {
-            return Err(duet_sim::SnapError::Corrupt(
-                "bfs frontier core count mismatch",
-            ));
-        }
-        Ok(())
-    }
-
     fn name(&self) -> &str {
         "bfs-queues"
     }

@@ -295,15 +295,14 @@ enum DjState {
     Drain,
 }
 
-impl MemPath {
-    /// Serializes the path's state. The variant is construction-time
-    /// configuration (`use_soft_cache`), so only a matching variant can
-    /// be restored into.
+/// Hand-written: the variant is construction-time configuration
+/// (`use_soft_cache`), so the tag is cross-checked and the body loaded into
+/// the already-built variant.
+impl duet_sim::Snap for MemPath {
     fn save(&self, w: &mut duet_sim::SnapWriter) {
-        use duet_sim::{Pack, Snap};
         match self {
             MemPath::Cached(sc) => {
-                0u8.pack(w);
+                w.u8(0);
                 sc.save(w);
             }
             MemPath::Direct {
@@ -312,19 +311,15 @@ impl MemPath {
                 stores_outstanding,
                 next_id,
             } => {
-                1u8.pack(w);
-                pending.pack(w);
-                got.pack(w);
-                stores_outstanding.pack(w);
-                next_id.pack(w);
+                w.u8(1);
+                (*pending, *got, *stores_outstanding, *next_id).save(w);
             }
         }
     }
 
     fn load(&mut self, r: &mut duet_sim::SnapReader<'_>) -> Result<(), duet_sim::SnapError> {
-        use duet_sim::{Pack, Snap};
-        let variant = u8::unpack(r)?;
-        match (variant, &mut *self) {
+        use duet_sim::Snap;
+        match (r.u8()?, self) {
             // UFCS: `SoftCache::load(addr, ...)` (the cache lookup) would
             // shadow the `Snap` method.
             (0, MemPath::Cached(sc)) => Snap::load(sc, r),
@@ -337,10 +332,7 @@ impl MemPath {
                     next_id,
                 },
             ) => {
-                *pending = Pack::unpack(r)?;
-                *got = Pack::unpack(r)?;
-                *stores_outstanding = Pack::unpack(r)?;
-                *next_id = Pack::unpack(r)?;
+                (*pending, *got, *stores_outstanding, *next_id) = duet_sim::Pack::unpack(r)?;
                 Ok(())
             }
             _ => Err(duet_sim::SnapError::Corrupt(
@@ -350,84 +342,15 @@ impl MemPath {
     }
 }
 
-impl duet_sim::Pack for DjState {
-    fn pack(&self, w: &mut duet_sim::SnapWriter) {
-        match *self {
-            DjState::Idle => 0u8.pack(w),
-            DjState::Scan { u, best, best_d } => {
-                1u8.pack(w);
-                u.pack(w);
-                best.pack(w);
-                best_d.pack(w);
-            }
-            DjState::Meta { u } => {
-                2u8.pack(w);
-                u.pack(w);
-            }
-            DjState::DistU { u, off, deg } => {
-                3u8.pack(w);
-                u.pack(w);
-                off.pack(w);
-                deg.pack(w);
-            }
-            DjState::Edge { e, end, du } => {
-                4u8.pack(w);
-                e.pack(w);
-                end.pack(w);
-                du.pack(w);
-            }
-            DjState::EdgeDist {
-                e,
-                end,
-                du,
-                dest,
-                wt,
-            } => {
-                5u8.pack(w);
-                e.pack(w);
-                end.pack(w);
-                du.pack(w);
-                dest.pack(w);
-                wt.pack(w);
-            }
-            DjState::Drain => 6u8.pack(w),
-        }
-    }
-
-    fn unpack(r: &mut duet_sim::SnapReader<'_>) -> Result<Self, duet_sim::SnapError> {
-        use duet_sim::Pack;
-        Ok(match u8::unpack(r)? {
-            0 => DjState::Idle,
-            1 => DjState::Scan {
-                u: Pack::unpack(r)?,
-                best: Pack::unpack(r)?,
-                best_d: Pack::unpack(r)?,
-            },
-            2 => DjState::Meta {
-                u: Pack::unpack(r)?,
-            },
-            3 => DjState::DistU {
-                u: Pack::unpack(r)?,
-                off: Pack::unpack(r)?,
-                deg: Pack::unpack(r)?,
-            },
-            4 => DjState::Edge {
-                e: Pack::unpack(r)?,
-                end: Pack::unpack(r)?,
-                du: Pack::unpack(r)?,
-            },
-            5 => DjState::EdgeDist {
-                e: Pack::unpack(r)?,
-                end: Pack::unpack(r)?,
-                du: Pack::unpack(r)?,
-                dest: Pack::unpack(r)?,
-                wt: Pack::unpack(r)?,
-            },
-            6 => DjState::Drain,
-            _ => return Err(duet_sim::SnapError::Corrupt("invalid DjState discriminant")),
-        })
-    }
-}
+duet_sim::pack_enum!(DjState {
+    0 => Idle,
+    1 => Scan { u, best, best_d },
+    2 => Meta { u },
+    3 => DistU { u, off, deg },
+    4 => Edge { e, end, du },
+    5 => EdgeDist { e, end, du, dest, wt },
+    6 => Drain,
+});
 
 /// The Dijkstra engine: the whole kernel runs on the fabric — a pipelined
 /// min-scan over the distance array followed by edge relaxation, with the
@@ -461,30 +384,18 @@ impl DijkstraAccel {
     }
 }
 
+duet_sim::snap_fields!(DijkstraAccel {
+    regs,
+    mem,
+    state,
+    visited,
+    n,
+    rounds
+});
+
 impl SoftAccelerator for DijkstraAccel {
     fn name(&self) -> &str {
         "dijkstra"
-    }
-
-    fn save_state(&self, w: &mut duet_sim::SnapWriter) {
-        use duet_sim::{Pack, Snap};
-        self.regs.save(w);
-        self.mem.save(w);
-        self.state.pack(w);
-        self.visited.pack(w);
-        self.n.pack(w);
-        self.rounds.pack(w);
-    }
-
-    fn load_state(&mut self, r: &mut duet_sim::SnapReader<'_>) -> Result<(), duet_sim::SnapError> {
-        use duet_sim::{Pack, Snap};
-        self.regs.load(r)?;
-        self.mem.load(r)?;
-        self.state = Pack::unpack(r)?;
-        self.visited = Pack::unpack(r)?;
-        self.n = Pack::unpack(r)?;
-        self.rounds = Pack::unpack(r)?;
-        Ok(())
     }
 
     fn tick(&mut self, ports: &mut FabricPorts<'_>) {

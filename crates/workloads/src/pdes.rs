@@ -176,50 +176,17 @@ impl TaskScheduler {
     }
 }
 
+duet_sim::snap_fields!(TaskScheduler {
+    regs, to_fetch, in_flight, next_fetch_id, queue, delivered, consumed, scheduled, received,
+    idle, cur_time, done
+} check |s| duet_sim::snapshot::ensure(
+    s.consumed.len() == s.cores && s.scheduled.len() == s.cores && s.idle.len() == s.cores,
+    "pdes scheduler core count mismatch"
+));
+
 impl SoftAccelerator for TaskScheduler {
     fn name(&self) -> &str {
         "pdes-scheduler"
-    }
-
-    fn save_state(&self, w: &mut duet_sim::SnapWriter) {
-        use duet_sim::{Pack, Snap};
-        self.regs.save(w);
-        self.to_fetch.pack(w);
-        self.in_flight.pack(w);
-        self.next_fetch_id.pack(w);
-        self.queue.pack(w);
-        self.delivered.pack(w);
-        self.consumed.pack(w);
-        self.scheduled.pack(w);
-        self.received.pack(w);
-        self.idle.pack(w);
-        self.cur_time.pack(w);
-        self.done.pack(w);
-    }
-
-    fn load_state(&mut self, r: &mut duet_sim::SnapReader<'_>) -> Result<(), duet_sim::SnapError> {
-        use duet_sim::{Pack, Snap};
-        self.regs.load(r)?;
-        self.to_fetch = Pack::unpack(r)?;
-        self.in_flight = Pack::unpack(r)?;
-        self.next_fetch_id = Pack::unpack(r)?;
-        self.queue = Pack::unpack(r)?;
-        self.delivered = Pack::unpack(r)?;
-        self.consumed = Pack::unpack(r)?;
-        self.scheduled = Pack::unpack(r)?;
-        self.received = Pack::unpack(r)?;
-        self.idle = Pack::unpack(r)?;
-        self.cur_time = Pack::unpack(r)?;
-        self.done = Pack::unpack(r)?;
-        if self.consumed.len() != self.cores
-            || self.scheduled.len() != self.cores
-            || self.idle.len() != self.cores
-        {
-            return Err(duet_sim::SnapError::Corrupt(
-                "pdes scheduler core count mismatch",
-            ));
-        }
-        Ok(())
     }
 
     fn tick(&mut self, ports: &mut FabricPorts<'_>) {

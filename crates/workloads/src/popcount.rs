@@ -77,6 +77,14 @@ impl PopcountAccel {
     }
 }
 
+duet_sim::snap_fields!(PopcountAccel {
+    regs,
+    issued,
+    fills,
+    acc,
+    cur
+});
+
 impl SoftAccelerator for PopcountAccel {
     fn name(&self) -> &str {
         "popcount"
@@ -134,25 +142,6 @@ impl SoftAccelerator for PopcountAccel {
 
     fn reset(&mut self) {
         self.cur = None;
-    }
-
-    fn save_state(&self, w: &mut duet_sim::SnapWriter) {
-        use duet_sim::{Pack, Snap};
-        self.regs.save(w);
-        self.issued.pack(w);
-        self.fills.pack(w);
-        self.acc.pack(w);
-        self.cur.pack(w);
-    }
-
-    fn load_state(&mut self, r: &mut duet_sim::SnapReader<'_>) -> Result<(), duet_sim::SnapError> {
-        use duet_sim::{Pack, Snap};
-        self.regs.load(r)?;
-        self.issued = Pack::unpack(r)?;
-        self.fills = Pack::unpack(r)?;
-        self.acc = Pack::unpack(r)?;
-        self.cur = Pack::unpack(r)?;
-        Ok(())
     }
 }
 

@@ -88,72 +88,32 @@ impl SortAccel {
     }
 }
 
-impl duet_sim::Pack for LoadJob {
-    fn pack(&self, w: &mut duet_sim::SnapWriter) {
-        self.slice_no.pack(w);
-        self.issued.pack(w);
-        self.filled.pack(w);
-        self.vals.pack(w);
-    }
-
-    fn unpack(r: &mut duet_sim::SnapReader<'_>) -> Result<Self, duet_sim::SnapError> {
-        use duet_sim::Pack;
-        Ok(LoadJob {
-            slice_no: Pack::unpack(r)?,
-            issued: Pack::unpack(r)?,
-            filled: Pack::unpack(r)?,
-            vals: Pack::unpack(r)?,
-        })
-    }
-}
-
-impl duet_sim::Pack for StoreJob {
-    fn pack(&self, w: &mut duet_sim::SnapWriter) {
-        self.slice_no.pack(w);
-        self.ready_tick.pack(w);
-        self.vals.pack(w);
-        self.next.pack(w);
-        self.acks.pack(w);
-    }
-
-    fn unpack(r: &mut duet_sim::SnapReader<'_>) -> Result<Self, duet_sim::SnapError> {
-        use duet_sim::Pack;
-        Ok(StoreJob {
-            slice_no: Pack::unpack(r)?,
-            ready_tick: Pack::unpack(r)?,
-            vals: Pack::unpack(r)?,
-            next: Pack::unpack(r)?,
-            acks: Pack::unpack(r)?,
-        })
-    }
-}
+duet_sim::pack_struct!(LoadJob {
+    slice_no,
+    issued,
+    filled,
+    vals
+});
+duet_sim::pack_struct!(StoreJob {
+    slice_no,
+    ready_tick,
+    vals,
+    next,
+    acks
+});
+duet_sim::snap_fields!(SortAccel {
+    regs,
+    ticks,
+    loading,
+    storing,
+    drained,
+    src_base,
+    dst_base
+});
 
 impl SoftAccelerator for SortAccel {
     fn name(&self) -> &str {
         "sort"
-    }
-
-    fn save_state(&self, w: &mut duet_sim::SnapWriter) {
-        use duet_sim::{Pack, Snap};
-        self.regs.save(w);
-        self.ticks.pack(w);
-        self.loading.pack(w);
-        self.storing.pack(w);
-        self.drained.pack(w);
-        self.src_base.pack(w);
-        self.dst_base.pack(w);
-    }
-
-    fn load_state(&mut self, r: &mut duet_sim::SnapReader<'_>) -> Result<(), duet_sim::SnapError> {
-        use duet_sim::{Pack, Snap};
-        self.regs.load(r)?;
-        self.ticks = Pack::unpack(r)?;
-        self.loading = Pack::unpack(r)?;
-        self.storing = Pack::unpack(r)?;
-        self.drained = Pack::unpack(r)?;
-        self.src_base = Pack::unpack(r)?;
-        self.dst_base = Pack::unpack(r)?;
-        Ok(())
     }
 
     fn tick(&mut self, ports: &mut FabricPorts<'_>) {

@@ -81,43 +81,13 @@ enum SpState {
     OwnLine,
 }
 
-impl duet_sim::Pack for SpState {
-    fn pack(&self, w: &mut duet_sim::SnapWriter) {
-        match self {
-            SpState::Idle => 0u8.pack(w),
-            SpState::Pulling { next, fills_left } => {
-                1u8.pack(w);
-                next.pack(w);
-                fills_left.pack(w);
-            }
-            SpState::Pushing { next, acks_left } => {
-                2u8.pack(w);
-                next.pack(w);
-                acks_left.pack(w);
-            }
-            SpState::PullOne => 3u8.pack(w),
-            SpState::OwnLine => 4u8.pack(w),
-        }
-    }
-
-    fn unpack(r: &mut duet_sim::SnapReader<'_>) -> Result<Self, duet_sim::SnapError> {
-        use duet_sim::Pack;
-        Ok(match u8::unpack(r)? {
-            0 => SpState::Idle,
-            1 => SpState::Pulling {
-                next: Pack::unpack(r)?,
-                fills_left: Pack::unpack(r)?,
-            },
-            2 => SpState::Pushing {
-                next: Pack::unpack(r)?,
-                acks_left: Pack::unpack(r)?,
-            },
-            3 => SpState::PullOne,
-            4 => SpState::OwnLine,
-            _ => return Err(duet_sim::SnapError::Corrupt("invalid SpState discriminant")),
-        })
-    }
-}
+duet_sim::pack_enum!(SpState {
+    0 => Idle,
+    1 => Pulling { next, fills_left },
+    2 => Pushing { next, acks_left },
+    3 => PullOne,
+    4 => OwnLine,
+});
 
 /// The eFPGA-emulated scratchpad of Sec. V-C. One load issue, one store
 /// issue, and one register event per eFPGA cycle.
@@ -159,34 +129,21 @@ impl Scratchpad {
     }
 }
 
+// `events` is host-side instrumentation (shared with the measuring
+// harness), not fabric state: it is deliberately not serialized.
+duet_sim::snap_fields!(Scratchpad {
+    regs,
+    mem,
+    state,
+    buf_a,
+    buf_b,
+    nwords,
+    id_next
+});
+
 impl SoftAccelerator for Scratchpad {
     fn name(&self) -> &str {
         "scratchpad"
-    }
-
-    // `events` is host-side instrumentation (shared with the measuring
-    // harness), not fabric state: it is deliberately not serialized.
-    fn save_state(&self, w: &mut duet_sim::SnapWriter) {
-        use duet_sim::{Pack, Snap};
-        self.regs.save(w);
-        self.mem.pack(w);
-        self.state.pack(w);
-        self.buf_a.pack(w);
-        self.buf_b.pack(w);
-        self.nwords.pack(w);
-        self.id_next.pack(w);
-    }
-
-    fn load_state(&mut self, r: &mut duet_sim::SnapReader<'_>) -> Result<(), duet_sim::SnapError> {
-        use duet_sim::{Pack, Snap};
-        self.regs.load(r)?;
-        self.mem = Pack::unpack(r)?;
-        self.state = Pack::unpack(r)?;
-        self.buf_a = Pack::unpack(r)?;
-        self.buf_b = Pack::unpack(r)?;
-        self.nwords = Pack::unpack(r)?;
-        self.id_next = Pack::unpack(r)?;
-        Ok(())
     }
 
     fn tick(&mut self, ports: &mut FabricPorts<'_>) {

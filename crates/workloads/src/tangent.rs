@@ -75,24 +75,11 @@ impl TangentAccel {
     }
 }
 
+duet_sim::snap_fields!(TangentAccel { regs, pipe, ticks });
+
 impl SoftAccelerator for TangentAccel {
     fn name(&self) -> &str {
         "tangent"
-    }
-
-    fn save_state(&self, w: &mut duet_sim::SnapWriter) {
-        use duet_sim::{Pack, Snap};
-        self.regs.save(w);
-        self.pipe.pack(w);
-        self.ticks.pack(w);
-    }
-
-    fn load_state(&mut self, r: &mut duet_sim::SnapReader<'_>) -> Result<(), duet_sim::SnapError> {
-        use duet_sim::{Pack, Snap};
-        self.regs.load(r)?;
-        self.pipe = Pack::unpack(r)?;
-        self.ticks = Pack::unpack(r)?;
-        Ok(())
     }
 
     fn tick(&mut self, ports: &mut FabricPorts<'_>) {

@@ -22,6 +22,13 @@ struct AtomicIncrementer {
     observed: Vec<u64>,
 }
 
+// `addr` is configuration.
+duet_sim::snap_fields!(AtomicIncrementer {
+    remaining,
+    inflight,
+    observed
+});
+
 impl SoftAccelerator for AtomicIncrementer {
     fn name(&self) -> &str {
         "atomic-incrementer"

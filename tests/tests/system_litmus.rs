@@ -77,6 +77,8 @@ struct RogueAccel {
     fired: bool,
 }
 
+duet_sim::snap_fields!(RogueAccel { fired });
+
 impl SoftAccelerator for RogueAccel {
     fn name(&self) -> &str {
         "rogue"
