@@ -306,15 +306,34 @@ impl Core {
         }
     }
 
+    /// Whether a tick at `now` would retry a cached store against the full
+    /// store buffer with a store in flight. Every tick in this state only
+    /// counts a stall cycle until the store is acknowledged: registers, and
+    /// hence the store's address, cannot change, and the pump has nothing
+    /// to send.
+    pub fn store_blocked_at(&self, now: Time) -> bool {
+        self.wait == Wait::None
+            && now >= self.next_issue
+            && self.store_inflight.is_some()
+            && self.store_buf.len() >= self.cfg.store_buffer
+            && matches!(
+                self.program.fetch(self.pc),
+                Some(Inst::Store { base, off, .. })
+                    if !self.is_mmio(self.reg(base).wrapping_add(off as u64))
+            )
+    }
+
     /// The earliest time ticking this core can next do observable work, or
-    /// `None` when it can only be woken externally (halted, or blocked on a
-    /// memory response).
+    /// `None` when only [`mem_response`](Core::mem_response) can change what
+    /// a tick would do: halted, blocked on a memory response, draining with
+    /// a store in flight, or retrying a store against the full buffer
+    /// ([`store_blocked_at`](Core::store_blocked_at), which holds from the
+    /// first edge at or after `next_issue`).
     ///
     /// Mirrors [`tick`](Core::tick) exactly: the store-buffer pump can act
     /// whenever no store is in flight and the buffer is non-empty (even while
-    /// halted); a core waiting on memory is woken push-style by
-    /// [`mem_response`](Core::mem_response); a running core issues no earlier
-    /// than `next_issue`. Skipped stall edges must be reported back through
+    /// halted); a running core issues no earlier than `next_issue`. Skipped
+    /// stall edges must be reported back through
     /// [`account_skipped_edges`](Core::account_skipped_edges) so statistics
     /// stay bit-identical with edge-by-edge ticking.
     pub fn next_event_time(&self, now: Time) -> Option<Time> {
@@ -335,22 +354,36 @@ impl Core {
                     Some(now)
                 }
             }
+            Wait::None if self.store_blocked_at(now) => None,
             Wait::None => Some(self.next_issue.max(now)),
         }
     }
 
-    /// Accounts for `edges` clock edges that were skipped while this core was
-    /// provably inert, reproducing exactly the statistics [`tick`](Core::tick)
-    /// would have recorded: a core blocked on memory (or draining with a
-    /// store in flight) counts one memory-stall cycle per edge; a halted or
-    /// issue-limited core counts nothing.
-    pub fn account_skipped_edges(&mut self, edges: u64) {
-        let stalled = match self.wait {
+    /// Whether a tick skipped because
+    /// [`next_event_time`](Core::next_event_time) reported nothing due would
+    /// have counted a memory-stall cycle: true for a core blocked on memory
+    /// (draining with a store in flight, or retrying a store against the
+    /// full buffer), false for a halted or issue-limited one.
+    pub fn stalls_when_skipped(&self, now: Time) -> bool {
+        match self.wait {
             Wait::Load(..) | Wait::Amo(..) | Wait::MmioLoad(..) | Wait::MmioStore(..) => true,
             Wait::Drain => self.drain_needed(),
-            Wait::None | Wait::Halted => false,
-        };
-        if stalled {
+            Wait::None => self.store_blocked_at(now),
+            Wait::Halted => false,
+        }
+    }
+
+    /// Accounts for `edges` clock edges that were skipped while
+    /// [`next_event_time`](Core::next_event_time) reported nothing due,
+    /// reproducing exactly the statistics [`tick`](Core::tick) would have
+    /// recorded ([`stalls_when_skipped`](Core::stalls_when_skipped) each).
+    ///
+    /// `now` is the skipped edge itself, or any instant from the last
+    /// executed edge before the skipped run to its end: the horizon never
+    /// lets a run of skipped edges straddle `next_issue`, so the whole run
+    /// lies on one side of it.
+    pub fn account_skipped_edges(&mut self, now: Time, edges: u64) {
+        if self.stalls_when_skipped(now) {
             self.stats.mem_stall_cycles += edges;
         }
     }
@@ -1002,6 +1035,144 @@ mod tests {
         assert_eq!(f64::from_bits(core.reg(regs::T[2])), 16.0);
         assert_eq!(f64::from_bits(core.reg(regs::T[3])), 4.0);
         assert_eq!(core.reg(regs::T[4]), 1);
+    }
+
+    /// A core with a one-deep store buffer running `li/li`, three stores to
+    /// distinct lines with a 3-cycle `mul` before the third, then `halt`.
+    /// Requests are popped but never answered, so from the third store on
+    /// the buffer is full with a store in flight. `base` selects cached or
+    /// MMIO space for the third store.
+    fn store_stream_core(third_store_base: u64) -> Core {
+        let mut a = Asm::new();
+        a.li(regs::T[0], 0x6000);
+        a.li(regs::T[2], third_store_base as i64);
+        a.sd(regs::T[1], regs::T[0], 0);
+        a.sd(regs::T[1], regs::T[0], 64);
+        a.mul(regs::T[3], regs::T[1], regs::T[1]);
+        a.sd(regs::T[1], regs::T[2], 128);
+        a.halt();
+        let mut cfg = CoreConfig::dolly(Clock::ghz1(), 0);
+        cfg.store_buffer = 1;
+        Core::new(cfg, Arc::new(a.assemble().unwrap()))
+    }
+
+    fn edge(n: u64) -> Time {
+        Time::from_ps(1000 * n)
+    }
+
+    /// Ticks through edge `last`, popping (and dropping) every request.
+    fn tick_through(core: &mut Core, first: u64, last: u64) {
+        for n in first..=last {
+            core.tick(edge(n));
+            while core.pop_mem_request().is_some() {}
+        }
+    }
+
+    #[test]
+    fn store_blocked_core_sleeps_only_from_next_issue() {
+        let mut core = store_stream_core(0x6000);
+        // Edges 1-2 `li`, 3-4 the two stores (the first goes in flight at
+        // edge 4), 5 `mul`: issue resumes at edge 8, facing the third store
+        // with the buffer full.
+        tick_through(&mut core, 1, 5);
+        assert_eq!(core.next_issue, edge(8));
+        assert!(core.store_inflight.is_some() && core.store_buf.len() == 1);
+        for n in 5..8 {
+            assert_eq!(
+                core.next_event_time(edge(n)),
+                Some(edge(8)),
+                "edge {n}: issue-limited, not yet retrying"
+            );
+            assert!(!core.stalls_when_skipped(edge(n)));
+        }
+        for n in 8..12 {
+            assert_eq!(core.next_event_time(edge(n)), None, "edge {n}");
+            assert!(core.stalls_when_skipped(edge(n)));
+        }
+        // The acknowledgement is the only way out.
+        let id = core.store_inflight.unwrap();
+        core.mem_response(MemResp {
+            id,
+            rdata: 0,
+            line: None,
+            cacheable: true,
+            breakdown: Default::default(),
+        });
+        assert_eq!(core.next_event_time(edge(12)), Some(edge(12)));
+    }
+
+    #[test]
+    fn mmio_store_and_store_with_space_are_never_asleep() {
+        // Third store to MMIO space: the tick would start a drain (a state
+        // change), so the core must stay awake.
+        let mut mmio = store_stream_core(0x4000_0000 - 128);
+        tick_through(&mut mmio, 1, 7);
+        assert!(mmio.store_inflight.is_some() && mmio.store_buf.len() == 1);
+        assert_eq!(mmio.next_event_time(edge(8)), Some(edge(8)));
+        mmio.tick(edge(8));
+        assert_eq!(mmio.wait, Wait::Drain);
+
+        // Buffer space: the store issues, whatever is in flight.
+        let mut roomy = store_stream_core(0x6000);
+        roomy.cfg.store_buffer = 2;
+        tick_through(&mut roomy, 1, 7);
+        assert!(roomy.store_inflight.is_some() && roomy.store_buf.len() == 1);
+        assert_eq!(roomy.next_event_time(edge(8)), Some(edge(8)));
+        roomy.tick(edge(8));
+        assert_eq!(roomy.store_buf.len(), 2);
+    }
+
+    #[test]
+    fn accounting_skipped_edges_matches_ticking_them() {
+        // Lockstep: `ticked` ticks every edge; `gated` ticks only when due
+        // and accounts the edge otherwise. Every statistic must agree on
+        // every edge, through the issue-limited gap, the blocked stretch,
+        // and the wake-up.
+        let mut ticked = store_stream_core(0x6000);
+        let mut gated = ticked.clone();
+        let mut skipped = 0;
+        for n in 1..=40 {
+            let now = edge(n);
+            if n == 20 {
+                for core in [&mut ticked, &mut gated] {
+                    let id = core.store_inflight.unwrap();
+                    core.mem_response(MemResp {
+                        id,
+                        rdata: 0,
+                        line: None,
+                        cacheable: true,
+                        breakdown: Default::default(),
+                    });
+                }
+            }
+            ticked.tick(now);
+            while ticked.pop_mem_request().is_some() {}
+            if gated.next_event_time(now).is_none_or(|t| t > now) {
+                gated.account_skipped_edges(now, 1);
+                skipped += 1;
+            } else {
+                gated.tick(now);
+                while gated.pop_mem_request().is_some() {}
+            }
+            let (a, b) = (ticked.stats(), gated.stats());
+            assert_eq!(
+                (a.mem_stall_cycles, a.instret, a.stores, ticked.pc),
+                (b.mem_stall_cycles, b.instret, b.stores, gated.pc),
+                "edge {n}"
+            );
+        }
+        assert!(skipped >= 12, "the blocked stretch was skipped, not ticked");
+
+        // One bulk call equals that many single edges.
+        let mut bulk = store_stream_core(0x6000);
+        tick_through(&mut bulk, 1, 8);
+        let mut single = bulk.clone();
+        bulk.account_skipped_edges(edge(9), 11);
+        tick_through(&mut single, 9, 19);
+        assert_eq!(
+            bulk.stats().mem_stall_cycles,
+            single.stats().mem_stall_cycles
+        );
     }
 
     #[test]

@@ -36,12 +36,15 @@
 //! assert_eq!(msg.payload, "hello");
 //! ```
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 
+use duet_sim::bitset::bits_in;
 use duet_sim::snapshot::ensure;
 use duet_sim::{
-    merge_min, pack_enum, pack_struct, partition_balanced, Clock, ClockDomain, Component, Link,
-    LinkReport, LoadEwma, Pack, PushError, Snap, SnapError, SnapReader, SnapWriter, Time,
+    merge_min, pack_enum, pack_struct, partition_balanced, BitSet, Clock, ClockDomain, Component,
+    LinkReport, LinkStats, LoadEwma, Pack, PushError, Snap, SnapError, SnapReader, SnapWriter,
+    Time,
 };
 use duet_trace::{pack_hop, pack_noc, EventKind, Tracer};
 
@@ -210,53 +213,82 @@ impl MeshConfig {
     pub fn node_at(&self, x: usize, y: usize) -> NodeId {
         y * self.width + x
     }
+}
 
-    /// XY routing: returns the output port at router `at` toward `dst`.
-    pub(crate) fn route(&self, at: NodeId, dst: NodeId) -> Port {
-        let (ax, ay) = self.coords(at);
-        let (dx, dy) = self.coords(dst);
-        if dx > ax {
+/// Input queues per router: one per (port, vnet), numbered
+/// `port * VNET_COUNT + vnet`.
+const QUEUES: usize = PORT_COUNT * VNET_COUNT;
+const QUEUE_MASK: u32 = (1 << QUEUES) - 1;
+const LOCAL: usize = Port::Local as usize;
+/// The input port a message arrives on after leaving through output port
+/// `o` (north → the neighbor's south, …).
+const OPPOSITE: [usize; 4] = [
+    Port::South as usize,
+    Port::North as usize,
+    Port::West as usize,
+    Port::East as usize,
+];
+/// Times a 3-bit per-vnet mask, gives the queue mask with that vnet's bit
+/// set under every port.
+const EVERY_PORT: u16 = 0b001_001_001_001_001;
+
+/// One ring entry: a handle to the stored message plus the few fields the
+/// routers act on, so that arbitration never touches the message itself.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    /// When the entry becomes visible to the router (push time + one hop).
+    ready_at: Time,
+    trace_id: u64,
+    /// Index of the message in [`Mesh::msgs`].
+    handle: u32,
+    src: u32,
+    flits: u32,
+    dst_x: u16,
+    dst_y: u16,
+}
+
+/// Per-router state. The 15 input queues are fixed-capacity rings in
+/// [`Mesh::slots`]; their cursors live here so one router's arbitration
+/// stays within a couple of cache lines.
+#[derive(Clone, Debug)]
+struct Router {
+    /// Time until which each output port's link is serializing a message.
+    out_busy: [Time; PORT_COUNT],
+    /// Round-robin pointer per output port over the input queues.
+    rr: [u8; PORT_COUNT],
+    /// Queues holding at least one entry. Arbitration probes only these —
+    /// an empty queue can never win, so skipping it is bit-exact.
+    occ: u16,
+    /// Queues holding `buf_depth` entries (kept live; forwards test the
+    /// start-of-tick copy in [`Mesh::full_snap`]).
+    full: u16,
+    x: u16,
+    y: u16,
+    /// Ring cursors per queue: position of the front entry, and entries held.
+    head: [u16; QUEUES],
+    len: [u16; QUEUES],
+    /// Neighbor node through each of the four mesh ports (unused at the
+    /// mesh edge: XY routing never leaves the grid).
+    nbr: [u32; 4],
+}
+
+impl Router {
+    /// XY routing: the output port toward the slot's destination.
+    #[inline]
+    fn route(&self, dst_x: u16, dst_y: u16) -> usize {
+        let p = if dst_x > self.x {
             Port::East
-        } else if dx < ax {
+        } else if dst_x < self.x {
             Port::West
-        } else if dy > ay {
+        } else if dst_y > self.y {
             Port::South
-        } else if dy < ay {
+        } else if dst_y < self.y {
             Port::North
         } else {
             Port::Local
-        }
+        };
+        p as usize
     }
-
-    /// Neighbor of `at` through output port `p`, and the input port the
-    /// message arrives on there.
-    pub(crate) fn neighbor(&self, at: NodeId, p: Port) -> (NodeId, Port) {
-        let (x, y) = self.coords(at);
-        match p {
-            Port::North => (self.node_at(x, y - 1), Port::South),
-            Port::South => (self.node_at(x, y + 1), Port::North),
-            Port::East => (self.node_at(x + 1, y), Port::West),
-            Port::West => (self.node_at(x - 1, y), Port::East),
-            Port::Local => unreachable!("local port has no neighbor"),
-        }
-    }
-}
-
-#[derive(Clone)]
-struct Router<P> {
-    /// Input links, indexed `[port][vnet]`: one bounded synchronous link per
-    /// (port, vnet) pair, modelling the per-vnet input buffers of an
-    /// OpenPiton-style router port.
-    inputs: Vec<Vec<Link<Message<P>>>>,
-    /// Time until which each output port's link is serializing a message.
-    out_busy: [Time; PORT_COUNT],
-    /// Round-robin pointer per output port over (input port, vnet) pairs.
-    rr: [usize; PORT_COUNT],
-    /// Occupancy bitmask over the 15 (port, vnet) input queues (bit
-    /// `port * VNET_COUNT + vnet`). Arbitration probes only set bits — an
-    /// empty queue can never win, so skipping it is bit-exact — turning
-    /// the 5x15 scan into 5 x popcount.
-    occ: u16,
 }
 
 /// Aggregate traffic statistics for a mesh.
@@ -283,27 +315,42 @@ impl MeshStats {
 }
 
 /// A 2D-mesh network-on-chip. See the crate-level docs for the model.
+///
+/// # Storage
+///
+/// A message is stored once, at [`inject`](Mesh::inject), in a slab
+/// (`msgs`); what moves from queue to queue is a 32-byte `Slot` holding
+/// its handle. Every router input queue is a fixed-capacity ring in one
+/// flat array, `slots[(node * 15 + port * 3 + vnet) * buf_depth ..]`, with
+/// its traffic counters beside it in `link_stats`. Handles are never
+/// serialized, traced or compared, so slab placement is unobservable.
 #[derive(Clone)]
 pub struct Mesh<P> {
     cfg: MeshConfig,
-    routers: Vec<Router<P>>,
-    eject: Vec<[VecDeque<Message<P>>; VNET_COUNT]>,
+    /// `hop_cycles` clock periods: push-to-visible delay of every queue.
+    hop_latency: Time,
+    routers: Vec<Router>,
+    slots: Vec<Slot>,
+    /// Per-queue counters, reported through `visit_links` as those of a
+    /// synchronous `Link`.
+    link_stats: Vec<LinkStats>,
+    /// Message slab and its free handles.
+    msgs: Vec<Option<Message<P>>>,
+    free: Vec<u32>,
+    /// Delivered messages waiting for the tile, by handle.
+    eject: Vec<[VecDeque<u32>; VNET_COUNT]>,
     stats: MeshStats,
     /// Worklist of routers with at least one buffered input message. An idle
     /// router is a provable no-op in [`tick`](Mesh::tick) (round-robin
     /// pointers only move when a message is chosen, `out_busy` is only
-    /// compared against `now`), so ticking only this set is bit-identical to
-    /// scanning every router. Kept sorted so iteration order matches the
-    /// original ascending scan.
-    active: BTreeSet<NodeId>,
-    /// Scratch buffer for the per-tick snapshot of `active` (avoids a fresh
-    /// allocation every tick).
-    scratch: Vec<NodeId>,
+    /// compared against `now`), so ticking only this set — ascending, like
+    /// the full scan — is bit-identical to scanning every router.
+    active: BitSet,
     /// Total messages sitting in ejection queues (all nodes, all vnets).
     eject_pending: usize,
-    /// Nodes with at least one message in an ejection queue, kept sorted so
-    /// draining them in worklist order matches the ascending all-nodes scan.
-    eject_active: BTreeSet<NodeId>,
+    /// Nodes with at least one message in an ejection queue; draining them
+    /// lowest first matches the ascending all-nodes scan.
+    eject_active: BitSet,
     /// Monotone transaction-id counter, stamped onto every injected
     /// message whether or not tracing is on (so enabling tracing never
     /// perturbs state).
@@ -315,20 +362,19 @@ pub struct Mesh<P> {
     shards_target: usize,
     /// Current contiguous router ranges, one per shard. Rebuilt lazily
     /// when `plan_dirty` (shard-count change or a load-EWMA fold).
-    plan: Vec<std::ops::Range<usize>>,
+    plan: Vec<Range<usize>>,
     /// Whether `plan` must be rebuilt before the next tick.
     plan_dirty: bool,
-    /// Start-of-tick fullness bitmask per node over the 15 (port, vnet)
-    /// input queues, recomputed in `prepare_tick` for every node a forward
-    /// could probe this tick. Forwards test *this* snapshot instead of the
-    /// live links (credit-based backpressure), which is what makes the
-    /// arbitration outcome independent of shard execution order.
-    full_masks: Vec<u16>,
-    /// Nodes whose `full_masks` entry is non-zero (zeroed next tick).
-    masked: Vec<NodeId>,
+    /// Start-of-tick copy of each active router's `full` mask (zero for an
+    /// idle router, whose queues are all empty). Forwards test *this*
+    /// snapshot instead of the live queues (credit-based backpressure),
+    /// which is what makes the arbitration outcome independent of shard
+    /// execution order.
+    full_snap: Vec<u16>,
     /// Per-shard deferred side effects, replayed by `finish_tick`.
-    lanes: Vec<MeshTickLane<P>>,
-    /// Per-node pop counters since the last EWMA fold (rebalancer input).
+    lanes: Vec<MeshTickLane>,
+    /// Per-node pop counters since the last EWMA fold (rebalancer input;
+    /// only kept while the tick is sharded).
     work_accum: Vec<u64>,
     /// Folded per-node load, driving the adaptive repartition. Host-side:
     /// not serialized, never observable in results.
@@ -341,70 +387,76 @@ pub struct Mesh<P> {
 /// local ejections, routers that drained, and trace events. Replayed by
 /// [`Mesh::finish_tick`] in ascending shard order, which equals serial
 /// router order because shards are contiguous ascending ranges.
-struct MeshTickLane<P> {
-    /// `(dst node, input port, vnet, message)` for every forwarded flit.
-    forwards: Vec<(NodeId, u8, u8, Message<P>)>,
-    /// `(node, vnet, message)` for every local ejection.
-    ejects: Vec<(NodeId, u8, Message<P>)>,
+#[derive(Clone, Debug, Default)]
+struct MeshTickLane {
+    /// `(dst node, dst queue, entry)` for every forwarded message.
+    forwards: Vec<(u32, u8, Slot)>,
+    /// `(node, vnet, handle, flits)` for every local ejection.
+    ejects: Vec<(u32, u8, u32, u32)>,
     /// Routers whose input queues fully drained this tick.
-    deactivated: Vec<NodeId>,
+    deactivated: Vec<u32>,
     /// `(timestamp ps, kind, a, b)` trace events in emission order.
     events: Vec<(u64, EventKind, u64, u64)>,
 }
 
-impl<P> Default for MeshTickLane<P> {
-    fn default() -> Self {
-        MeshTickLane {
-            forwards: Vec::new(),
-            ejects: Vec::new(),
-            deactivated: Vec::new(),
-            events: Vec::new(),
-        }
-    }
-}
-
-impl<P: Clone> Clone for MeshTickLane<P> {
-    fn clone(&self) -> Self {
-        MeshTickLane {
-            forwards: self.forwards.clone(),
-            ejects: self.ejects.clone(),
-            deactivated: self.deactivated.clone(),
-            events: self.events.clone(),
-        }
+impl MeshTickLane {
+    fn is_drained(&self) -> bool {
+        self.forwards.is_empty() && self.ejects.is_empty() && self.deactivated.is_empty()
     }
 }
 
 impl<P> Mesh<P> {
     /// Builds an idle mesh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf_depth` is zero, or a dimension or the depth does not
+    /// fit the 16-bit ring cursors.
     pub fn new(cfg: MeshConfig) -> Self {
-        let hop_latency = cfg.clock.period().mul(u64::from(cfg.hop_cycles));
-        let routers = (0..cfg.nodes())
-            .map(|_| Router {
-                inputs: (0..PORT_COUNT)
-                    .map(|_| {
-                        (0..VNET_COUNT)
-                            .map(|_| Link::sync(cfg.buf_depth, hop_latency))
-                            .collect()
-                    })
-                    .collect(),
-                out_busy: [Time::ZERO; PORT_COUNT],
-                rr: [0; PORT_COUNT],
-                occ: 0,
+        assert!(cfg.buf_depth > 0, "fifo capacity must be non-zero");
+        let fits = |v: usize| u16::try_from(v).is_ok();
+        assert!(
+            fits(cfg.width) && fits(cfg.height) && fits(cfg.buf_depth),
+            "mesh dimensions and buffer depth must fit in 16 bits"
+        );
+        let nodes = cfg.nodes();
+        let (w, h) = (cfg.width, cfg.height);
+        let routers = (0..nodes)
+            .map(|id| {
+                let (x, y) = cfg.coords(id);
+                // Off the grid there is no neighbor; XY routing never asks.
+                let nbr = |on_grid: bool, id: usize| if on_grid { id as u32 } else { u32::MAX };
+                Router {
+                    out_busy: [Time::ZERO; PORT_COUNT],
+                    rr: [0; PORT_COUNT],
+                    occ: 0,
+                    full: 0,
+                    x: x as u16,
+                    y: y as u16,
+                    head: [0; QUEUES],
+                    len: [0; QUEUES],
+                    nbr: [
+                        nbr(y > 0, id.wrapping_sub(w)),
+                        nbr(y + 1 < h, id + w),
+                        nbr(x + 1 < w, id + 1),
+                        nbr(x > 0, id.wrapping_sub(1)),
+                    ],
+                }
             })
             .collect();
-        let eject = (0..cfg.nodes())
-            .map(|_| [VecDeque::new(), VecDeque::new(), VecDeque::new()])
-            .collect();
-        let nodes = cfg.nodes();
         Mesh {
             cfg,
+            hop_latency: cfg.clock.period().mul(u64::from(cfg.hop_cycles)),
             routers,
-            eject,
+            slots: vec![Slot::default(); nodes * QUEUES * cfg.buf_depth],
+            link_stats: vec![LinkStats::default(); nodes * QUEUES],
+            msgs: Vec::new(),
+            free: Vec::new(),
+            eject: (0..nodes).map(|_| Default::default()).collect(),
             stats: MeshStats::default(),
-            active: BTreeSet::new(),
-            scratch: Vec::new(),
+            active: BitSet::new(nodes),
             eject_pending: 0,
-            eject_active: BTreeSet::new(),
+            eject_active: BitSet::new(nodes),
             trace_seq: 0,
             tracer: Tracer::disabled(),
             shards_target: 1,
@@ -412,8 +464,7 @@ impl<P> Mesh<P> {
             #[allow(clippy::single_range_in_vec_init)]
             plan: vec![0..nodes],
             plan_dirty: false,
-            full_masks: vec![0; nodes],
-            masked: Vec::new(),
+            full_snap: vec![0; nodes],
             lanes: vec![MeshTickLane::default()],
             work_accum: vec![0; nodes],
             ewma: LoadEwma::new(nodes),
@@ -464,8 +515,7 @@ impl<P> Mesh<P> {
     /// Whether node `node` can inject on `vnet` at this time (local input
     /// buffer has space).
     pub fn can_inject(&self, node: NodeId, vnet: VNet) -> bool {
-        // Synchronous links ignore the probe time.
-        self.routers[node].inputs[Port::Local as usize][vnet.index()].can_push(Time::ZERO)
+        self.routers[node].full & (1 << (LOCAL * VNET_COUNT + vnet.index())) == 0
     }
 
     /// Injects a message at its source node's local port.
@@ -481,31 +531,96 @@ impl<P> Mesh<P> {
         assert!(msg.src < self.cfg.nodes(), "source out of range");
         assert!(msg.dst < self.cfg.nodes(), "destination out of range");
         msg.injected_at = now;
+        // A refused injection still consumes its transaction id.
         self.trace_seq += 1;
         msg.trace_id = self.trace_seq;
-        let vnet = msg.vnet.index();
         let node = msg.src;
-        let packed = pack_noc(msg.src, msg.dst, vnet, msg.flits);
-        let trace_id = msg.trace_id;
-        self.routers[node].inputs[Port::Local as usize][vnet].push(now, msg)?;
-        self.tracer
-            .emit(now.as_ps(), EventKind::NocInject, trace_id, packed);
-        self.routers[node].occ |= 1 << (Port::Local as usize * VNET_COUNT + vnet);
+        let q = LOCAL * VNET_COUNT + msg.vnet.index();
+        if self.routers[node].full & (1 << q) != 0 {
+            self.link_stats[node * QUEUES + q].rejected_pushes += 1;
+            return Err(PushError);
+        }
+        self.tracer.emit(
+            now.as_ps(),
+            EventKind::NocInject,
+            msg.trace_id,
+            pack_noc(msg.src, msg.dst, msg.vnet.index(), msg.flits),
+        );
+        let slot = self.slot_for(&msg);
+        let handle = self.store(msg);
+        self.push_slot(now, node, q, Slot { handle, ..slot });
         self.stats.injected += 1;
-        self.active.insert(node);
         Ok(())
+    }
+
+    /// The ring entry describing `msg`; the caller fills in the handle and
+    /// the ready time.
+    fn slot_for(&self, msg: &Message<P>) -> Slot {
+        let dst = &self.routers[msg.dst];
+        Slot {
+            ready_at: Time::ZERO,
+            trace_id: msg.trace_id,
+            handle: 0,
+            src: msg.src as u32,
+            flits: msg.flits,
+            dst_x: dst.x,
+            dst_y: dst.y,
+        }
+    }
+
+    /// Puts `msg` in the slab and returns its handle.
+    fn store(&mut self, msg: Message<P>) -> u32 {
+        match self.free.pop() {
+            Some(h) => {
+                self.msgs[h as usize] = Some(msg);
+                h
+            }
+            None => {
+                self.msgs.push(Some(msg));
+                (self.msgs.len() - 1) as u32
+            }
+        }
+    }
+
+    fn msg(&self, handle: u32) -> &Message<P> {
+        self.msgs[handle as usize]
+            .as_ref()
+            .expect("queued handles name stored messages")
+    }
+
+    /// Appends `slot` to queue `q` of `node` at `now`, counting the push
+    /// and marking the router active.
+    fn push_slot(&mut self, now: Time, node: usize, q: usize, slot: Slot) {
+        let depth = self.cfg.buf_depth;
+        let r = &mut self.routers[node];
+        let len = r.len[q] as usize;
+        assert!(len < depth, "router queue overflow");
+        let mut pos = r.head[q] as usize + len;
+        if pos >= depth {
+            pos -= depth;
+        }
+        self.slots[(node * QUEUES + q) * depth + pos] = Slot {
+            ready_at: now + self.hop_latency,
+            ..slot
+        };
+        r.len[q] += 1;
+        r.occ |= 1 << q;
+        if len + 1 == depth {
+            r.full |= 1 << q;
+        }
+        self.link_stats[node * QUEUES + q].record_push(len + 1);
+        self.active.insert(node);
     }
 
     /// Removes the next delivered message for `node` on `vnet`, if any.
     pub fn eject(&mut self, node: NodeId, vnet: VNet) -> Option<Message<P>> {
-        let m = self.eject[node][vnet.index()].pop_front();
-        if m.is_some() {
-            self.eject_pending -= 1;
-            if self.eject[node].iter().all(|q| q.is_empty()) {
-                self.eject_active.remove(&node);
-            }
+        let h = self.eject[node][vnet.index()].pop_front()?;
+        self.eject_pending -= 1;
+        if self.eject[node].iter().all(VecDeque::is_empty) {
+            self.eject_active.remove(node);
         }
-        m
+        self.free.push(h);
+        self.msgs[h as usize].take()
     }
 
     /// Whether any delivered message is waiting in an ejection queue.
@@ -517,12 +632,12 @@ impl<P> Mesh<P> {
     /// drain nodes through [`eject`](Mesh::eject) in this order to visit
     /// only dirty nodes while matching an ascending all-nodes scan.
     pub fn first_eject_node(&self) -> Option<NodeId> {
-        self.eject_active.iter().next().copied()
+        self.eject_active.first()
     }
 
     /// Peeks the next delivered message for `node` on `vnet`.
     pub fn peek_eject(&self, node: NodeId, vnet: VNet) -> Option<&Message<P>> {
-        self.eject[node][vnet.index()].front()
+        self.eject[node][vnet.index()].front().map(|&h| self.msg(h))
     }
 
     /// Messages waiting in `node`'s ejection queue on `vnet`.
@@ -551,30 +666,29 @@ impl<P> Mesh<P> {
         if self.eject_pending > 0 {
             return Some(now);
         }
+        let depth = self.cfg.buf_depth;
         let mut earliest: Option<Time> = None;
-        for &node in &self.active {
-            let mut occ = self.routers[node].occ;
+        for node in self.active.iter() {
+            let r = &self.routers[node];
+            let mut occ = r.occ;
             while occ != 0 {
-                let idx = occ.trailing_zeros() as usize;
+                let q = occ.trailing_zeros() as usize;
                 occ &= occ - 1;
-                let q = &self.routers[node].inputs[idx / VNET_COUNT][idx % VNET_COUNT];
-                if let Some(ready) = q.front_ready_at() {
-                    let cand = if ready <= now {
-                        self.cfg.clock.next_edge_after(now)
-                    } else {
-                        ready
-                    };
-                    earliest = merge_min(earliest, Some(cand));
+                let ready = self.slots[(node * QUEUES + q) * depth + r.head[q] as usize].ready_at;
+                if ready <= now {
+                    // Nothing can be earlier than the next edge.
+                    return Some(self.cfg.clock.next_edge_after(now));
                 }
+                earliest = merge_min(earliest, Some(ready));
             }
         }
         earliest
     }
 
-    /// XY routing (delegates to [`MeshConfig::route`]).
+    /// XY routing at router `at` toward `dst`.
     #[cfg(test)]
     fn route(&self, at: NodeId, dst: NodeId) -> Port {
-        self.cfg.route(at, dst)
+        PORTS[self.routers[at].route(self.routers[dst].x, self.routers[dst].y)]
     }
 
     /// Rebuilds the contiguous shard plan from the folded load EWMAs.
@@ -595,104 +709,70 @@ impl<P> Mesh<P> {
             .resize_with(self.plan.len(), MeshTickLane::default);
     }
 
-    /// Recomputes the start-of-tick fullness bitmask for `node` (probing
-    /// only occupied queues — a full queue is necessarily non-empty).
-    fn mask_node(&mut self, node: NodeId) {
-        let r = &self.routers[node];
-        let mut occ = r.occ;
-        let mut full = 0u16;
-        while occ != 0 {
-            let idx = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            // Synchronous links ignore the probe time.
-            if !r.inputs[idx / VNET_COUNT][idx % VNET_COUNT].can_push(Time::ZERO) {
-                full |= 1 << idx;
-            }
-        }
-        if full != 0 {
-            self.full_masks[node] = full;
-            self.masked.push(node);
-        }
-    }
-
-    /// The serial prologue of a tick: fold the rebalancer EWMAs (at
-    /// deterministic simulated-time quanta only), rebuild the shard plan
-    /// if needed, snapshot the active worklist into `scratch`, and compute
-    /// the start-of-tick fullness masks for every queue a forward could
-    /// probe (the neighbors of active routers).
+    /// The serial prologue of a tick: while the tick is sharded, fold the
+    /// rebalancer EWMAs (at deterministic simulated-time quanta only) and
+    /// rebuild the shard plan if needed; then copy every active router's
+    /// fullness mask into the start-of-tick snapshot its neighbors probe.
+    /// Messages forwarded during the tick are replayed by `finish_tick`, so
+    /// the active set itself is stable while the shards run.
     fn prepare_tick(&mut self, now: Time) {
-        let period_ps = self.cfg.clock.period().as_ps().max(1);
-        let quantum = now.as_ps() / period_ps / REBALANCE_QUANTUM_TICKS;
-        if self.ewma.fold(&mut self.work_accum, quantum) {
-            self.plan_dirty = true;
+        if self.shards_target > 1 {
+            let period_ps = self.cfg.clock.period().as_ps().max(1);
+            let quantum = now.as_ps() / period_ps / REBALANCE_QUANTUM_TICKS;
+            if self.ewma.fold(&mut self.work_accum, quantum) {
+                self.plan_dirty = true;
+            }
         }
         if self.plan_dirty {
             self.rebuild_plan();
         }
-        // Snapshot the active set in ascending order: identical visit order
-        // to the original 0..nodes scan restricted to routers that can act.
-        // Messages forwarded during this tick are replayed by `finish_tick`
-        // and are not visible until at least the next edge (`hop_latency`
-        // ≥ one period), so re-activating a neighbor never changes this
-        // tick's behavior.
-        let mut worklist = std::mem::take(&mut self.scratch);
-        worklist.clear();
-        worklist.extend(self.active.iter().copied());
-        self.scratch = worklist;
-        for i in 0..self.masked.len() {
-            let n = self.masked[i];
-            self.full_masks[n] = 0;
-        }
-        self.masked.clear();
-        let (w, h) = (self.cfg.width, self.cfg.height);
-        for i in 0..self.scratch.len() {
-            let node = self.scratch[i];
-            let (x, y) = self.cfg.coords(node);
-            if y > 0 {
-                self.mask_node(node - w);
-            }
-            if y + 1 < h {
-                self.mask_node(node + w);
-            }
-            if x + 1 < w {
-                self.mask_node(node + 1);
-            }
-            if x > 0 {
-                self.mask_node(node - 1);
-            }
+        for node in self.active.iter() {
+            self.full_snap[node] = self.routers[node].full;
         }
     }
 
-    /// Splits the tick into per-shard tasks for a worker pool. The caller
-    /// must run **every** returned task exactly once (on any thread — they
-    /// are range-disjoint; see [`MeshShardTask`]) and then call
-    /// [`finish_tick`](Mesh::finish_tick) with the same `now`. Serial
+    fn shard_params(&self, now: Time) -> ShardParams {
+        ShardParams {
+            now,
+            period: self.cfg.clock.period(),
+            depth: self.cfg.buf_depth,
+            width: self.cfg.width,
+            trace_on: self.tracer.is_enabled(),
+            count_work: self.shards_target > 1,
+        }
+    }
+
+    /// Splits the tick into per-shard tasks for a worker pool, handing each
+    /// to `sink`. The caller must run **every** task exactly once (on any
+    /// thread — they are range-disjoint; see [`MeshShardTask`]) and then
+    /// call [`finish_tick`](Mesh::finish_tick) with the same `now`. Serial
     /// callers use [`tick`](Mesh::tick), which drives the identical code
     /// path inline; results are byte-identical either way, at any shard
     /// count.
-    pub fn begin_tick(&mut self, now: Time) -> Vec<MeshShardTask<P>> {
+    pub fn begin_tick(&mut self, now: Time, mut sink: impl FnMut(MeshShardTask)) {
         self.prepare_tick(now);
-        let trace_on = self.tracer.is_enabled();
-        let mut tasks = Vec::with_capacity(self.plan.len());
+        let p = self.shard_params(now);
+        let rings = QUEUES * p.depth;
         for (i, range) in self.plan.iter().enumerate() {
-            let wl_s = self.scratch.partition_point(|&n| n < range.start);
-            let wl_e = self.scratch.partition_point(|&n| n < range.end);
-            tasks.push(MeshShardTask {
-                routers: unsafe { self.routers.as_mut_ptr().add(range.start) },
-                routers_len: range.len(),
-                node0: range.start,
-                worklist: unsafe { self.scratch.as_ptr().add(wl_s) },
-                wl_len: wl_e - wl_s,
-                full: self.full_masks.as_ptr(),
-                full_len: self.full_masks.len(),
-                lane: unsafe { self.lanes.as_mut_ptr().add(i) },
-                work: unsafe { self.work_accum.as_mut_ptr().add(range.start) },
-                cfg: self.cfg,
-                now,
-                trace_on,
-            });
+            // SAFETY: `plan` partitions `0..nodes` and `lanes` has one entry
+            // per range, so every offset stays inside its vector.
+            let task = unsafe {
+                MeshShardTask {
+                    p,
+                    nodes: range.clone(),
+                    routers: self.routers.as_mut_ptr().add(range.start),
+                    slots: self.slots.as_mut_ptr().add(range.start * rings),
+                    link_stats: self.link_stats.as_mut_ptr().add(range.start * QUEUES),
+                    work: self.work_accum.as_mut_ptr().add(range.start),
+                    lane: self.lanes.as_mut_ptr().add(i),
+                    active: self.active.words().as_ptr(),
+                    active_len: self.active.words().len(),
+                    full: self.full_snap.as_ptr(),
+                    full_len: self.full_snap.len(),
+                }
+            };
+            sink(task);
         }
-        tasks
     }
 
     /// Replays the per-shard lanes filled by the shard tasks, in ascending
@@ -702,46 +782,35 @@ impl<P> Mesh<P> {
     /// phase) strictly before *all* pushes, so per-link occupancy samples
     /// are identical at every shard count.
     pub fn finish_tick(&mut self, now: Time) {
-        if self.tracer.is_enabled() {
-            for lane in &self.lanes {
-                for &(ts, kind, a, b) in &lane.events {
-                    self.tracer.emit(ts, kind, a, b);
-                }
+        let mut lanes = std::mem::take(&mut self.lanes);
+        for lane in &mut lanes {
+            for (ts, kind, a, b) in lane.events.drain(..) {
+                self.tracer.emit(ts, kind, a, b);
             }
         }
-        for li in 0..self.lanes.len() {
-            self.lanes[li].events.clear();
-            let mut deact = std::mem::take(&mut self.lanes[li].deactivated);
-            for &n in &deact {
-                self.active.remove(&n);
+        for lane in &mut lanes {
+            for n in lane.deactivated.drain(..) {
+                self.active.remove(n as usize);
+                self.full_snap[n as usize] = 0;
             }
-            deact.clear();
-            self.lanes[li].deactivated = deact;
         }
-        for li in 0..self.lanes.len() {
-            let mut ejects = std::mem::take(&mut self.lanes[li].ejects);
-            for (node, vn, msg) in ejects.drain(..) {
+        for lane in &mut lanes {
+            for (node, vn, handle, flits) in lane.ejects.drain(..) {
                 self.stats.delivered += 1;
-                self.stats.delivered_flits += u64::from(msg.flits);
-                self.stats.total_latency += now.saturating_sub(msg.injected_at);
-                self.eject[node][vn as usize].push_back(msg);
+                self.stats.delivered_flits += u64::from(flits);
+                self.stats.total_latency += now.saturating_sub(self.msg(handle).injected_at);
+                self.eject[node as usize][vn as usize].push_back(handle);
                 self.eject_pending += 1;
-                self.eject_active.insert(node);
+                self.eject_active.insert(node as usize);
             }
-            self.lanes[li].ejects = ejects;
         }
-        for li in 0..self.lanes.len() {
-            let mut fwds = std::mem::take(&mut self.lanes[li].forwards);
-            for (nb, in_port, vn, msg) in fwds.drain(..) {
-                let queue = in_port as usize * VNET_COUNT + vn as usize;
-                self.routers[nb].inputs[in_port as usize][vn as usize]
-                    .push(now, msg)
-                    .expect("start-of-tick fullness probe guarantees space");
-                self.routers[nb].occ |= 1 << queue;
-                self.active.insert(nb);
+        for lane in &mut lanes {
+            for (nb, q, slot) in lane.forwards.drain(..) {
+                // The start-of-tick fullness probe guarantees space.
+                self.push_slot(now, nb as usize, q as usize, slot);
             }
-            self.lanes[li].forwards = fwds;
         }
+        self.lanes = lanes;
     }
 
     /// Advances the mesh by one fast-clock edge at time `now`.
@@ -757,32 +826,25 @@ impl<P> Mesh<P> {
     /// run across a worker pool — the shard passes execute inline over the
     /// same plan, so results are byte-identical at any shard count.
     pub fn tick(&mut self, now: Time) {
+        if self.active.is_empty() {
+            return; // nothing buffered: no router can act
+        }
         self.prepare_tick(now);
-        let trace_on = self.tracer.is_enabled();
-        let Mesh {
-            cfg,
-            routers,
-            scratch,
-            full_masks,
-            lanes,
-            work_accum,
-            plan,
-            ..
-        } = self;
-        for (i, range) in plan.iter().enumerate() {
-            let wl_s = scratch.partition_point(|&n| n < range.start);
-            let wl_e = scratch.partition_point(|&n| n < range.end);
-            tick_shard(
-                cfg,
-                now,
-                range.start,
-                &mut routers[range.clone()],
-                &scratch[wl_s..wl_e],
-                full_masks,
-                &mut work_accum[range.clone()],
-                &mut lanes[i],
-                trace_on,
-            );
+        let p = self.shard_params(now);
+        let rings = QUEUES * p.depth;
+        for (i, range) in self.plan.iter().enumerate() {
+            ShardView {
+                p,
+                nodes: range.clone(),
+                routers: &mut self.routers[range.clone()],
+                slots: &mut self.slots[range.start * rings..range.end * rings],
+                link_stats: &mut self.link_stats[range.start * QUEUES..range.end * QUEUES],
+                work: &mut self.work_accum[range.clone()],
+                lane: &mut self.lanes[i],
+                active: self.active.words(),
+                full: &self.full_snap,
+            }
+            .run();
         }
         self.finish_tick(now);
     }
@@ -794,117 +856,138 @@ impl<P> Mesh<P> {
 /// thread count.
 const REBALANCE_QUANTUM_TICKS: u64 = 4096;
 
-const QUEUES: usize = PORT_COUNT * VNET_COUNT;
-/// `front_route` sentinel: not probed yet this tick.
-const UNKNOWN: u8 = 0xFF;
-/// `front_route` sentinel: probed, no visible front.
-const NO_MSG: u8 = 0xFE;
+/// What every shard of one tick is told.
+#[derive(Clone, Copy)]
+struct ShardParams {
+    now: Time,
+    period: Time,
+    depth: usize,
+    width: usize,
+    trace_on: bool,
+    /// Whether to count pops per router for the rebalancer (sharded ticks
+    /// only — one shard has nothing to balance).
+    count_work: bool,
+}
 
 /// One shard's portion of a mesh tick: switch arbitration and pops on the
-/// shard's own routers (`routers` covers nodes `node0..node0 + len`),
-/// with every push — boundary-crossing *and* intra-shard — deferred into
-/// `lane`. Downstream space is probed against the start-of-tick `full`
-/// snapshot, never the live links, so the outcome is independent of shard
-/// execution order.
-#[allow(clippy::too_many_arguments)]
-fn tick_shard<P>(
-    cfg: &MeshConfig,
-    now: Time,
-    node0: NodeId,
-    routers: &mut [Router<P>],
-    worklist: &[NodeId],
-    full: &[u16],
-    work: &mut [u64],
-    lane: &mut MeshTickLane<P>,
-    trace_on: bool,
-) {
-    let period = cfg.clock.period();
-    for &node in worklist {
-        // Hoisted per-tick router borrow: the whole per-port loop runs on
-        // one `&mut Router` with no repeated bounds checks.
-        let r = &mut routers[node - node0];
-        // Output port of each queue's visible front, probed lazily at
-        // most once per tick (invalidated on pop): within a tick a
-        // front only changes when we pop it, so caching is bit-exact
-        // while the uncached scan re-probed each queue per port.
-        let mut front_route = [UNKNOWN; QUEUES];
-        for &out in &PORTS {
-            let o = out as usize;
+/// shard's own routers (`routers`, `slots`, `link_stats` and `work` cover
+/// nodes `nodes`), with every push — boundary-crossing *and* intra-shard —
+/// deferred into `lane`. Downstream space is probed against the
+/// start-of-tick `full` snapshot, never the live queues, so the outcome is
+/// independent of shard execution order. `active` and `full` are whole-mesh
+/// read-only views.
+struct ShardView<'a> {
+    p: ShardParams,
+    nodes: Range<usize>,
+    routers: &'a mut [Router],
+    slots: &'a mut [Slot],
+    link_stats: &'a mut [LinkStats],
+    work: &'a mut [u64],
+    lane: &'a mut MeshTickLane,
+    active: &'a [u64],
+    full: &'a [u16],
+}
+
+impl ShardView<'_> {
+    fn run(self) {
+        let ShardParams {
+            now,
+            period,
+            depth,
+            width,
+            trace_on,
+            count_work,
+        } = self.p;
+        let lane = self.lane;
+        for node in bits_in(self.active, self.nodes.clone()) {
+            let k = node - self.nodes.start;
+            let r = &mut self.routers[k];
+            let rings = &mut self.slots[k * QUEUES * depth..(k + 1) * QUEUES * depth];
+            // Route the visible front of every occupied queue once:
+            // `want[o]` collects the queues whose front leaves through
+            // output `o`. Within a tick a front only changes when it is
+            // popped, and the pop below re-routes its successor.
+            let mut want = [0u16; PORT_COUNT];
+            let mut occ = r.occ;
+            while occ != 0 {
+                let q = occ.trailing_zeros() as usize;
+                occ &= occ - 1;
+                let s = &rings[q * depth + r.head[q] as usize];
+                if s.ready_at <= now {
+                    want[r.route(s.dst_x, s.dst_y)] |= 1 << q;
+                }
+            }
+            for o in 0..PORT_COUNT {
+                let mut cand = want[o];
+                if cand == 0 || r.out_busy[o] > now {
+                    continue;
+                }
+                if o != LOCAL {
+                    // Drop candidates whose vnet has no credit downstream.
+                    let no_credit =
+                        self.full[r.nbr[o] as usize] >> (OPPOSITE[o] * VNET_COUNT) & 0b111;
+                    cand &= !(no_credit * EVERY_PORT);
+                    if cand == 0 {
+                        continue;
+                    }
+                }
+                // Round-robin: the first candidate at or after `rr[o]`,
+                // wrapping — rotate the mask so that bit is bit 0.
+                let start = u32::from(r.rr[o]);
+                let c = u32::from(cand);
+                let rotated = (c >> start | c << (QUEUES as u32 - start)) & QUEUE_MASK;
+                let q = (start + rotated.trailing_zeros()) as usize % QUEUES;
+                r.rr[o] = ((q + 1) % QUEUES) as u8;
+
+                let s = rings[q * depth + r.head[q] as usize];
+                r.head[q] += 1;
+                if usize::from(r.head[q]) == depth {
+                    r.head[q] = 0;
+                }
+                r.len[q] -= 1;
+                r.full &= !(1 << q);
+                self.link_stats[k * QUEUES + q].pops += 1;
+                if r.len[q] == 0 {
+                    r.occ &= !(1 << q);
+                } else {
+                    let next = &rings[q * depth + r.head[q] as usize];
+                    if next.ready_at <= now {
+                        // Only matters for a port still to come this tick.
+                        want[r.route(next.dst_x, next.dst_y)] |= 1 << q;
+                    }
+                }
+                r.out_busy[o] = now + period.mul(u64::from(s.flits));
+                if count_work {
+                    self.work[k] += 1;
+                }
+                let vn = q % VNET_COUNT;
+                if o == LOCAL {
+                    if trace_on {
+                        let dst = usize::from(s.dst_y) * width + usize::from(s.dst_x);
+                        lane.events.push((
+                            now.as_ps(),
+                            EventKind::NocEject,
+                            s.trace_id,
+                            pack_noc(s.src as usize, dst, vn, s.flits),
+                        ));
+                    }
+                    lane.ejects.push((node as u32, vn as u8, s.handle, s.flits));
+                } else {
+                    if trace_on {
+                        lane.events.push((
+                            now.as_ps(),
+                            EventKind::NocRoute,
+                            s.trace_id,
+                            pack_hop(node, o, vn),
+                        ));
+                    }
+                    let q_in = OPPOSITE[o] * VNET_COUNT + vn;
+                    lane.forwards.push((r.nbr[o], q_in as u8, s));
+                }
+            }
             if r.occ == 0 {
-                break; // every input drained mid-tick
+                lane.deactivated.push(node as u32);
             }
-            if r.out_busy[o] > now {
-                continue;
-            }
-            // Round-robin over the 15 (port, vnet) input queues,
-            // probing only the occupied ones (identical choice: an
-            // empty queue never routes anywhere).
-            let start = r.rr[o];
-            let occ = r.occ;
-            let mut chosen: Option<usize> = None;
-            let mut idx = start;
-            for _ in 0..QUEUES {
-                if occ & (1 << idx) != 0 {
-                    if front_route[idx] == UNKNOWN {
-                        let q = &r.inputs[idx / VNET_COUNT][idx % VNET_COUNT];
-                        front_route[idx] = match q.front(now) {
-                            Some(m) => cfg.route(node, m.dst) as u8,
-                            None => NO_MSG,
-                        };
-                    }
-                    if front_route[idx] == o as u8 {
-                        if out == Port::Local {
-                            chosen = Some(idx);
-                            break;
-                        }
-                        let (nb, in_port) = cfg.neighbor(node, out);
-                        let vn = idx % VNET_COUNT;
-                        if full[nb] & (1 << (in_port as usize * VNET_COUNT + vn)) == 0 {
-                            chosen = Some(idx);
-                            break;
-                        }
-                    }
-                }
-                idx += 1;
-                if idx == QUEUES {
-                    idx = 0;
-                }
-            }
-            let Some(idx) = chosen else { continue };
-            let (ip, vn) = (idx / VNET_COUNT, idx % VNET_COUNT);
-            r.rr[o] = (idx + 1) % QUEUES;
-            let msg = r.inputs[ip][vn].pop(now).expect("front was visible");
-            front_route[idx] = UNKNOWN;
-            if r.inputs[ip][vn].is_empty() {
-                r.occ &= !(1 << idx);
-            }
-            r.out_busy[o] = now + period.mul(u64::from(msg.flits));
-            work[node - node0] += 1;
-            if out == Port::Local {
-                if trace_on {
-                    lane.events.push((
-                        now.as_ps(),
-                        EventKind::NocEject,
-                        msg.trace_id,
-                        pack_noc(msg.src, msg.dst, vn, msg.flits),
-                    ));
-                }
-                lane.ejects.push((node, vn as u8, msg));
-            } else {
-                let (nb, in_port) = cfg.neighbor(node, out);
-                if trace_on {
-                    lane.events.push((
-                        now.as_ps(),
-                        EventKind::NocRoute,
-                        msg.trace_id,
-                        pack_hop(node, o, vn),
-                    ));
-                }
-                lane.forwards.push((nb, in_port as u8, vn as u8, msg));
-            }
-        }
-        if r.occ == 0 {
-            lane.deactivated.push(node);
         }
     }
 }
@@ -913,33 +996,33 @@ fn tick_shard<P>(
 /// [`Mesh::begin_tick`] and safe to send to a worker thread.
 ///
 /// Disjointness invariant (upheld by `begin_tick`): every task's
-/// `routers`/`work`/`lane` pointers cover ranges of the parent mesh that
-/// no other task of the same tick overlaps, while `worklist`/`full` are
-/// read-only shared snapshots. The parent mesh must stay alive and
-/// untouched until every task has run and
-/// [`finish_tick`](Mesh::finish_tick) reclaims the lanes.
-pub struct MeshShardTask<P> {
-    routers: *mut Router<P>,
-    routers_len: usize,
-    node0: NodeId,
-    worklist: *const NodeId,
-    wl_len: usize,
+/// `routers`/`slots`/`link_stats`/`work`/`lane` pointers cover ranges of
+/// the parent mesh that no other task of the same tick overlaps, while
+/// `active`/`full` are read-only shared snapshots. The parent mesh must
+/// stay alive and untouched until every task has run and
+/// [`finish_tick`](Mesh::finish_tick) reclaims the lanes. Tasks never see
+/// the messages themselves, only their `Slot`s, so the payload type does
+/// not appear here.
+pub struct MeshShardTask {
+    p: ShardParams,
+    nodes: Range<usize>,
+    routers: *mut Router,
+    slots: *mut Slot,
+    link_stats: *mut LinkStats,
+    work: *mut u64,
+    lane: *mut MeshTickLane,
+    active: *const u64,
+    active_len: usize,
     full: *const u16,
     full_len: usize,
-    lane: *mut MeshTickLane<P>,
-    work: *mut u64,
-    cfg: MeshConfig,
-    now: Time,
-    trace_on: bool,
 }
 
 // SAFETY: the pointed-to regions are range-disjoint per task (see the
-// struct docs) and `P: Send` makes the messages they contain sendable;
-// the epoch barrier around the tick provides the necessary happens-before
-// edges on both sides.
-unsafe impl<P: Send> Send for MeshShardTask<P> {}
+// struct docs) and hold only plain integers; the epoch barrier around the
+// tick provides the necessary happens-before edges on both sides.
+unsafe impl Send for MeshShardTask {}
 
-impl<P> MeshShardTask<P> {
+impl MeshShardTask {
     /// Runs this shard's portion of the tick.
     ///
     /// # Safety
@@ -950,22 +1033,19 @@ impl<P> MeshShardTask<P> {
     /// [`Mesh::begin_tick`] call), and each task must run at most once
     /// per `begin_tick`.
     pub unsafe fn run(&self) {
-        let routers = std::slice::from_raw_parts_mut(self.routers, self.routers_len);
-        let worklist = std::slice::from_raw_parts(self.worklist, self.wl_len);
-        let full = std::slice::from_raw_parts(self.full, self.full_len);
-        let work = std::slice::from_raw_parts_mut(self.work, self.routers_len);
-        let lane = &mut *self.lane;
-        tick_shard(
-            &self.cfg,
-            self.now,
-            self.node0,
-            routers,
-            worklist,
-            full,
-            work,
-            lane,
-            self.trace_on,
-        );
+        let n = self.nodes.len();
+        ShardView {
+            p: self.p,
+            nodes: self.nodes.clone(),
+            routers: std::slice::from_raw_parts_mut(self.routers, n),
+            slots: std::slice::from_raw_parts_mut(self.slots, n * QUEUES * self.p.depth),
+            link_stats: std::slice::from_raw_parts_mut(self.link_stats, n * QUEUES),
+            work: std::slice::from_raw_parts_mut(self.work, n),
+            lane: &mut *self.lane,
+            active: std::slice::from_raw_parts(self.active, self.active_len),
+            full: std::slice::from_raw_parts(self.full, self.full_len),
+        }
+        .run();
     }
 }
 
@@ -994,13 +1074,20 @@ impl<P> Component for Mesh<P> {
 
     fn visit_links(&self, visit: &mut dyn FnMut(&str, LinkReport)) {
         for (node, router) in self.routers.iter().enumerate() {
-            for (p, per_port) in router.inputs.iter().enumerate() {
-                for (vn, link) in per_port.iter().enumerate() {
-                    visit(
-                        &format!("n{node}.{}.{}", PORTS[p].label(), VNET_LABELS[vn]),
-                        link.report(),
-                    );
-                }
+            for q in 0..QUEUES {
+                visit(
+                    &format!(
+                        "n{node}.{}.{}",
+                        PORTS[q / VNET_COUNT].label(),
+                        VNET_LABELS[q % VNET_COUNT]
+                    ),
+                    LinkReport {
+                        kind: "sync",
+                        capacity: Some(self.cfg.buf_depth),
+                        occupancy: usize::from(router.len[q]),
+                        stats: self.link_stats[node * QUEUES + q],
+                    },
+                );
             }
         }
     }
@@ -1016,89 +1103,137 @@ pack_struct!(MeshStats {
     injected
 });
 
-/// Writes per-shard lists as one list, concatenated in shard order.
-fn pack_concat<'a, T: Pack + 'a>(
-    w: &mut SnapWriter,
-    parts: impl Iterator<Item = &'a Vec<T>> + Clone,
-) {
-    w.len64(parts.clone().map(Vec::len).sum());
-    for item in parts.flatten() {
-        item.pack(w);
-    }
-}
-
-/// Hand-written: the per-shard lanes are encoded shard-count-invariantly,
-/// the geometry is cross-checked, and every derived worklist is recomputed
-/// from the loaded buffers instead of being trusted from the bytes.
+/// Hand-written: the bytes are those of the layout this storage replaced —
+/// per router, fifteen `Link::sync` queues holding whole messages — so
+/// snapshots stay interchangeable; the geometry is cross-checked, and every
+/// derived worklist is recomputed from the loaded buffers instead of being
+/// trusted from the bytes.
 impl<P: Pack> Snap for Mesh<P> {
     /// Serializes router buffers, ejection queues, traffic stats, the
-    /// trace-id counter, and the boundary-exchange lane state (one
-    /// combined lane — concatenation in shard order — so the encoding is
-    /// independent of the shard count). The derived worklists (`active`,
-    /// `eject_active`, `eject_pending`, per-router `occ`, the fullness
-    /// masks) are *recomputed* from the loaded buffers — they are pure
-    /// functions of queue occupancy, so rebuilding them is bit-exact and
-    /// removes a whole class of corrupt-snapshot inconsistencies.
-    /// `scratch` is transient (cleared at every tick), the tracer handle
-    /// is a session resource, and the adaptive rebalancer (`work_accum`,
-    /// the load EWMAs, the plan itself) is host-side machinery that never
-    /// influences results; none of those are serialized — a restored mesh
-    /// re-learns its load profile from zero.
+    /// trace-id counter, and the (empty) boundary-exchange lanes. Each
+    /// queue is written as the synchronous `Link` it models: transport tag
+    /// 0, capacity, latency, the entries front to back as `(ready_at,
+    /// message)`, the counters, and a cleared frozen flag. Slab handles
+    /// never reach the bytes. The derived state (`active`, `eject_active`,
+    /// `eject_pending`, per-router `occ`/`full`, the fullness snapshot) is
+    /// *recomputed* on load — it is a pure function of queue occupancy, so
+    /// rebuilding it is bit-exact and removes a whole class of
+    /// corrupt-snapshot inconsistencies. The tracer handle is a session
+    /// resource, and the adaptive rebalancer (`work_accum`, the load EWMAs,
+    /// the plan itself) is host-side machinery that never influences
+    /// results; none of those are serialized — a restored mesh re-learns
+    /// its load profile from zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics between `begin_tick` and `finish_tick`: snapshots are taken
+    /// between clock edges, when every lane has been replayed.
     fn save(&self, w: &mut SnapWriter) {
+        let depth = self.cfg.buf_depth;
         w.len64(self.routers.len());
-        for router in &self.routers {
-            for per_port in &router.inputs {
-                for link in per_port {
-                    link.save(w);
+        for (node, router) in self.routers.iter().enumerate() {
+            for q in 0..QUEUES {
+                w.u8(0);
+                w.len64(depth);
+                self.hop_latency.pack(w);
+                let len = usize::from(router.len[q]);
+                w.len64(len);
+                for i in 0..len {
+                    let pos = (usize::from(router.head[q]) + i) % depth;
+                    let slot = &self.slots[(node * QUEUES + q) * depth + pos];
+                    slot.ready_at.pack(w);
+                    self.msg(slot.handle).pack(w);
                 }
+                self.link_stats[node * QUEUES + q].pack(w);
+                false.pack(w);
             }
             router.out_busy.pack(w);
-            router.rr.pack(w);
+            router.rr.map(usize::from).pack(w);
         }
         for node in &self.eject {
             for q in node {
-                q.pack(w);
+                w.len64(q.len());
+                for &h in q {
+                    self.msg(h).pack(w);
+                }
             }
         }
         self.stats.pack(w);
         w.u64(self.trace_seq);
-        // One combined lane (forwards, ejections, deactivations; trace
-        // `events` are a session resource and stay out of snapshots).
-        pack_concat(w, self.lanes.iter().map(|l| &l.forwards));
-        pack_concat(w, self.lanes.iter().map(|l| &l.ejects));
-        pack_concat(w, self.lanes.iter().map(|l| &l.deactivated));
+        // The three lane lists (forwards, ejections, deactivations).
+        assert!(
+            self.lanes.iter().all(MeshTickLane::is_drained),
+            "mesh snapshot taken mid-tick"
+        );
+        for _ in 0..3 {
+            w.len64(0);
+        }
     }
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if r.len64()? != self.routers.len() {
-            return Err(SnapError::Corrupt("mesh node count mismatch"));
-        }
+        let nodes = self.routers.len();
+        let depth = self.cfg.buf_depth;
+        ensure(r.len64()? == nodes, "mesh node count mismatch")?;
+        self.msgs.clear();
+        self.free.clear();
         self.active.clear();
-        for (node, router) in self.routers.iter_mut().enumerate() {
-            let mut occ: u16 = 0;
-            for (p, per_port) in router.inputs.iter_mut().enumerate() {
-                for (vn, link) in per_port.iter_mut().enumerate() {
-                    link.load(r)?;
-                    if !link.is_empty() {
-                        occ |= 1 << (p * VNET_COUNT + vn);
-                    }
+        let in_range = |m: &Message<P>| m.src < nodes && m.dst < nodes;
+        for node in 0..nodes {
+            let (mut occ, mut full) = (0u16, 0u16);
+            for q in 0..QUEUES {
+                ensure(r.u8()? == 0, "link transport kind mismatch")?;
+                ensure(
+                    r.len64()? == depth,
+                    "capacity differs from the built component",
+                )?;
+                ensure(
+                    Time::unpack(r)? == self.hop_latency,
+                    "mesh hop latency mismatch",
+                )?;
+                let len = r.len64()?;
+                ensure(len <= depth, "router queue over capacity")?;
+                for pos in 0..len {
+                    let ready_at = Time::unpack(r)?;
+                    let msg = Message::<P>::unpack(r)?;
+                    ensure(in_range(&msg), "buffered message node out of range")?;
+                    let slot = self.slot_for(&msg);
+                    let handle = self.store(msg);
+                    self.slots[(node * QUEUES + q) * depth + pos] = Slot {
+                        ready_at,
+                        handle,
+                        ..slot
+                    };
                 }
+                self.routers[node].head[q] = 0;
+                self.routers[node].len[q] = len as u16;
+                occ |= u16::from(len > 0) << q;
+                full |= u16::from(len == depth) << q;
+                self.link_stats[node * QUEUES + q] = LinkStats::unpack(r)?;
+                ensure(!bool::unpack(r)?, "mesh link frozen")?;
             }
-            router.out_busy = <[Time; PORT_COUNT]>::unpack(r)?;
-            router.rr = <[usize; PORT_COUNT]>::unpack(r)?;
+            let router = &mut self.routers[node];
+            router.out_busy = Pack::unpack(r)?;
+            let rr = <[usize; PORT_COUNT]>::unpack(r)?;
+            ensure(
+                rr.iter().all(|&p| p < QUEUES),
+                "round-robin pointer out of range",
+            )?;
+            router.rr = rr.map(|p| p as u8);
             router.occ = occ;
+            router.full = full;
             if occ != 0 {
                 self.active.insert(node);
             }
         }
         self.eject_pending = 0;
         self.eject_active.clear();
-        for node in 0..self.eject.len() {
+        for node in 0..nodes {
             for vn in 0..VNET_COUNT {
-                self.eject[node][vn] = VecDeque::<Message<P>>::unpack(r)?;
-                for m in &self.eject[node][vn] {
-                    if m.src >= self.cfg.nodes() || m.dst >= self.cfg.nodes() {
-                        return Err(SnapError::Corrupt("ejected message node out of range"));
-                    }
+                self.eject[node][vn].clear();
+                for _ in 0..r.len64()? {
+                    let msg = Message::<P>::unpack(r)?;
+                    ensure(in_range(&msg), "ejected message node out of range")?;
+                    let handle = self.store(msg);
+                    self.eject[node][vn].push_back(handle);
                 }
                 self.eject_pending += self.eject[node][vn].len();
             }
@@ -1115,18 +1250,13 @@ impl<P: Pack> Snap for Mesh<P> {
             ensure(r.len64()? == 0, "mesh tick lane not drained")?;
         }
         for lane in &mut self.lanes {
-            lane.forwards.clear();
-            lane.ejects.clear();
-            lane.deactivated.clear();
-            lane.events.clear();
+            *lane = MeshTickLane::default();
         }
-        self.scratch.clear();
         // Host-side rebalancer and the start-of-tick fullness snapshot:
-        // cleared, not loaded — the masks are recomputed by the next
+        // cleared, not loaded — the snapshot is refreshed by the next
         // `prepare_tick` and the EWMAs re-learn from zero.
-        self.full_masks.iter_mut().for_each(|m| *m = 0);
-        self.masked.clear();
-        self.work_accum.iter_mut().for_each(|a| *a = 0);
+        self.full_snap.fill(0);
+        self.work_accum.fill(0);
         self.ewma.reset();
         Ok(())
     }
@@ -1169,48 +1299,37 @@ impl DirtyNodes {
     }
 
     /// Merges a sorted (strictly ascending) slice into the set in one
-    /// pass — O(n + m) instead of m binary-search-and-shift inserts, used
-    /// when replaying per-shard dirty lists at the deterministic merge.
+    /// in-place pass from the back — O(n + m) instead of m
+    /// binary-search-and-shift inserts, and no allocation once the set has
+    /// grown to its working size. Used when replaying per-shard dirty
+    /// lists at the deterministic merge.
     ///
     /// # Panics
     ///
     /// Panics (via `debug_assert`) if `other` is not strictly ascending.
     pub fn merge_sorted(&mut self, other: &[NodeId]) {
         debug_assert!(other.windows(2).all(|w| w[0] < w[1]));
-        if other.is_empty() {
-            return;
-        }
-        if self.nodes.is_empty()
-            || *other.first().expect("non-empty") > *self.nodes.last().expect("non-empty")
-        {
-            self.nodes.extend_from_slice(other);
-            return;
-        }
-        let merged = {
-            let mut merged = Vec::with_capacity(self.nodes.len() + other.len());
-            let (mut i, mut j) = (0, 0);
-            while i < self.nodes.len() && j < other.len() {
-                match self.nodes[i].cmp(&other[j]) {
-                    std::cmp::Ordering::Less => {
-                        merged.push(self.nodes[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        merged.push(other[j]);
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        merged.push(self.nodes[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
+        let old = self.nodes.len();
+        let fresh = other.iter().filter(|&&n| !self.contains(n)).count();
+        self.nodes.resize(old + fresh, 0);
+        // Fill from the back; `i`/`j` are one past the next unmerged
+        // element of the old contents / of `other`.
+        let (mut i, mut j) = (old, other.len());
+        for k in (0..old + fresh).rev() {
+            if j == 0 {
+                break; // the rest of the old contents is already in place
             }
-            merged.extend_from_slice(&self.nodes[i..]);
-            merged.extend_from_slice(&other[j..]);
-            merged
-        };
-        self.nodes = merged;
+            if i > 0 && self.nodes[i - 1] >= other[j - 1] {
+                if self.nodes[i - 1] == other[j - 1] {
+                    j -= 1;
+                }
+                self.nodes[k] = self.nodes[i - 1];
+                i -= 1;
+            } else {
+                self.nodes[k] = other[j - 1];
+                j -= 1;
+            }
+        }
     }
 
     /// Keeps only the nodes for which `keep` returns true, preserving
@@ -1673,7 +1792,8 @@ mod tests {
                 }
             }
             a.tick(t);
-            let tasks = b.begin_tick(t);
+            let mut tasks = Vec::new();
+            b.begin_tick(t, |task| tasks.push(task));
             for task in &tasks {
                 // SAFETY: tasks from one begin_tick are range-disjoint and
                 // each runs exactly once before finish_tick.

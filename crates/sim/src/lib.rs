@@ -45,6 +45,7 @@
 //! assert_eq!(fifo.pop(visible), Some(42));
 //! ```
 
+pub mod bitset;
 pub mod clock;
 pub mod component;
 pub mod fifo;
@@ -57,6 +58,7 @@ pub mod stats;
 pub mod storage;
 pub mod time;
 
+pub use bitset::BitSet;
 pub use clock::{Clock, DualClock, EdgeDomain};
 pub use component::{ClockDomain, Component};
 pub use fifo::{AsyncFifo, Fifo, PushError};

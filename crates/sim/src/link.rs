@@ -53,7 +53,11 @@ pub struct LinkStats {
 }
 
 impl LinkStats {
-    fn record_push(&mut self, occupancy_after: usize) {
+    /// Counts one successful push that left the queue holding
+    /// `occupancy_after` entries. [`Link`] calls this itself; it is public
+    /// for queues stored outside a `Link` (the mesh's flat router rings)
+    /// that must keep identical counters.
+    pub fn record_push(&mut self, occupancy_after: usize) {
         self.pushes += 1;
         self.peak_occupancy = self.peak_occupancy.max(occupancy_after);
         let bucket = if occupancy_after <= 1 {

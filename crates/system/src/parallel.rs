@@ -45,6 +45,24 @@
 //! serial loop for any shard count — the differential suite
 //! (`tests/tests/parallel_determinism.rs`) asserts this.
 //!
+//! # Wake sets
+//!
+//! A pass visits only the *awake* members of its shard — one [`ShardWake`]
+//! per shard holds a bitset each for its L2s, L3 shards and cores. The rule
+//! is push-style: a component that only an outside call can change leaves
+//! its set, and that call puts it back; nothing polls or retries per edge.
+//! An L2 or L3 is woken at its two entry points (`cpu_request`,
+//! `handle_msg*`) and leaves after a tick that ends with `is_active()`
+//! false. A core leaves when `next_event_time` is `None` — see
+//! [`Core::next_event_time`] for the states — and is put back before
+//! `mem_response` reaches it; the stall cycles it would have counted while
+//! asleep are a difference of fast-edge indices, added when it wakes (or
+//! when a run loop returns). The sets are derived state: never serialized,
+//! refilled after `restore()`/`fork()`, and kept full while edge skipping
+//! is off, which makes every pass tick everything — the oracle the
+//! determinism suites compare against. Debug builds check after every fast
+//! edge that each set still covers what the polled predicates call due.
+//!
 //! # Execution modes
 //!
 //! With one shard the passes run inline with plain borrows. With several
@@ -69,7 +87,7 @@ use duet_mem::priv_cache::PrivCache;
 use duet_mem::types::MemReq;
 use duet_mem::L3Shard;
 use duet_noc::NodeId;
-use duet_sim::{EpochBarrier, Link, Time};
+use duet_sim::{BitSet, EpochBarrier, Link, Time};
 use duet_trace::{TraceBuffer, Tracer};
 use duet_verify::FaultKind;
 
@@ -101,6 +119,81 @@ pub(crate) struct ShardLane {
     /// Nodes whose injection pipes went non-empty this edge (merged into
     /// the global dirty set).
     pub(crate) dirty: Vec<NodeId>,
+}
+
+/// Which of a shard's components the next pass must visit, indexed from the
+/// shard's first core / first node. Owned by the shard during a pass; the
+/// coordinator wakes members between passes (message delivery).
+#[derive(Debug, Default)]
+pub(crate) struct ShardWake {
+    /// L2s that are active or hold a `core_held` request.
+    pub(crate) l2: BitSet,
+    /// L3 shards that are active.
+    pub(crate) l3: BitSet,
+    /// Cores whose `next_event_time` is not `None`.
+    pub(crate) cores: BitSet,
+    /// Sleeping cores that would retry a store on every edge
+    /// ([`Core::store_blocked_at`]). They need no tick, but the run loop
+    /// keeps executing edges while there are any, as it did when they
+    /// ticked: `executed_edges` travels in snapshots, and the committed
+    /// byte goldens hold it.
+    pub(crate) blocked: BitSet,
+    /// Per core, meaningful while it is asleep: the fast-edge index up to
+    /// which its `mem_stall_cycles` already account for the sleep.
+    pub(crate) settled: Vec<u64>,
+    /// Debug builds only: what per-edge accounting makes of each sleeping
+    /// core's `mem_stall_cycles`, to check the index arithmetic against.
+    pub(crate) shadow: Vec<u64>,
+}
+
+impl ShardWake {
+    /// One wake set per shard of `plan` with everything awake: the state
+    /// after construction, `restore()` and `fork()`, and while edge
+    /// skipping is off. Always sound — the sets only need to *cover* what
+    /// is due — and the first gated pass puts the idle members to sleep.
+    pub(crate) fn all_awake(plan: &[ShardSpec]) -> Vec<ShardWake> {
+        plan.iter()
+            .map(|spec| ShardWake {
+                l2: BitSet::full(spec.cores.len()),
+                l3: BitSet::full(spec.nodes.len()),
+                cores: BitSet::full(spec.cores.len()),
+                blocked: BitSet::new(spec.cores.len()),
+                settled: vec![0; spec.cores.len()],
+                shadow: vec![0; spec.cores.len()],
+            })
+            .collect()
+    }
+
+    /// Puts sleeping core `k` back in the set, first adding the stall
+    /// cycles of the fast edges it slept through, up to and including edge
+    /// index `through`. Must run before anything changes the core's state.
+    pub(crate) fn wake_core(&mut self, k: usize, core: &mut Core, now: Time, through: u64) {
+        if self.cores.insert(k) {
+            self.settle(k, core, now, through);
+            self.blocked.remove(k);
+        }
+    }
+
+    /// Brings sleeping core `k`'s stall count up to edge index `through`.
+    pub(crate) fn settle(&mut self, k: usize, core: &mut Core, now: Time, through: u64) {
+        core.account_skipped_edges(now, through - self.settled[k]);
+        self.settled[k] = through;
+        debug_assert_eq!(
+            core.stats().mem_stall_cycles,
+            self.shadow[k],
+            "core {k}: stall cycles settled over a sleep differ from per-edge accounting"
+        );
+    }
+
+    /// Takes core `k`, whose stall count is exact through edge `edge` (at
+    /// `now`), out of the set.
+    fn sleep_core(&mut self, k: usize, core: &Core, now: Time, edge: u64) {
+        self.settled[k] = edge;
+        self.shadow[k] = core.stats().mem_stall_cycles;
+        if core.store_blocked_at(now) {
+            self.blocked.insert(k);
+        }
+    }
 }
 
 /// Deterministic weight-balanced contiguous partition of the node range.
@@ -190,6 +283,8 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// fault budgets, plus this shard's output lane.
 pub(crate) struct ShardCtx<'a> {
     pub(crate) now: Time,
+    /// Index of this fast edge (`RunStats::fast_edges` once it is done).
+    pub(crate) edge: u64,
     pub(crate) gate: bool,
     pub(crate) faulted: bool,
     /// First global node id of the `l3s`/`pipes` slices.
@@ -204,6 +299,7 @@ pub(crate) struct ShardCtx<'a> {
     pub(crate) pipes: &'a mut [Link<(NodeId, DuetMsg)>],
     pub(crate) fault_budget: &'a [AtomicU64],
     pub(crate) lane: &'a mut ShardLane,
+    pub(crate) wake: &'a mut ShardWake,
 }
 
 impl ShardCtx<'_> {
@@ -222,16 +318,18 @@ impl ShardCtx<'_> {
     }
 
     /// The three per-node component passes of a fast edge, in the same
-    /// within-shard order as the serial loop: L2s, L3 shards, cores.
-    /// Skip gating is identical to the serial loop's.
+    /// within-shard order as the serial loop: L2s, L3 shards, cores — each
+    /// over its wake set, ascending. With `gate` off nothing ever leaves a
+    /// set, so every component ticks on every edge.
     pub(crate) fn run(&mut self) {
         let now = self.now;
         let gate = self.gate;
 
         // L2s: tick, collect outgoing, deliver responses + back-invals.
-        for k in 0..self.l2s.len() {
+        let mut awake = std::mem::take(&mut self.wake.l2);
+        awake.retain(|k| {
             if gate && self.core_held[k].is_none() && !self.l2s[k].is_active() {
-                continue;
+                return false;
             }
             // Retry a held request first.
             if let Some(req) = self.core_held[k].take() {
@@ -250,55 +348,80 @@ impl ShardCtx<'_> {
                 self.cores[k].back_invalidate(line);
             }
             while let Some(resp) = self.l2s[k].pop_cpu_resp(now) {
+                // The core's own pass comes later this edge, so it slept
+                // through the edges before this one.
+                self.wake
+                    .wake_core(k, &mut self.cores[k], now, self.edge - 1);
                 self.cores[k].mem_response(resp);
             }
-        }
+            !gate || self.core_held[k].is_some() || self.l2s[k].is_active()
+        });
+        self.wake.l2 = awake;
 
         // L3 shards.
-        for j in 0..self.l3s.len() {
+        let mut awake = std::mem::take(&mut self.wake.l3);
+        awake.retain(|j| {
             if gate && !self.l3s[j].is_active() {
-                continue;
+                return false;
             }
             self.l3s[j].tick(now);
             let node = self.l3s[j].node();
             // `L3RespStall`: responses stay queued in the shard's output
             // pipe (keeping it active, so the horizon stays pinned) until
             // the window closes.
-            if self.faulted && shard_output_stalled(self.cfg, node, now) {
-                continue;
-            }
-            while let Some((dst, msg)) = self.l3s[j].pop_outgoing(now) {
-                if self.faulted && shard_output_dropped(self.cfg, self.fault_budget, node, now) {
-                    continue; // `L3RespDrop`: the message is lost
+            if !(self.faulted && shard_output_stalled(self.cfg, node, now)) {
+                while let Some((dst, msg)) = self.l3s[j].pop_outgoing(now) {
+                    if self.faulted && shard_output_dropped(self.cfg, self.fault_budget, node, now)
+                    {
+                        continue; // `L3RespDrop`: the message is lost
+                    }
+                    self.enqueue(node, dst, DuetMsg::Coherence(msg));
                 }
-                self.enqueue(node, dst, DuetMsg::Coherence(msg));
             }
-        }
+            !gate || self.l3s[j].is_active()
+        });
+        self.wake.l3 = awake;
 
         // Cores: deliver requests to L2, defer MMIO into the lane (the
         // merge replays lanes in shard order = ascending core order, so
         // MMIO-id allocation matches the serial loop exactly).
-        for k in 0..self.cores.len() {
-            if gate && self.cores[k].next_event_time(now).is_none_or(|t| t > now) {
+        let mut awake = std::mem::take(&mut self.wake.cores);
+        awake.retain(|k| {
+            let due = self.cores[k].next_event_time(now);
+            if gate && due.is_none_or(|t| t > now) {
                 // The core would either do nothing this edge or only bump
                 // a stall counter; reconstruct that without ticking.
-                self.cores[k].account_skipped_edges(1);
-                continue;
-            }
-            self.cores[k].tick(now);
-            while self.core_held[k].is_none() {
-                let Some(req) = self.cores[k].pop_mem_request() else {
-                    break;
-                };
-                if self.cores[k].is_mmio(req.addr) {
-                    self.lane.mmio.push((self.core0 + k, req));
-                } else if self.l2s[k].can_accept() {
-                    self.l2s[k].cpu_request(req);
-                } else {
-                    self.core_held[k] = Some(req);
+                self.cores[k].account_skipped_edges(now, 1);
+                if due.is_some() {
+                    return true; // a timer: polled again next edge
+                }
+            } else {
+                self.cores[k].tick(now);
+                while self.core_held[k].is_none() {
+                    let Some(req) = self.cores[k].pop_mem_request() else {
+                        break;
+                    };
+                    if self.cores[k].is_mmio(req.addr) {
+                        self.lane.mmio.push((self.core0 + k, req));
+                    } else {
+                        if self.l2s[k].can_accept() {
+                            self.l2s[k].cpu_request(req);
+                        } else {
+                            self.core_held[k] = Some(req);
+                        }
+                        self.wake.l2.insert(k);
+                    }
                 }
             }
-        }
+            // Only `mem_response` can change what a tick would do: sleep
+            // until it comes, with this edge's stall already counted.
+            let asleep = gate && self.cores[k].next_event_time(now).is_none();
+            if asleep {
+                self.wake.sleep_core(k, &self.cores[k], now, self.edge);
+            }
+            !asleep
+        });
+        self.wake.cores = awake;
     }
 }
 
@@ -358,6 +481,7 @@ pub(crate) struct TraceScratch {
 ///   lengths are fixed at wiring time).
 pub(crate) struct RawShardView {
     now: Time,
+    edge: u64,
     gate: bool,
     faulted: bool,
     node0: usize,
@@ -373,6 +497,7 @@ pub(crate) struct RawShardView {
     budget: *const AtomicU64,
     budget_len: usize,
     lane: *mut ShardLane,
+    wake: *mut ShardWake,
 }
 
 // SAFETY: the pointed-to types are all `Send` (asserted below), the
@@ -396,6 +521,7 @@ fn assert_shard_payloads_thread_safe() {
     assert_send::<Option<MemReq>>();
     assert_send::<Link<(NodeId, DuetMsg)>>();
     assert_send::<ShardLane>();
+    assert_send::<ShardWake>();
     assert_sync::<SystemConfig>();
     assert_sync::<AtomicU64>();
 }
@@ -408,7 +534,7 @@ pub(crate) enum ShardJob {
     /// The per-node component passes of one shard ([`ShardCtx::run`]).
     Passes(RawShardView),
     /// One shard of the sharded mesh tick (`duet_noc::MeshShardTask`).
-    Mesh(duet_noc::MeshShardTask<DuetMsg>),
+    Mesh(duet_noc::MeshShardTask),
 }
 
 /// Runs one job.
@@ -442,6 +568,7 @@ unsafe fn run_raw(v: RawShardView) {
     }
     let mut ctx = ShardCtx {
         now: v.now,
+        edge: v.edge,
         gate: v.gate,
         faulted: v.faulted,
         node0: v.node0,
@@ -454,6 +581,7 @@ unsafe fn run_raw(v: RawShardView) {
         pipes: std::slice::from_raw_parts_mut(v.pipes, v.nnodes),
         fault_budget: std::slice::from_raw_parts(v.budget, v.budget_len),
         lane: &mut *v.lane,
+        wake: &mut *v.wake,
     };
     ctx.run();
 }
@@ -502,7 +630,8 @@ impl ShardPool {
     }
 
     /// Runs one epoch: publishes `jobs[1..]` to the workers, runs
-    /// `jobs[0]` on the calling thread, and joins at the barrier. Fewer
+    /// `jobs[0]` on the calling thread, and joins at the barrier, leaving
+    /// `jobs` empty (the caller keeps the buffer for the next epoch). Fewer
     /// jobs than `workers + 1` is fine — surplus workers see an empty
     /// slot and go straight back to the barrier (the pool is sized for
     /// the larger of the component-pass and mesh-tick plans, and the two
@@ -513,14 +642,16 @@ impl ShardPool {
     /// holding aliases into `System`) and then resumed here, so component
     /// panics surface exactly like the serial loop's instead of
     /// deadlocking `wait_done`.
-    pub(crate) fn run_epoch(&mut self, mut jobs: Vec<ShardJob>) {
-        debug_assert!(!jobs.is_empty());
+    pub(crate) fn run_epoch(&mut self, jobs: &mut Vec<ShardJob>) {
         debug_assert!(jobs.len() <= self.barrier.workers() + 1);
-        let mine = jobs.remove(0);
+        let mut jobs = jobs.drain(..);
+        let Some(mine) = jobs.next() else {
+            return; // an empty epoch has nothing to run
+        };
         {
             let mut slots = lock_ignore_poison(&self.views);
             slots.clear();
-            slots.extend(jobs.into_iter().map(Some));
+            slots.extend(jobs.map(Some));
             slots.resize_with(self.barrier.workers(), || None);
         }
         self.epoch += 1;
@@ -579,6 +710,89 @@ fn worker_main(
 pub(crate) const MESH_POOL_MIN_ACTIVE: usize = 16;
 
 impl System {
+    /// The shard whose node range holds `node` (cores sit at their index).
+    fn shard_of(&self, node: usize) -> usize {
+        self.shard_plan.partition_point(|s| s.nodes.end <= node)
+    }
+
+    /// Wakes core `i` ahead of an outside change to it (a memory response,
+    /// a new program), first settling the stall cycles of its sleep.
+    pub(crate) fn wake_core(&mut self, i: usize) {
+        let s = self.shard_of(i);
+        let k = i - self.shard_plan[s].cores.start;
+        self.wake[s].wake_core(k, &mut self.cores[i], self.now, self.stats.fast_edges);
+    }
+
+    /// Wakes L2 `i` after handing it a message.
+    pub(crate) fn wake_l2(&mut self, i: usize) {
+        let s = self.shard_of(i);
+        self.wake[s].l2.insert(i - self.shard_plan[s].cores.start);
+    }
+
+    /// Wakes the L3 shard at `node` after handing it a message.
+    pub(crate) fn wake_l3(&mut self, node: usize) {
+        let s = self.shard_of(node);
+        self.wake[s]
+            .l3
+            .insert(node - self.shard_plan[s].nodes.start);
+    }
+
+    /// Brings every sleeping core's `mem_stall_cycles` up to the last fast
+    /// edge. The run loops call this as they return, so everything read
+    /// between runs — statistics, snapshots, forks — is exact.
+    pub(crate) fn settle_sleeping_cores(&mut self) {
+        let (now, through) = (self.now, self.stats.fast_edges);
+        for (spec, wake) in self.shard_plan.iter().zip(&mut self.wake) {
+            for (k, core) in self.cores[spec.cores.clone()].iter_mut().enumerate() {
+                if !wake.cores.contains(k) && wake.settled[k] < through {
+                    wake.settle(k, core, now, through);
+                }
+            }
+        }
+    }
+
+    /// Puts every component back in its wake set (edge skipping was just
+    /// turned off).
+    pub(crate) fn wake_everything(&mut self) {
+        self.settle_sleeping_cores();
+        self.wake = ShardWake::all_awake(&self.shard_plan);
+    }
+
+    /// Debug builds, after every fast edge and every horizon jump (`edges`
+    /// fast edges just retired): each wake set covers what the polled
+    /// predicates call due, and the per-edge shadow of every sleeping
+    /// core's stall count advances for `settle` to compare against.
+    pub(crate) fn check_wake_sets(&mut self, edges: u64) {
+        let now = self.now;
+        for (spec, wake) in self.shard_plan.iter().zip(&mut self.wake) {
+            for (k, i) in spec.cores.clone().enumerate() {
+                if !wake.cores.contains(k) {
+                    let core = &self.cores[i];
+                    assert_eq!(
+                        core.next_event_time(now),
+                        None,
+                        "core {i} is due but asleep"
+                    );
+                    // (Not for the edge it fell asleep on, which it ticked.)
+                    if wake.settled[k] + edges <= self.stats.fast_edges {
+                        wake.shadow[k] += edges * u64::from(core.stalls_when_skipped(now));
+                    }
+                }
+                assert!(
+                    wake.l2.contains(k)
+                        || !(self.l2s[i].is_active() || self.core_held[i].is_some()),
+                    "L2 {i} is due but asleep"
+                );
+            }
+            for (j, n) in spec.nodes.clone().enumerate() {
+                assert!(
+                    wake.l3.contains(j) || !self.shards[n].is_active(),
+                    "L3 shard {n} is due but asleep"
+                );
+            }
+        }
+    }
+
     /// The effective shard count for this system's fast-edge passes.
     pub fn sim_shards(&self) -> usize {
         self.sim_shards
@@ -603,17 +817,19 @@ impl System {
             self.mesh.tick(now);
             return;
         }
-        let tasks = self.mesh.begin_tick(now);
-        if tasks.len() <= 1 {
-            for t in &tasks {
+        let mut jobs = std::mem::take(&mut self.jobs);
+        self.mesh
+            .begin_tick(now, |task| jobs.push(ShardJob::Mesh(task)));
+        if jobs.len() <= 1 {
+            for job in jobs.drain(..) {
                 // SAFETY: tasks cover disjoint router ranges and nothing
                 // else touches the mesh until `finish_tick`.
-                unsafe { t.run() };
+                unsafe { run_job(job) };
             }
         } else {
-            let pool = self.ensure_pool();
-            pool.run_epoch(tasks.into_iter().map(ShardJob::Mesh).collect());
+            self.ensure_pool().run_epoch(&mut jobs);
         }
+        self.jobs = jobs;
         self.mesh.finish_tick(now);
     }
 
@@ -656,6 +872,7 @@ impl System {
         let spec = self.shard_plan[s].clone();
         let mut ctx = ShardCtx {
             now,
+            edge: self.stats.fast_edges + 1,
             gate: self.skip_enabled,
             faulted: !self.cfg.faults.specs.is_empty(),
             node0: spec.nodes.start,
@@ -668,21 +885,23 @@ impl System {
             pipes: &mut self.inject_pending[spec.nodes.clone()],
             fault_budget: &self.fault_budget,
             lane: &mut self.shard_lanes[s],
+            wake: &mut self.wake[s],
         };
         ctx.run();
     }
 
     /// Runs every shard concurrently on the persistent pool.
     fn run_shards_pooled(&mut self, now: Time) {
-        let views = self.build_raw_views(now);
-        let jobs = views.into_iter().map(ShardJob::Passes).collect();
-        self.ensure_pool().run_epoch(jobs);
+        let mut jobs = std::mem::take(&mut self.jobs);
+        self.build_raw_views(now, &mut jobs);
+        self.ensure_pool().run_epoch(&mut jobs);
+        self.jobs = jobs;
     }
 
-    /// Builds one raw view per shard. The views alias `self`'s component
-    /// vectors; the caller must not touch those vectors until the epoch
-    /// closes.
-    fn build_raw_views(&mut self, now: Time) -> Vec<RawShardView> {
+    /// Queues one raw view per shard on `jobs`. The views alias `self`'s
+    /// component vectors; the caller must not touch those vectors until the
+    /// epoch closes.
+    fn build_raw_views(&mut self, now: Time, jobs: &mut Vec<ShardJob>) {
         let gate = self.skip_enabled;
         let faulted = !self.cfg.faults.specs.is_empty();
         let cfg: *const SystemConfig = &self.cfg;
@@ -694,35 +913,37 @@ impl System {
         let budget = self.fault_budget.as_ptr();
         let budget_len = self.fault_budget.len();
         let lanes = self.shard_lanes.as_mut_ptr();
-        self.shard_plan
-            .iter()
-            .enumerate()
-            .map(|(s, spec)| {
-                // SAFETY: every offset stays within its vector (the plan
-                // partitions `0..nodes`, cores ⊆ nodes); one-past-end
-                // pointers for empty core ranges are valid.
-                unsafe {
-                    RawShardView {
-                        now,
-                        gate,
-                        faulted,
-                        node0: spec.nodes.start,
-                        core0: spec.cores.start,
-                        ncores: spec.cores.len(),
-                        nnodes: spec.nodes.len(),
-                        cfg,
-                        cores: cores.add(spec.cores.start),
-                        l2s: l2s.add(spec.cores.start),
-                        l3s: l3s.add(spec.nodes.start),
-                        core_held: core_held.add(spec.cores.start),
-                        pipes: pipes.add(spec.nodes.start),
-                        budget,
-                        budget_len,
-                        lane: lanes.add(s),
-                    }
+        let wake = self.wake.as_mut_ptr();
+        let edge = self.stats.fast_edges + 1;
+        for (s, spec) in self.shard_plan.iter().enumerate() {
+            // SAFETY: every offset stays within its vector (the plan
+            // partitions `0..nodes`, cores ⊆ nodes, one lane and one wake
+            // set per shard); one-past-end pointers for empty core ranges
+            // are valid.
+            let view = unsafe {
+                RawShardView {
+                    now,
+                    edge,
+                    gate,
+                    faulted,
+                    node0: spec.nodes.start,
+                    core0: spec.cores.start,
+                    ncores: spec.cores.len(),
+                    nnodes: spec.nodes.len(),
+                    cfg,
+                    cores: cores.add(spec.cores.start),
+                    l2s: l2s.add(spec.cores.start),
+                    l3s: l3s.add(spec.nodes.start),
+                    core_held: core_held.add(spec.cores.start),
+                    pipes: pipes.add(spec.nodes.start),
+                    budget,
+                    budget_len,
+                    lane: lanes.add(s),
+                    wake: wake.add(s),
                 }
-            })
-            .collect()
+            };
+            jobs.push(ShardJob::Passes(view));
+        }
     }
 
     /// Replays every shard's output lane in ascending shard order: folds
@@ -852,13 +1073,17 @@ mod pool_tests {
     use super::*;
     use std::ptr::NonNull;
 
+    /// What an empty shard still needs somewhere real to point at.
+    type Outputs = (ShardLane, ShardWake);
+
     /// A zero-length view: dangling-but-aligned pointers are valid for
     /// empty slices, so `run_raw` builds a `ShardCtx` that does nothing.
     /// `poison` flips the test-only sentinel that makes `run_raw` panic
     /// before touching anything.
-    fn empty_view(cfg: &SystemConfig, lane: &mut ShardLane, poison: bool) -> RawShardView {
+    fn empty_view(cfg: &SystemConfig, lane: &mut Outputs, poison: bool) -> RawShardView {
         RawShardView {
             now: Time::ZERO,
+            edge: 1,
             gate: false,
             faulted: false,
             node0: if poison { usize::MAX } else { 0 },
@@ -873,7 +1098,8 @@ mod pool_tests {
             pipes: NonNull::dangling().as_ptr(),
             budget: NonNull::dangling().as_ptr(),
             budget_len: 0,
-            lane: std::ptr::from_mut(lane),
+            lane: std::ptr::from_mut(&mut lane.0),
+            wake: std::ptr::from_mut(&mut lane.1),
         }
     }
 
@@ -884,25 +1110,25 @@ mod pool_tests {
     fn worker_panic_resurfaces_on_coordinator_without_deadlock() {
         let cfg = SystemConfig::proc_only(1);
         let mut pool = ShardPool::new(1);
-        let mut lane0 = ShardLane::default();
-        let mut lane1 = ShardLane::default();
-        let views = vec![
+        let mut lane0 = Outputs::default();
+        let mut lane1 = Outputs::default();
+        let mut views = vec![
             ShardJob::Passes(empty_view(&cfg, &mut lane0, false)),
             ShardJob::Passes(empty_view(&cfg, &mut lane1, true)),
         ];
-        let payload = catch_unwind(AssertUnwindSafe(|| pool.run_epoch(views)))
+        let payload = catch_unwind(AssertUnwindSafe(|| pool.run_epoch(&mut views)))
             .expect_err("worker panic must propagate");
         assert_eq!(
             payload.downcast_ref::<&str>().copied(),
             Some("poisoned test shard")
         );
-        let mut lane0 = ShardLane::default();
-        let mut lane1 = ShardLane::default();
-        let views = vec![
+        let mut lane0 = Outputs::default();
+        let mut lane1 = Outputs::default();
+        let mut views = vec![
             ShardJob::Passes(empty_view(&cfg, &mut lane0, false)),
             ShardJob::Passes(empty_view(&cfg, &mut lane1, false)),
         ];
-        pool.run_epoch(views);
+        pool.run_epoch(&mut views);
     }
 
     /// Same for a panic on the coordinator's own shard: `wait_done` must
@@ -912,24 +1138,24 @@ mod pool_tests {
     fn coordinator_panic_still_closes_the_epoch() {
         let cfg = SystemConfig::proc_only(1);
         let mut pool = ShardPool::new(1);
-        let mut lane0 = ShardLane::default();
-        let mut lane1 = ShardLane::default();
-        let views = vec![
+        let mut lane0 = Outputs::default();
+        let mut lane1 = Outputs::default();
+        let mut views = vec![
             ShardJob::Passes(empty_view(&cfg, &mut lane0, true)),
             ShardJob::Passes(empty_view(&cfg, &mut lane1, false)),
         ];
-        let payload = catch_unwind(AssertUnwindSafe(|| pool.run_epoch(views)))
+        let payload = catch_unwind(AssertUnwindSafe(|| pool.run_epoch(&mut views)))
             .expect_err("coordinator panic must propagate");
         assert_eq!(
             payload.downcast_ref::<&str>().copied(),
             Some("poisoned test shard")
         );
-        let mut lane0 = ShardLane::default();
-        let mut lane1 = ShardLane::default();
-        let views = vec![
+        let mut lane0 = Outputs::default();
+        let mut lane1 = Outputs::default();
+        let mut views = vec![
             ShardJob::Passes(empty_view(&cfg, &mut lane0, false)),
             ShardJob::Passes(empty_view(&cfg, &mut lane1, false)),
         ];
-        pool.run_epoch(views);
+        pool.run_epoch(&mut views);
     }
 }

@@ -23,7 +23,7 @@ use duet_mem::msg::CoherenceMsg;
 use duet_mem::tlb::Vpn;
 use duet_mem::types::{MemReq, Width};
 use duet_noc::{Message, NodeId, VNet};
-use duet_sim::{EdgeDomain, Horizon, Time};
+use duet_sim::{Component, EdgeDomain, Horizon, Time};
 use duet_trace::EventKind;
 use duet_verify::{ComponentStall, FaultKind, RunError, StallSnapshot, Violation};
 
@@ -220,6 +220,7 @@ impl System {
                     Some((core, orig)) => {
                         let mut r = resp;
                         r.id = orig;
+                        self.wake_core(core);
                         self.cores[core].mem_response(r);
                     }
                     None => {
@@ -271,9 +272,13 @@ impl System {
             | CoherenceMsg::WBData { .. }
             | CoherenceMsg::Unblock { .. } => {
                 self.shards[node].handle_msg_with_flight(now, src, c, flight);
+                self.wake_l3(node);
             }
             _ => match self.node_roles[node] {
-                NodeRole::Core(i) => self.l2s[i].handle_msg(now, src, c, flight),
+                NodeRole::Core(i) => {
+                    self.l2s[i].handle_msg(now, src, c, flight);
+                    self.wake_l2(i);
+                }
                 NodeRole::Hub(h) => {
                     if self.cfg.variant == Variant::Fpsoc {
                         // Cross into the slow domain first.
@@ -378,7 +383,9 @@ impl System {
     }
 
     fn fast_edge(&mut self, now: Time) {
-        self.stats.fast_edges += 1;
+        // `stats.fast_edges` counts this edge only once it is done: until
+        // then it is the index of the last completed fast edge, which is
+        // what a core woken mid-edge has slept through.
         self.sys_tracer.emit(now.as_ps(), EventKind::EdgeFast, 0, 0);
         self.run_os_tasks(now);
         self.pump_injections(now);
@@ -400,6 +407,10 @@ impl System {
         // other's state, and they inject into disjoint NoC nodes' pipes.
         self.adapter_pass(now);
         self.merge_shard_lanes(now);
+        self.stats.fast_edges += 1;
+        if cfg!(debug_assertions) {
+            self.check_wake_sets(1);
+        }
     }
 
     /// The adapter portion of a fast edge: control hub always fast; hubs
@@ -654,6 +665,14 @@ impl System {
 
     /// Advances to the next clock edge (fast and/or slow) and executes it.
     pub fn step_edge(&mut self) -> (Time, EdgeDomain) {
+        let edge = self.exec_edge();
+        self.settle_sleeping_cores();
+        edge
+    }
+
+    /// [`step_edge`](System::step_edge) for the run loops, which settle
+    /// sleeping cores' stall counters once, when they return.
+    fn exec_edge(&mut self) -> (Time, EdgeDomain) {
         let (t, d) = self.dual.next_edge();
         self.executed_edges += 1;
         self.now = t;
@@ -684,24 +703,61 @@ impl System {
     /// executes as a no-op, exactly as exhaustive ticking would).
     pub fn next_event_time(&self) -> Option<Time> {
         let now = self.now;
-        // Anything retrying every edge pins the horizon to `now`.
-        if self.inject_pending_total > 0 || self.core_held.iter().any(|h| h.is_some()) {
+        // Anything retrying every edge pins the horizon to `now` — cores
+        // asleep on a full store buffer included (see `ShardWake::blocked`).
+        if self.inject_pending_total > 0 || self.wake.iter().any(|w| !w.blocked.is_empty()) {
             return Some(now);
         }
         let mut horizon = Horizon::new(now);
-        // The registry walk covers every component uniformly — cheaper
-        // horizons (busy cores, the common case while simulated work is in
-        // flight) come first, so a due component costs one probe, not a
-        // walk of the whole system. Merging the adapter's hubs uniformly is
-        // equivalent to the old split fast/slow-domain handling: a hub with
-        // a queued interrupt already reports `Some(now)`.
-        let mut due = false;
-        self.visit_components(&mut |c| {
-            due = horizon.merge_opt(c.next_event_time(now));
-            !due
-        });
-        if due {
+        // Only awake components can have an event (a sleeping one reports
+        // `None` by construction), so the wake sets are the whole walk.
+        // Cheaper horizons (busy cores, the common case while simulated
+        // work is in flight) come first, so a due component costs one
+        // probe. Merge *order* never affects the result — a horizon is a
+        // pure minimum.
+        for (spec, wake) in self.shard_plan.iter().zip(&self.wake) {
+            for k in wake.cores.iter() {
+                let core = &self.cores[spec.cores.start + k];
+                if core.store_blocked_at(now) {
+                    return Some(now); // not yet asleep; pins like the sleepers
+                }
+                if horizon.merge_opt(core.next_event_time(now)) {
+                    return horizon.earliest();
+                }
+            }
+        }
+        if horizon.merge_opt(self.mesh.next_event_time(now)) {
             return horizon.earliest();
+        }
+        for (spec, wake) in self.shard_plan.iter().zip(&self.wake) {
+            for k in wake.l2.iter() {
+                let i = spec.cores.start + k;
+                if self.core_held[i].is_some() {
+                    return Some(now); // retried every edge
+                }
+                if horizon.merge_opt(self.l2s[i].next_event_time(now)) {
+                    return horizon.earliest();
+                }
+            }
+            for j in wake.l3.iter() {
+                let shard = &self.shards[spec.nodes.start + j];
+                if horizon.merge_opt(shard.next_event_time(now)) {
+                    return horizon.earliest();
+                }
+            }
+        }
+        // Merging the adapter's hubs uniformly is equivalent to split
+        // fast/slow-domain handling: a hub with a queued interrupt already
+        // reports `Some(now)`.
+        if let Some(a) = &self.adapter {
+            if horizon.merge_opt(Component::next_event_time(&a.control, now)) {
+                return horizon.earliest();
+            }
+            for hub in &a.hubs {
+                if horizon.merge_opt(Component::next_event_time(hub, now)) {
+                    return horizon.earliest();
+                }
+            }
         }
         for (t, _) in &self.os_tasks {
             if horizon.merge(*t) {
@@ -760,10 +816,18 @@ impl System {
                 if target > self.now {
                     let (fast, slow) = self.dual.advance_to(target);
                     if fast > 0 || slow > 0 {
+                        // Sleeping cores catch up from the edge count when
+                        // they wake; awake ones are accounted here.
+                        let now = self.now;
+                        for (spec, wake) in self.shard_plan.iter().zip(&self.wake) {
+                            for k in wake.cores.iter() {
+                                self.cores[spec.cores.start + k].account_skipped_edges(now, fast);
+                            }
+                        }
                         self.stats.fast_edges += fast;
                         self.stats.slow_edges += slow;
-                        for c in &mut self.cores {
-                            c.account_skipped_edges(fast);
+                        if cfg!(debug_assertions) {
+                            self.check_wake_sets(fast);
                         }
                         self.sys_tracer
                             .emit(self.now.as_ps(), EventKind::HorizonSkip, fast, slow);
@@ -773,7 +837,7 @@ impl System {
             // `None` (fully inert system) falls through to plain stepping,
             // reproducing the baseline spin-to-deadline behavior.
         }
-        self.step_edge()
+        self.exec_edge()
     }
 
     /// Whether every core has halted.
@@ -918,6 +982,8 @@ impl System {
                 self.end_batch(batch);
                 return Err(e);
             }
+            // The predicate may read any statistic.
+            self.settle_sleeping_cores();
         }
         self.end_batch(batch);
         Ok(self.now)

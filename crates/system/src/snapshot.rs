@@ -141,9 +141,11 @@ impl System {
         })?;
         self.executed_edges = r.section(*b"HOST", |r| Pack::unpack(r))?;
         r.expect_end()?;
-        // Derived counters and host-side scratch.
+        // Derived counters and host-side scratch. The wake sets are derived
+        // too: everything starts awake and the first gated pass re-sorts.
         self.inject_pending_total = self.inject_pending.iter().map(duet_sim::Link::len).sum();
         self.trace_scratch = None;
+        self.wake = crate::parallel::ShardWake::all_awake(&self.shard_plan);
         Ok(())
     }
 
@@ -373,6 +375,8 @@ impl System {
             shard_pool: None,
             pool_enabled: self.pool_enabled,
             trace_scratch: None,
+            wake: crate::parallel::ShardWake::all_awake(&self.shard_plan),
+            jobs: Vec::new(),
         }
     }
 

@@ -152,9 +152,11 @@ impl System {
         (self.stats.fast_edges + self.stats.slow_edges, self.now)
     }
 
-    /// Publishes the loop's edge/sim-time deltas to the process-wide
+    /// Ends a run loop: settles the stall counters of sleeping cores and
+    /// publishes the loop's edge/sim-time deltas to the process-wide
     /// throughput counters (skipped edges count: they were retired).
-    pub(crate) fn end_batch(&self, (edges0, t0): (u64, duet_sim::Time)) {
+    pub(crate) fn end_batch(&mut self, (edges0, t0): (u64, duet_sim::Time)) {
+        self.settle_sleeping_cores();
         let edges = (self.stats.fast_edges + self.stats.slow_edges).saturating_sub(edges0);
         let sim_ps = self.now.saturating_sub(t0).as_ps();
         if edges > 0 || sim_ps > 0 {

@@ -164,6 +164,11 @@ pub struct System {
     /// Per-shard trace scratch rings, built lazily while tracing is on
     /// and invalidated by [`enable_tracing`](System::enable_tracing).
     pub(crate) trace_scratch: Option<crate::parallel::TraceScratch>,
+    /// Per-shard wake sets: the components each pass must visit. Derived
+    /// state — never serialized, refilled by `restore()` and `fork()`.
+    pub(crate) wake: Vec<crate::parallel::ShardWake>,
+    /// Reused buffer for the jobs of one pool epoch.
+    pub(crate) jobs: Vec<crate::parallel::ShardJob>,
 }
 
 impl System {
@@ -173,6 +178,10 @@ impl System {
     /// cross-check against exhaustive edge-by-edge ticking.
     pub fn set_edge_skipping(&mut self, on: bool) {
         self.skip_enabled = on;
+        if !on {
+            // Exhaustive ticking visits everything on every edge.
+            self.wake_everything();
+        }
     }
 
     /// Enables event tracing for subsequent runs: creates a per-run
@@ -249,6 +258,8 @@ impl System {
 
     /// Mutable access to core `i`.
     pub fn core_mut(&mut self, i: usize) -> &mut Core {
+        // Whatever the caller changes, the next pass looks at the core.
+        self.wake_core(i);
         &mut self.cores[i]
     }
 
@@ -326,6 +337,7 @@ impl System {
         let cfg = self.cfg.core_config(i);
         let mut core = Core::new(cfg, program);
         core.set_pc_label(entry);
+        self.wake_core(i);
         self.cores[i] = core;
     }
 

@@ -104,6 +104,7 @@ impl System {
         let shard_lanes = (0..sim_shards)
             .map(|_| crate::parallel::ShardLane::default())
             .collect();
+        let wake = crate::parallel::ShardWake::all_awake(&shard_plan);
         // Mesh-tick sharding rides the same pool: the mesh keeps its own
         // contiguous partition (rebalanced from observed router load), the
         // system only tells it how many shards to aim for.
@@ -168,6 +169,8 @@ impl System {
             shard_pool: None,
             pool_enabled,
             trace_scratch: None,
+            wake,
+            jobs: Vec::new(),
             cfg,
         })
     }

@@ -19,11 +19,9 @@
 //! with stale sharer supersets from silent S evictions, which the checker
 //! deliberately does not model as readers-block-writers.
 
-use std::collections::BTreeMap;
-
 use duet_mem::{CoherenceMsg, Grant};
 use duet_noc::NodeId;
-use duet_sim::Time;
+use duet_sim::{LineMap, Time};
 
 use crate::report::Violation;
 
@@ -39,7 +37,9 @@ struct ShadowLine {
 /// Observes coherence message deliveries and checks writer exclusivity.
 #[derive(Clone, Debug, Default)]
 pub struct MesiChecker {
-    lines: BTreeMap<u64, ShadowLine>,
+    /// Keyed by line index; serialized in ascending key order, which is
+    /// what the `BTreeMap` this replaced wrote.
+    lines: LineMap<ShadowLine>,
     checked: u64,
     violations: u64,
     first: Option<Violation>,
@@ -79,7 +79,14 @@ impl MesiChecker {
     ) -> Option<Violation> {
         self.checked += 1;
         let line = msg.line().0;
-        let entry = self.lines.entry(line).or_default();
+        // Only a grant starts a record; relieving a line nobody holds
+        // changes nothing.
+        let entry = match msg {
+            CoherenceMsg::Data { .. } | CoherenceMsg::DataOwner { .. } => {
+                self.lines.get_or_default(line)
+            }
+            _ => self.lines.get_mut(line)?,
+        };
         let mut violation = None;
         match msg {
             CoherenceMsg::Data { grant, .. } | CoherenceMsg::DataOwner { grant, .. } => match grant
@@ -145,7 +152,7 @@ impl MesiChecker {
             | CoherenceMsg::Unblock { .. } => {}
         }
         if entry.writer.is_none() && entry.readers == 0 {
-            self.lines.remove(&line);
+            self.lines.remove(line);
         }
         if let Some(v) = &violation {
             self.violations += 1;

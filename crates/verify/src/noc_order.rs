@@ -10,17 +10,17 @@
 //! ids must be strictly increasing (gaps are fine — drops and filtering are
 //! not ordering violations).
 
-use std::collections::BTreeMap;
-
 use duet_noc::NodeId;
-use duet_sim::Time;
+use duet_sim::snapshot::ensure;
+use duet_sim::{LineMap, Snap, SnapError, SnapReader, SnapWriter, Time};
 
 use crate::report::Violation;
 
 /// Observes message ejections and checks per-flow delivery order.
 #[derive(Clone, Debug, Default)]
 pub struct NocOrderChecker {
-    last: BTreeMap<(NodeId, NodeId, usize), u64>,
+    /// Last delivered id per flow, keyed by [`flow_key`].
+    last: LineMap<u64>,
     checked: u64,
     violations: u64,
     first: Option<Violation>,
@@ -59,8 +59,8 @@ impl NocOrderChecker {
         trace_id: u64,
     ) -> Option<Violation> {
         self.checked += 1;
-        let key = (src, dst, vnet);
-        match self.last.get_mut(&key) {
+        let key = flow_key(src, dst, vnet);
+        match self.last.get_mut(key) {
             Some(prev) if *prev >= trace_id => {
                 self.violations += 1;
                 let v = Violation::NocOrderInversion {
@@ -88,12 +88,48 @@ impl NocOrderChecker {
     }
 }
 
-duet_sim::snap_fields!(NocOrderChecker {
-    last,
-    checked,
-    violations,
-    first
-});
+/// Packs a flow into one key, `src << 40 | dst << 8 | vnet`, so that
+/// ascending keys are ascending `(src, dst, vnet)` tuples.
+fn flow_key(src: NodeId, dst: NodeId, vnet: usize) -> u64 {
+    let (src, dst, vnet) = (src as u64, dst as u64, vnet as u64);
+    debug_assert!(src < 1 << 24 && dst < 1 << 32 && vnet < 1 << 8);
+    src << 40 | dst << 8 | vnet
+}
+
+/// Hand-written: flows are written as the `(src, dst, vnet)` tuples of the
+/// ordered map this table replaced, in that map's order.
+impl Snap for NocOrderChecker {
+    fn save(&self, w: &mut SnapWriter) {
+        w.len64(self.last.len());
+        for (key, id) in self.last.sorted_iter() {
+            w.u64(key >> 40);
+            w.u64(key >> 8 & 0xFFFF_FFFF);
+            w.u64(key & 0xFF);
+            w.u64(*id);
+        }
+        self.checked.save(w);
+        self.violations.save(w);
+        self.first.save(w);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.last = LineMap::new();
+        for _ in 0..r.len64()? {
+            let (src, dst, vnet) = (r.u64()?, r.u64()?, r.u64()?);
+            ensure(
+                src < 1 << 24 && dst < 1 << 32 && vnet < 1 << 8,
+                "NoC flow out of range",
+            )?;
+            let key = flow_key(src as usize, dst as usize, vnet as usize);
+            ensure(
+                self.last.insert(key, r.u64()?).is_none(),
+                "duplicate NoC flow",
+            )?;
+        }
+        self.checked.load(r)?;
+        self.violations.load(r)?;
+        self.first.load(r)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -179,6 +179,96 @@ fn differential_four_core_amoadd() {
     );
 }
 
+/// Four cores streaming stores over one shared region, with a one-deep
+/// and the default four-deep store buffer: the cores spend most edges
+/// retrying a store against the full buffer, the state in which they leave
+/// the wake set and their stall cycles are settled from edge counts. Every
+/// combination of edge skipping × simulation threads × a mid-run
+/// snapshot/restore must agree on the full fingerprint, per-core
+/// `mem_stall_cycles` included.
+#[test]
+fn differential_store_streams_sleeping_on_a_full_buffer() {
+    use duet_cpu::Core;
+    for store_buffer in [1, 4] {
+        let build = |sim_threads: usize| {
+            let mut cfg = SystemConfig::proc_only(4);
+            cfg.sim_threads = sim_threads;
+            let mut sys = System::new(cfg).expect("valid config");
+            let (addr, val, end, pass) = (regs::T[0], regs::T[1], regs::T[2], regs::T[3]);
+            let mut a = Asm::new();
+            a.label("main");
+            a.coreid(val);
+            a.addi(val, val, 1);
+            a.li(end, 0x9000 + 0x800);
+            a.li(pass, 0);
+            a.label("pass");
+            a.li(addr, 0x9000);
+            a.label("loop");
+            a.sd(val, addr, 0);
+            a.addi(addr, addr, 16);
+            a.blt(addr, end, "loop");
+            a.addi(pass, pass, 1);
+            a.slti(regs::T[4], pass, 2);
+            a.bnez(regs::T[4], "pass");
+            a.halt();
+            let prog = Arc::new(a.assemble().unwrap());
+            for c in 0..4 {
+                let mut cc = sys.config().core_config(c);
+                cc.store_buffer = store_buffer;
+                let mut core = Core::new(cc, prog.clone());
+                core.set_pc_label("main");
+                *sys.core_mut(c) = core;
+            }
+            sys
+        };
+        let (halt_by, quiesce_by) = (Time::from_us(5_000), Time::from_us(6_000));
+        let finish = |mut sys: System| {
+            let halt = sys
+                .run_until_halt(halt_by)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let quiesced = sys.quiesce(quiesce_by).unwrap_or_else(|e| panic!("{e}"));
+            let stalls: Vec<u64> = (0..4)
+                .map(|c| sys.core(c).stats().mem_stall_cycles)
+                .collect();
+            (
+                fingerprint(&sys, halt, quiesced, &[(0x9000, 256)]),
+                stalls,
+                halt,
+            )
+        };
+        let mut oracle = build(1);
+        oracle.set_edge_skipping(false);
+        let (baseline, stalls, halt) = finish(oracle);
+        assert!(
+            stalls.iter().all(|&s| s > 1000),
+            "cores must actually stall on the store buffer: {stalls:?}"
+        );
+        let midpoint = Time::from_ps(halt.as_ps() / 2);
+        for skip in [false, true] {
+            for sim_threads in [1, 2] {
+                for snapshot in [false, true] {
+                    let mut sys = build(sim_threads);
+                    sys.set_edge_skipping(skip);
+                    if snapshot {
+                        sys.run_until_time(midpoint);
+                        let bytes = sys.snapshot();
+                        sys = build(sim_threads);
+                        sys.set_edge_skipping(skip);
+                        sys.restore(&bytes).expect("self-restore");
+                    }
+                    let (fp, s, _) = finish(sys);
+                    let cell = format!(
+                        "store_buffer {store_buffer}, skip {skip}, {sim_threads} sim \
+                         threads, snapshot {snapshot}"
+                    );
+                    assert_eq!(s, stalls, "per-core mem_stall_cycles differ: {cell}");
+                    assert_eq!(fp, baseline, "fingerprint differs: {cell}");
+                }
+            }
+        }
+    }
+}
+
 /// Builds the quickstart-style popcount system: a Duet accelerator invoked
 /// through shadow registers, reading a vector coherently via the Proxy
 /// Cache. Exercises the adapter, slow clock domain, MMIO, and the
