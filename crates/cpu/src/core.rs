@@ -18,6 +18,20 @@
 //! * instruction fetch is modelled as ideal (the kernels are tiny and the
 //!   paper runs bare metal where the I-footprint is warm; documented
 //!   substitution).
+//!
+//! # Spinning
+//!
+//! A core polling L1-resident data — `ld locked; bnez` in an MCS wait —
+//! repeats one iteration until an invalidation reaches its L1. When it
+//! takes the back-edge of a [`SpinLoop`](crate::isa::SpinLoop) twice with
+//! one whole side-effect free iteration in between (no miss, invalidation,
+//! store, AMO, MMIO or stall, an idle store buffer, the body's registers
+//! back at their values), every later iteration is that one shifted by its
+//! period: the core is *spinning* ([`is_spinning`](Core::is_spinning)),
+//! reports no event, and its owner stops ticking it.
+//! [`catch_up`](Core::catch_up) brings it to any later edge exactly as
+//! ticking would have; the owner must call it before anything outside the
+//! core observes or changes it.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -26,7 +40,7 @@ use duet_mem::l1::{L1Cache, L1Config};
 use duet_mem::types::{Addr, LineAddr, MemReq, MemResp, Width};
 use duet_sim::{Clock, Time};
 
-use crate::isa::{AluOp, Cond, FpCmp, FpOp, Inst, Program, Reg};
+use crate::isa::{AluOp, Cond, FpCmp, FpOp, Inst, Program, Reg, SPIN_WRITES_MAX};
 
 /// Core configuration.
 #[derive(Clone, Copy, Debug)]
@@ -97,6 +111,38 @@ pub struct CoreStats {
     pub mem_stall_cycles: u64,
 }
 
+/// A back-edge of a [`SpinLoop`](crate::isa::SpinLoop) taken once: what
+/// the next take must find unchanged to confirm a spin.
+#[derive(Clone, Copy, Debug)]
+struct SpinProbe {
+    branch: usize,
+    /// `next_issue` just after the take.
+    at: Time,
+    instret: u64,
+    load_hits: u64,
+    /// [`Core::disturbances`] at the take.
+    disturbances: u64,
+    /// The body's written registers, in
+    /// [`SpinLoop::writes`](crate::isa::SpinLoop::writes) order.
+    regs: [u64; SPIN_WRITES_MAX],
+}
+
+/// A confirmed spin: one iteration of `insts` instructions and `hits` L1
+/// load hits every `period`, starting on every `anchor + k * period`.
+#[derive(Clone)]
+struct Spin {
+    /// `next_issue` at the start of the iteration the core is in: the core
+    /// sits at the loop head exactly when `next_issue == anchor`.
+    anchor: Time,
+    period: Time,
+    insts: u64,
+    hits: u64,
+    /// Debug builds: a copy of the core ticked on every edge, and the last
+    /// edge it was ticked at, that each catch-up must reproduce.
+    #[cfg(debug_assertions)]
+    twin: Option<Box<(Core, Time)>>,
+}
+
 /// The timing core. Owns its L1D; talks to the tile through a request queue
 /// and [`mem_response`](Core::mem_response).
 #[derive(Clone)]
@@ -120,6 +166,10 @@ pub struct Core {
     /// A back-invalidation hit the line of the in-flight load: use the fill
     /// data once but do not install it in the L1 (inclusion).
     fill_poisoned: bool,
+    /// Spin detection in progress. Derived state: never serialized.
+    probe: Option<SpinProbe>,
+    /// Set while the core is spinning. Derived state: never serialized.
+    spin: Option<Spin>,
 }
 
 impl Core {
@@ -141,12 +191,19 @@ impl Core {
             halted: false,
             last_breakdown: duet_sim::LatencyBreakdown::new(),
             fill_poisoned: false,
+            probe: None,
+            spin: None,
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &CoreConfig {
         &self.cfg
+    }
+
+    /// The program this core runs.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.program
     }
 
     /// Execution statistics.
@@ -193,8 +250,14 @@ impl Core {
         }
     }
 
-    /// Writes a register (writes to x0 are discarded).
+    /// Writes a register (writes to x0 are discarded). An outside write
+    /// restarts spin detection.
     pub fn set_reg(&mut self, r: Reg, v: u64) {
+        self.forget_spin();
+        self.write_reg(r, v);
+    }
+
+    fn write_reg(&mut self, r: Reg, v: u64) {
         if r.0 != 0 {
             self.regs[r.0 as usize] = v;
         }
@@ -206,14 +269,16 @@ impl Core {
     ///
     /// Panics if the label does not exist.
     pub fn set_pc_label(&mut self, label: &str) {
-        self.pc = self
+        let pc = self
             .program
             .label(label)
             .unwrap_or_else(|| panic!("unknown label `{label}`"));
+        self.set_pc(pc);
     }
 
     /// Sets the program counter to a raw instruction index.
     pub fn set_pc(&mut self, pc: usize) {
+        self.forget_spin();
         self.pc = pc;
     }
 
@@ -233,6 +298,7 @@ impl Core {
     /// fill is used once and not cached (the L2 has already given the line
     /// away; caching it would orphan a stale copy).
     pub fn back_invalidate(&mut self, line: LineAddr) {
+        debug_assert!(self.spin.is_none(), "invalidating a spinning core's L1");
         self.l1.invalidate(line);
         if let Wait::Load(_, _, _, _, addr) = self.wait {
             if LineAddr::containing(addr) == line {
@@ -262,15 +328,15 @@ impl Core {
                 }
                 self.fill_poisoned = false;
                 let raw = duet_mem::types::read_scalar(&line, LineAddr::offset(addr), width);
-                self.set_reg(rd, extend(raw, width, signed));
+                self.write_reg(rd, extend(raw, width, signed));
                 self.wait = Wait::None;
             }
             Wait::Amo(id, rd) if id == resp.id => {
-                self.set_reg(rd, resp.rdata);
+                self.write_reg(rd, resp.rdata);
                 self.wait = Wait::None;
             }
             Wait::MmioLoad(id, rd, width, signed) if id == resp.id => {
-                self.set_reg(rd, extend(resp.rdata & width.mask(), width, signed));
+                self.write_reg(rd, extend(resp.rdata & width.mask(), width, signed));
                 self.wait = Wait::None;
             }
             Wait::MmioStore(id) if id == resp.id => {
@@ -328,7 +394,8 @@ impl Core {
     /// a tick would do: halted, blocked on a memory response, draining with
     /// a store in flight, or retrying a store against the full buffer
     /// ([`store_blocked_at`](Core::store_blocked_at), which holds from the
-    /// first edge at or after `next_issue`).
+    /// first edge at or after `next_issue`) — and also while spinning, when
+    /// only [`catch_up`](Core::catch_up) may advance it.
     ///
     /// Mirrors [`tick`](Core::tick) exactly: the store-buffer pump can act
     /// whenever no store is in flight and the buffer is non-empty (even while
@@ -337,6 +404,9 @@ impl Core {
     /// [`account_skipped_edges`](Core::account_skipped_edges) so statistics
     /// stay bit-identical with edge-by-edge ticking.
     pub fn next_event_time(&self, now: Time) -> Option<Time> {
+        if self.spin.is_some() {
+            return None; // caught up, never ticked (see the module docs)
+        }
         if self.store_inflight.is_none() && !self.store_buf.is_empty() {
             return Some(now);
         }
@@ -388,8 +458,142 @@ impl Core {
         }
     }
 
+    /// Whether the core is spinning (see the module docs). A spinning core
+    /// must not be ticked; [`catch_up`](Core::catch_up) advances it.
+    pub fn is_spinning(&self) -> bool {
+        self.spin.is_some()
+    }
+
+    /// Ends a spin (or drops a half-confirmed one). The core must have been
+    /// caught up to the edge before the one at which it is next ticked.
+    pub fn forget_spin(&mut self) {
+        self.spin = None;
+        self.probe = None;
+    }
+
+    /// Counters a spinning iteration never moves: misses, stores, AMOs,
+    /// MMIO, stalls and L1 invalidations (all monotone, so their sum is
+    /// unchanged only if each one is).
+    fn disturbances(&self) -> u64 {
+        let (s, l1) = (&self.stats, self.l1.stats());
+        s.load_misses + s.stores + s.amos + s.mmio_ops + s.mem_stall_cycles + l1.invalidations
+    }
+
+    /// Nothing is buffered, in flight or queued for the tile.
+    fn memory_idle(&self) -> bool {
+        self.store_buf.is_empty() && self.store_inflight.is_none() && self.out.is_empty()
+    }
+
+    /// Called after the branch at `branch` retired taken backward: starts
+    /// or confirms a spin when it closes a
+    /// [`SpinLoop`](crate::isa::SpinLoop).
+    fn back_edge(&mut self, branch: usize) {
+        let Some(&shape) = self.program.spin_loop(branch) else {
+            return;
+        };
+        let mut regs = [0; SPIN_WRITES_MAX];
+        for (v, &r) in regs.iter_mut().zip(shape.writes()) {
+            *v = self.reg(r);
+        }
+        let disturbances = self.disturbances();
+        let idle = self.memory_idle();
+        if let Some(p) = self.probe.filter(|p| p.branch == branch) {
+            if idle && p.disturbances == disturbances && p.regs == regs {
+                self.probe = None;
+                self.spin = Some(Spin {
+                    anchor: self.next_issue,
+                    period: self.next_issue - p.at,
+                    insts: self.stats.instret - p.instret,
+                    hits: self.stats.load_hits - p.load_hits,
+                    #[cfg(debug_assertions)]
+                    twin: None,
+                });
+                return;
+            }
+        }
+        self.probe = idle.then_some(SpinProbe {
+            branch,
+            at: self.next_issue,
+            instret: self.stats.instret,
+            load_hits: self.stats.load_hits,
+            disturbances,
+            regs,
+        });
+    }
+
+    /// Brings a spinning core to where ticking every edge up to and
+    /// including `limit` would have left it; a no-op for any other core.
+    ///
+    /// All but the last whole iteration before `limit` are added
+    /// arithmetically — `instret`, `load_hits`, the L1's hit counter and LRU
+    /// clock, `next_issue` — and the last whole iteration and the partial
+    /// one after it are executed, which rewrites every LRU stamp the loop
+    /// touches with the value per-edge ticking would have left. The core
+    /// stays spinning.
+    pub fn catch_up(&mut self, limit: Time) {
+        let Some(mut spin) = self.spin.take() else {
+            return;
+        };
+        #[cfg(debug_assertions)]
+        if spin.twin.is_none() {
+            // Nothing touches a spinning core before its first catch-up, so
+            // this is still the core that confirmed the spin. Edges before
+            // the anchor only find it waiting for `next_issue`.
+            let before_anchor = spin.anchor - Time::from_ps(1);
+            spin.twin = Some(Box::new((self.clone(), before_anchor)));
+        }
+        while self.next_issue <= limit {
+            if self.next_issue == spin.anchor {
+                // At the loop head: skip to one whole iteration before the
+                // last iteration that starts by `limit`.
+                let starts = (limit - spin.anchor).as_ps() / spin.period.as_ps();
+                if starts >= 2 {
+                    let k = starts - 1;
+                    spin.anchor += spin.period.mul(k);
+                    self.next_issue = spin.anchor;
+                    self.stats.instret += spin.insts * k;
+                    self.stats.load_hits += spin.hits * k;
+                    self.l1.credit_hits(spin.hits * k);
+                }
+            }
+            let issued = self.next_issue;
+            self.tick(issued);
+            assert!(self.next_issue > issued, "a spinning core stalled");
+            if self.next_issue == spin.anchor + spin.period {
+                spin.anchor = self.next_issue;
+            }
+        }
+        #[cfg(debug_assertions)]
+        if let Some(twin) = spin.twin.as_deref_mut() {
+            twin.0.replay_edges(&mut twin.1, limit);
+            assert_eq!(
+                snap_bytes(&twin.0),
+                snap_bytes(self),
+                "core {}: catch-up to {limit:?} differs from ticking every edge",
+                self.cfg.hart_id
+            );
+        }
+        self.spin = Some(spin);
+    }
+
+    /// Debug builds: ticks every edge after `*last` up to `limit`.
+    #[cfg(debug_assertions)]
+    fn replay_edges(&mut self, last: &mut Time, limit: Time) {
+        loop {
+            let edge = self.cfg.clock.next_edge_after(*last);
+            if edge > limit {
+                break;
+            }
+            self.tick(edge);
+            *last = edge;
+        }
+    }
+
     /// Advances the core by one clock edge.
     pub fn tick(&mut self, now: Time) {
+        // A ticked core is awake: a spin mark it still carries was never
+        // acted on (edge skipping is off) and no longer describes it.
+        self.spin = None;
         self.pump_store_buffer();
         match self.wait {
             Wait::Halted => return,
@@ -418,16 +622,17 @@ impl Core {
         let period = self.cfg.clock.period();
         let mut next_pc = self.pc + 1;
         let mut cost = inst.cost();
+        let mut back_edge = false;
         match inst {
             Inst::Alu { op, rd, rs1, rs2 } => {
                 let v = alu(op, self.reg(rs1), self.reg(rs2));
-                self.set_reg(rd, v);
+                self.write_reg(rd, v);
             }
             Inst::AluImm { op, rd, rs1, imm } => {
                 let v = alu(op, self.reg(rs1), imm as u64);
-                self.set_reg(rd, v);
+                self.write_reg(rd, v);
             }
-            Inst::Li { rd, imm } => self.set_reg(rd, imm as u64),
+            Inst::Li { rd, imm } => self.write_reg(rd, imm as u64),
             Inst::Load {
                 width,
                 signed,
@@ -456,7 +661,7 @@ impl Core {
                     match self.l1.load(addr, width) {
                         Some(raw) => {
                             self.stats.load_hits += 1;
-                            self.set_reg(rd, extend(raw, width, signed));
+                            self.write_reg(rd, extend(raw, width, signed));
                             cost = cost.max(self.cfg.l1.hit_cycles);
                         }
                         None => {
@@ -540,16 +745,19 @@ impl Core {
                 if branch_taken(cond, self.reg(rs1), self.reg(rs2)) {
                     next_pc = target;
                     cost += self.cfg.taken_branch_penalty;
+                    back_edge = target <= self.pc;
+                } else if self.probe.is_some_and(|p| p.branch == self.pc) {
+                    self.probe = None; // the loop exited
                 }
             }
             Inst::Jal { rd, target } => {
-                self.set_reg(rd, (self.pc + 1) as u64);
+                self.write_reg(rd, (self.pc + 1) as u64);
                 next_pc = target;
                 cost += self.cfg.taken_branch_penalty;
             }
             Inst::Jalr { rd, base, off } => {
                 let target = self.reg(base).wrapping_add(off as u64) as usize;
-                self.set_reg(rd, (self.pc + 1) as u64);
+                self.write_reg(rd, (self.pc + 1) as u64);
                 next_pc = target;
                 cost += self.cfg.taken_branch_penalty;
             }
@@ -565,7 +773,7 @@ impl Core {
                     FpOp::Min => a.min(b),
                     FpOp::Max => a.max(b),
                 };
-                self.set_reg(rd, v.to_bits());
+                self.write_reg(rd, v.to_bits());
             }
             Inst::FpCmp { cmp, rd, rs1, rs2 } => {
                 let a = f64::from_bits(self.reg(rs1));
@@ -575,18 +783,18 @@ impl Core {
                     FpCmp::Le => a <= b,
                     FpCmp::Eq => a == b,
                 };
-                self.set_reg(rd, u64::from(v));
+                self.write_reg(rd, u64::from(v));
             }
             Inst::I2F { rd, rs1 } => {
                 let v = self.reg(rs1) as i64 as f64;
-                self.set_reg(rd, v.to_bits());
+                self.write_reg(rd, v.to_bits());
             }
             Inst::F2I { rd, rs1 } => {
                 let v = f64::from_bits(self.reg(rs1));
-                self.set_reg(rd, v as i64 as u64);
+                self.write_reg(rd, v as i64 as u64);
             }
-            Inst::CoreId { rd } => self.set_reg(rd, self.cfg.hart_id),
-            Inst::RdCycle { rd } => self.set_reg(rd, self.cfg.clock.cycles_at(now)),
+            Inst::CoreId { rd } => self.write_reg(rd, self.cfg.hart_id),
+            Inst::RdCycle { rd } => self.write_reg(rd, self.cfg.clock.cycles_at(now)),
             Inst::Nop => {}
             Inst::Halt => {
                 self.halted = true;
@@ -596,8 +804,11 @@ impl Core {
             }
         }
         self.stats.instret += 1;
-        self.pc = next_pc;
+        let pc = std::mem::replace(&mut self.pc, next_pc);
         self.next_issue = now + period.mul(u64::from(cost));
+        if back_edge {
+            self.back_edge(pc);
+        }
     }
 
     /// Whether a load to `line` must wait for the in-flight store (same
@@ -631,7 +842,8 @@ duet_sim::pack_struct!(CoreStats {
     mem_stall_cycles
 });
 // The program is identified by the owning system's config, not serialized;
-// everything architectural and micro-architectural is.
+// everything architectural and micro-architectural is. Spin state is
+// derived: a restored core re-detects its spin.
 duet_sim::snap_fields!(Core {
     regs,
     pc,
@@ -646,7 +858,18 @@ duet_sim::snap_fields!(Core {
     halted,
     last_breakdown,
     fill_poisoned
+} check |c| {
+    c.forget_spin();
+    Ok(())
 });
+
+/// A core's snapshot bytes, for the catch-up replay check.
+#[cfg(any(test, debug_assertions))]
+fn snap_bytes(core: &Core) -> Vec<u8> {
+    let mut w = duet_sim::SnapWriter::new();
+    duet_sim::Snap::save(core, &mut w);
+    w.finish()
+}
 
 impl duet_sim::Component for Core {
     fn name(&self) -> String {
@@ -1190,5 +1413,266 @@ mod tests {
         assert_eq!(core.stats().stores, 4);
         // 9 instructions + drain; far less than 4 * blocking-delay.
         assert!(cycles < 40, "store buffer not overlapping: {cycles}");
+    }
+
+    /// Ticks edge `n`, with `mem` answering and taking requests around it.
+    fn tick_with(core: &mut Core, mem: &mut TestMem, n: u64) {
+        mem.deliver(edge(n), core);
+        core.tick(edge(n));
+        while let Some(req) = core.pop_mem_request() {
+            mem.service(edge(n), req);
+        }
+    }
+
+    /// A core spinning `ld t1, 8(t0); bnez t1` on a line holding 1, with
+    /// `extra` spliced into the loop body.
+    fn spin_core(extra: impl FnOnce(&mut Asm)) -> (Core, TestMem) {
+        let mut a = Asm::new();
+        a.li(regs::T[0], 0x6000);
+        a.li(regs::T[4], 0x4000_0000);
+        a.label("spin");
+        a.ld(regs::T[1], regs::T[0], 8);
+        extra(&mut a);
+        a.bnez(regs::T[1], "spin");
+        a.halt();
+        let mut mem = TestMem::new();
+        mem.write_scalar(0x6008, Width::B8, 1);
+        mem.write_scalar(0x4000_0000, Width::B8, 1);
+        let core = Core::new(
+            CoreConfig::dolly(Clock::ghz1(), 0),
+            Arc::new(a.assemble().unwrap()),
+        );
+        (core, mem)
+    }
+
+    #[test]
+    fn spin_is_confirmed_after_one_whole_quiet_iteration() {
+        let (mut core, mut mem) = spin_core(|_| {});
+        let mut takes = 0;
+        for n in 1..100 {
+            let pc = core.pc;
+            tick_with(&mut core, &mut mem, n);
+            if pc == 3 && core.pc == 2 {
+                takes += 1;
+                // The first take follows the iteration whose load missed;
+                // the second follows a whole quiet one.
+                assert_eq!(core.is_spinning(), takes == 2, "take {takes}");
+                if takes == 2 {
+                    let spin = core.spin.as_ref().unwrap();
+                    // `ld` (1 cycle) + taken `bnez` (1 + 2 cycles).
+                    assert_eq!(spin.period, Time::from_ps(4000));
+                    assert_eq!((spin.insts, spin.hits), (2, 1));
+                    assert_eq!(core.next_event_time(edge(n)), None);
+                    assert_eq!(core.stats().load_misses, 1);
+                    return;
+                }
+            }
+        }
+        panic!("spin never confirmed");
+    }
+
+    #[test]
+    fn spin_is_never_confirmed_with_side_effects() {
+        type Extra = fn(&mut Asm);
+        let cases: [(&str, Extra); 9] = [
+            ("store", |a| a.sd(regs::T[1], regs::T[0], 0)),
+            ("AMO", |a| a.amoadd(regs::T[2], regs::T[0], regs::T[1])),
+            ("fence", |a| a.fence()),
+            ("MMIO load", |a| a.ld(regs::T[3], regs::T[4], 0)),
+            ("rdcycle", |a| a.rdcycle(regs::T[3])),
+            ("jal", |a| {
+                a.j("next");
+                a.label("next");
+            }),
+            ("jalr", |a| {
+                a.call("next");
+                a.label("next");
+            }),
+            ("counted", |a| a.addi(regs::T[2], regs::T[2], 1)),
+            // Eligible as far as the table can tell; the registers decide.
+            ("counted by a register", |a| {
+                a.add(regs::T[2], regs::T[2], regs::T[1])
+            }),
+        ];
+        for (what, extra) in cases {
+            let (mut core, mut mem) = spin_core(extra);
+            for n in 1..400 {
+                tick_with(&mut core, &mut mem, n);
+                assert!(!core.is_spinning(), "{what}: confirmed at edge {n}");
+            }
+            assert!(core.stats().instret > 50, "{what}: the loop must run");
+        }
+    }
+
+    #[test]
+    fn spin_is_not_confirmed_across_a_missing_load() {
+        let (mut core, mut mem) = spin_core(|_| {});
+        let mut n = 0;
+        let mut take = |core: &mut Core, mem: &mut TestMem| loop {
+            n += 1;
+            let pc = core.pc;
+            tick_with(core, mem, n);
+            if pc == 3 && core.pc == 2 {
+                return;
+            }
+        };
+        take(&mut core, &mut mem);
+        assert!(core.probe.is_some() && !core.is_spinning());
+        // The line goes between two takes: the next iteration misses.
+        core.back_invalidate(LineAddr::containing(0x6008));
+        take(&mut core, &mut mem);
+        assert!(
+            !core.is_spinning(),
+            "an iteration with a miss confirms nothing"
+        );
+        take(&mut core, &mut mem);
+        assert!(core.is_spinning(), "the next quiet iteration confirms");
+        assert_eq!(core.stats().load_misses, 2);
+    }
+
+    /// A random spin-loop body of up to [`SPIN_BODY_MAX`] instructions:
+    /// ALU ops, `Li`, `CoreId`, `Nop`, loads through the fixed base
+    /// registers `S[0..2]` and forward branches inside the body, closed by
+    /// an always-taken branch back to the head. Bodies whose registers do
+    /// not settle into a fixed point are fine: they never confirm.
+    fn random_spin_body(rng: &mut duet_sim::SimRng) -> Program {
+        use crate::isa::SPIN_BODY_MAX;
+        let temps = [regs::T[0], regs::T[1], regs::T[2], regs::A[0], regs::A[1]];
+        let inputs = [regs::S[0], regs::S[1], regs::S[2], regs::S[3]];
+        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+        let len = 2 + pick(SPIN_BODY_MAX - 1);
+        let branch = len - 1;
+        let ops = [
+            AluOp::Add,
+            AluOp::Xor,
+            AluOp::Sll,
+            AluOp::Slt,
+            AluOp::Mul,
+            AluOp::Remu,
+        ];
+        let conds = [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Geu];
+        let mut insts = Vec::new();
+        for j in 0..branch {
+            let any = |k: usize| [temps[k % 5], inputs[k % 4]][k % 2];
+            let rd = temps[pick(5)];
+            insts.push(match pick(8) {
+                0 => Inst::Li {
+                    rd,
+                    imm: pick(100) as i64,
+                },
+                // (`addi r, r, c` would make a counted loop: see `SpinLoop`.)
+                1 => Inst::AluImm {
+                    op: ops[1 + pick(5)],
+                    rd,
+                    rs1: any(pick(9)),
+                    imm: pick(7) as i64,
+                },
+                2 => Inst::Alu {
+                    op: ops[pick(6)],
+                    rd,
+                    rs1: any(pick(9)),
+                    rs2: any(pick(9)),
+                },
+                3 => Inst::CoreId { rd },
+                4 => Inst::Nop,
+                5 => Inst::Branch {
+                    cond: conds[pick(4)],
+                    rs1: any(pick(9)),
+                    rs2: any(pick(9)),
+                    target: j + 1 + pick(branch - j),
+                },
+                _ => Inst::Load {
+                    width: Width::B8,
+                    signed: false,
+                    rd,
+                    base: inputs[pick(2)],
+                    off: 8 * pick(2) as i64,
+                },
+            });
+        }
+        insts.push(Inst::Branch {
+            cond: Cond::Eq,
+            rs1: Reg::ZERO,
+            rs2: Reg::ZERO,
+            target: 0,
+        });
+        insts.push(Inst::Halt);
+        let p = Program::from_parts(insts, Default::default());
+        assert!(
+            p.spin_loop(branch).is_some(),
+            "generated body must be eligible"
+        );
+        p
+    }
+
+    #[test]
+    fn catch_up_equals_ticking_every_edge_over_random_spin_bodies() {
+        let mut rng = duet_sim::SimRng::new(0x5917);
+        let (mut confirmed, mut tried) = (0, 0);
+        while confirmed < 200 {
+            tried += 1;
+            assert!(tried < 2000, "too few random bodies reached a spin");
+            let prog = Arc::new(random_spin_body(&mut rng));
+            let mut core = Core::new(CoreConfig::dolly(Clock::ghz1(), 3), prog);
+            let mut mem = TestMem::new();
+            for a in (0x7000..0x7040).step_by(8) {
+                mem.write_scalar(a, Width::B8, rng.next_u64() % 5);
+            }
+            for (k, r) in [regs::S[0], regs::S[1], regs::S[2], regs::S[3]]
+                .into_iter()
+                .enumerate()
+            {
+                core.set_reg(
+                    r,
+                    if k < 2 {
+                        0x7000 + 16 * k as u64
+                    } else {
+                        rng.next_u64() % 9
+                    },
+                );
+            }
+            let Some(at) = (1..600).find(|&n| {
+                tick_with(&mut core, &mut mem, n);
+                core.is_spinning()
+            }) else {
+                continue;
+            };
+            confirmed += 1;
+            let period = core.spin.as_ref().unwrap().period.as_ps() / 1000;
+            let ticked_to = |d: u64| {
+                let mut twin = core.clone();
+                for n in at + 1..=at + d {
+                    twin.tick(edge(n));
+                }
+                snap_bytes(&twin)
+            };
+            // One catch-up from confirmation to every edge of three periods.
+            for d in 0..=3 * period {
+                let mut c = core.clone();
+                c.catch_up(edge(at + d));
+                assert!(c.is_spinning());
+                assert!(
+                    snap_bytes(&c) == ticked_to(d),
+                    "body {confirmed}: +{d} edges"
+                );
+            }
+            // Chained catch-ups from arbitrary phases, and a long jump.
+            let mut c = core.clone();
+            let mut d = 0;
+            for _ in 0..8 {
+                d += rng.next_u64() % (2 * period + 1);
+                c.catch_up(edge(at + d));
+                assert!(
+                    snap_bytes(&c) == ticked_to(d),
+                    "body {confirmed}: chained +{d}"
+                );
+            }
+            d += 40 * period + rng.next_u64() % period;
+            c.catch_up(edge(at + d));
+            assert!(
+                snap_bytes(&c) == ticked_to(d),
+                "body {confirmed}: jump to +{d}"
+            );
+        }
     }
 }

@@ -313,17 +313,130 @@ impl Inst {
     }
 }
 
+/// The most instructions a [`SpinLoop`] body may hold, closing branch
+/// included.
+pub const SPIN_BODY_MAX: usize = 16;
+
+/// The most distinct registers a [`SpinLoop`] body may write.
+pub const SPIN_WRITES_MAX: usize = 8;
+
+/// A short loop closed by a backward branch whose body can only read
+/// memory and compute: loads, ALU ops, `Li`, `CoreId`, `Nop`, and branches
+/// that stay inside it. A core that runs one whole iteration of such a loop
+/// without a miss, an invalidation, a store, an MMIO access or a stall, and
+/// ends it with every register the body writes back at its old value, is
+/// on a fixed point: it repeats that iteration until something outside the
+/// core changes its L1 (see [`Core`](crate::Core)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpinLoop {
+    /// The loop head (the branch target).
+    pub head: usize,
+    /// The closing backward branch.
+    pub branch: usize,
+    writes: [Reg; SPIN_WRITES_MAX],
+    n_writes: u8,
+}
+
+impl SpinLoop {
+    /// The registers the body writes (`x0` excluded), ascending.
+    pub fn writes(&self) -> &[Reg] {
+        &self.writes[..usize::from(self.n_writes)]
+    }
+
+    /// The loop `insts[branch]` closes, if it is one. Inner branches must
+    /// target the body itself, so the only way out is the closing branch
+    /// falling through.
+    ///
+    /// A straight-line body that steps a register by a non-zero constant
+    /// (`addi r, r, c`) and writes it nowhere else is a counted loop: that
+    /// register never returns to its value, so the loop is left out and
+    /// costs its back-edges nothing.
+    fn analyze(insts: &[Inst], branch: usize) -> Option<SpinLoop> {
+        let Inst::Branch { target: head, .. } = insts[branch] else {
+            return None;
+        };
+        if head > branch || branch - head >= SPIN_BODY_MAX {
+            return None;
+        }
+        let (mut written, mut rewritten, mut stepped) = (0u32, 0u32, 0u32);
+        let mut straight = true;
+        for inst in &insts[head..branch] {
+            let rd = match *inst {
+                Inst::AluImm {
+                    op: AluOp::Add,
+                    rd,
+                    rs1,
+                    imm,
+                } if rs1 == rd && imm != 0 => {
+                    stepped |= 1u32.checked_shl(u32::from(rd.0))?;
+                    rd
+                }
+                Inst::Alu { rd, .. }
+                | Inst::AluImm { rd, .. }
+                | Inst::Li { rd, .. }
+                | Inst::CoreId { rd }
+                | Inst::Load { rd, .. } => rd,
+                Inst::Branch { target, .. } if (head..=branch).contains(&target) => {
+                    straight = false;
+                    continue;
+                }
+                Inst::Nop => continue,
+                _ => return None,
+            };
+            let bit = 1u32.checked_shl(u32::from(rd.0))?;
+            rewritten |= written & bit;
+            written |= bit;
+        }
+        written &= !1; // x0 is never written
+        if written.count_ones() as usize > SPIN_WRITES_MAX
+            || (straight && stepped & !rewritten & !1 != 0)
+        {
+            return None;
+        }
+        let mut writes = [Reg::ZERO; SPIN_WRITES_MAX];
+        let mut n_writes = 0u8;
+        for r in (0..32u8).filter(|r| written & (1 << r) != 0) {
+            writes[usize::from(n_writes)] = Reg(r);
+            n_writes += 1;
+        }
+        Some(SpinLoop {
+            head,
+            branch,
+            writes,
+            n_writes,
+        })
+    }
+}
+
 /// A fully-assembled program: instructions plus resolved labels.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
     insts: Vec<Inst>,
     labels: std::collections::BTreeMap<String, usize>,
+    /// Every [`SpinLoop`], ascending by closing branch: built once here and
+    /// shared by all cores running the program.
+    spin_loops: Vec<SpinLoop>,
 }
 
 impl Program {
     /// Builds a program from raw parts (prefer [`crate::asm::Asm`]).
     pub fn from_parts(insts: Vec<Inst>, labels: std::collections::BTreeMap<String, usize>) -> Self {
-        Program { insts, labels }
+        let spin_loops = (0..insts.len())
+            .filter_map(|b| SpinLoop::analyze(&insts, b))
+            .collect();
+        Program {
+            insts,
+            labels,
+            spin_loops,
+        }
+    }
+
+    /// The [`SpinLoop`] closed by the branch at `branch`, if any.
+    pub fn spin_loop(&self, branch: usize) -> Option<&SpinLoop> {
+        self.spin_loops
+            .binary_search_by_key(&branch, |l| l.branch)
+            .ok()
+            .map(|i| &self.spin_loops[i])
     }
 
     /// The instruction at `pc`, if in range.
@@ -391,5 +504,59 @@ mod tests {
         assert_eq!(p.fetch(2), None);
         assert_eq!(p.label("start"), Some(0));
         assert_eq!(p.label("nope"), None);
+    }
+
+    #[test]
+    fn spin_loops_are_short_side_effect_free_backward_branches() {
+        use crate::asm::Asm;
+        use crate::isa::regs::T;
+        let mut a = Asm::new();
+        a.label("spin"); // 0-1: `ld; bnez` — the MCS wait
+        a.ld(T[1], T[0], 8);
+        a.bnez(T[1], "spin");
+        a.label("store"); // 2-3: a store in the body
+        a.sd(T[1], T[0], 0);
+        a.bnez(T[1], "store");
+        a.label("inner"); // 4-7: an inner branch leaving the body
+        a.ld(T[1], T[0], 0);
+        a.beqz(T[1], "out");
+        a.addi(T[2], T[2], 1);
+        a.bnez(T[1], "inner");
+        a.label("out");
+        a.nop();
+        a.label("counted"); // 9-10: steps t2 by one per iteration
+        a.addi(T[2], T[2], 1);
+        a.bnez(T[1], "counted");
+        a.label("reset"); // 11-13: ... unless something else writes it
+        a.addi(T[2], T[2], 1);
+        a.li(T[2], 0);
+        a.bnez(T[1], "reset");
+        a.label("skipped"); // 14-16: ... or an inner branch may skip it
+        a.beqz(T[1], "skip_end");
+        a.addi(T[2], T[2], 1);
+        a.label("skip_end");
+        a.bnez(T[1], "skipped");
+        a.halt();
+        let p = a.assemble().unwrap();
+        let spin = p.spin_loop(1).expect("ld/bnez closes a spin loop");
+        assert_eq!((spin.head, spin.branch), (0, 1));
+        assert_eq!(spin.writes(), &[T[1]]);
+        assert_eq!(p.spin_loop(0), None, "only the closing branch keys a loop");
+        assert_eq!(p.spin_loop(3), None, "a store makes the body ineligible");
+        assert_eq!(p.spin_loop(7), None, "an exit from mid-body is ineligible");
+        assert_eq!(p.spin_loop(10), None, "a counted loop never spins");
+        assert!(p.spin_loop(13).is_some() && p.spin_loop(16).is_some());
+
+        // The body bound counts the closing branch.
+        for (len, eligible) in [(SPIN_BODY_MAX, true), (SPIN_BODY_MAX + 1, false)] {
+            let mut a = Asm::new();
+            a.label("l");
+            for _ in 0..len - 1 {
+                a.nop();
+            }
+            a.bnez(T[0], "l");
+            let p = a.assemble().unwrap();
+            assert_eq!(p.spin_loop(len - 1).is_some(), eligible, "body of {len}");
+        }
     }
 }

@@ -115,6 +115,13 @@ impl<M> CacheArray<M> {
         Some((&w.meta, &w.data))
     }
 
+    /// Advances the LRU clock by `n` uses without stamping any line: the
+    /// arithmetic half of replaying `n` hits whose stamps the caller
+    /// rewrites by repeating the last of them.
+    pub fn advance_lru_clock(&mut self, n: u64) {
+        self.tick += n;
+    }
+
     /// Mutable lookup, updating LRU on hit.
     pub fn get_mut(&mut self, line: LineAddr) -> Option<(&mut M, &mut LineData)> {
         let i = self.find(line)?;

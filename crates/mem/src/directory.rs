@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 
 use duet_noc::NodeId;
 use duet_sim::{
-    Clock, ClockDomain, Component, LatencyBreakdown, LineMap, Link, LinkReport, PagedMem, Time,
+    Clock, ClockDomain, Component, LatencyBreakdown, LineMap, Link, LinkReport, ShardMem, Time,
 };
 use duet_trace::{mesi, pack_mesi, EventKind, Tracer};
 
@@ -126,8 +126,10 @@ pub struct L3Shard {
     /// Lines currently busy or with queued requests (kept incrementally so
     /// [`L3Shard::is_idle`] is O(1) instead of scanning the directory).
     blocked_lines: usize,
-    /// Ground-truth data for lines homed here (memory image).
-    backing: PagedMem<LineData>,
+    /// Ground-truth data for lines homed here (memory image), keyed
+    /// densely when the shard knows its interleave
+    /// ([`interleaved`](L3Shard::interleaved)).
+    backing: ShardMem<LineData>,
     /// Timing-only L3 data array: presence decides hit vs memory latency.
     l3_tags: CacheArray<()>,
     incoming: VecDeque<(NodeId, CoherenceMsg, Time, Time)>,
@@ -140,20 +142,33 @@ pub struct L3Shard {
 }
 
 impl L3Shard {
-    /// Creates an empty shard at NoC node `node`.
+    /// Creates an empty shard at NoC node `node`, able to hold any line.
     pub fn new(cfg: DirConfig, node: NodeId) -> Self {
         L3Shard {
             cfg,
             node,
             dir: LineMap::new(),
             blocked_lines: 0,
-            backing: PagedMem::new(),
+            backing: ShardMem::new(1, 0),
             l3_tags: CacheArray::new(cfg.sets, cfg.ways),
             incoming: VecDeque::new(),
             out: Link::pipe(),
             stats: DirStats::default(),
             tracer: Tracer::disabled(),
         }
+    }
+
+    /// Declares this shard home `index` of `homes` round-robin homes (the
+    /// [`HomeMap`](crate::priv_cache::HomeMap) interleave): it will only
+    /// ever hold lines `l` with `l % homes == index`, so its memory image
+    /// is stored densely at `l / homes`. Snapshot bytes do not change.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `index < homes`.
+    pub fn interleaved(mut self, homes: usize, index: usize) -> Self {
+        self.backing = ShardMem::new(homes as u64, index as u64);
+        self
     }
 
     /// `(allocated, privately owned)` page counts of this shard's backing

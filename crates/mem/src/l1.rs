@@ -90,6 +90,16 @@ impl L1Cache {
         }
     }
 
+    /// Counts `n` load hits to lines that are already resident without
+    /// looking them up: the hit counter and the LRU clock advance as `n`
+    /// calls to [`load`](L1Cache::load) would advance them, but no line is
+    /// stamped — a caller skipping whole iterations of a spin re-executes
+    /// the last one, which stamps every line it touches.
+    pub fn credit_hits(&mut self, n: u64) {
+        self.stats.hits += n;
+        self.array.advance_lru_clock(n);
+    }
+
     /// Installs a line filled by the L2.
     pub fn fill(&mut self, line: LineAddr, data: LineData) {
         self.array.insert(line, data, ());

@@ -44,7 +44,7 @@ impl ProtocolHarness {
             .map(|i| PrivCache::new(cache_cfg, i, home.clone()))
             .collect();
         let shards = (0..nodes)
-            .map(|i| L3Shard::new(DirConfig::dolly_l3(clock), i))
+            .map(|i| L3Shard::new(DirConfig::dolly_l3(clock), i).interleaved(nodes, i))
             .collect();
         ProtocolHarness {
             mesh: Mesh::new(mesh_cfg),

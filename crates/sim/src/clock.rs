@@ -109,6 +109,17 @@ impl Clock {
         self.next_edge_after(t) + self.period().mul(u64::from(n) - 1)
     }
 
+    /// The time of the `n`-th rising edge, counting from 1: the first
+    /// instant at which [`cycles_at`](Clock::cycles_at) reads `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn nth_edge(&self, n: u64) -> Time {
+        assert!(n > 0, "edges are counted from 1");
+        Time::from_ps(self.offset_ps + (n - 1) * self.period_ps)
+    }
+
     /// Number of whole periods elapsed at time `t` (cycle counter).
     pub fn cycles_at(&self, t: Time) -> u64 {
         let ps = t.as_ps();
@@ -316,6 +327,10 @@ mod tests {
         assert_eq!(c.cycles_at(Time::from_ps(999)), 0);
         assert_eq!(c.cycles_at(Time::from_ps(1000)), 1);
         assert_eq!(c.cycles_at(Time::from_ps(5500)), 5);
+        for n in 1..10 {
+            assert_eq!(c.cycles_at(c.nth_edge(n)), n);
+            assert_eq!(c.cycles_at(c.nth_edge(n) - Time::from_ps(1)), n - 1);
+        }
     }
 
     #[test]

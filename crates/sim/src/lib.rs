@@ -68,5 +68,5 @@ pub use rng::SimRng;
 pub use shard::{partition_balanced, EpochBarrier, LoadEwma};
 pub use snapshot::{Pack, Snap, SnapError, SnapHasher, SnapReader, SnapWriter};
 pub use stats::{Counter, LatencyBreakdown, RunningStats};
-pub use storage::{IdSlab, LineMap, PagedMem};
+pub use storage::{IdSlab, LineMap, PagedMem, ShardMem};
 pub use time::Time;

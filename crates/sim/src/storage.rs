@@ -1,4 +1,5 @@
-//! Deterministic hot-path storage: [`LineMap`], [`PagedMem`], [`IdSlab`].
+//! Deterministic hot-path storage: [`LineMap`], [`PagedMem`] (and its
+//! per-home-shard view [`ShardMem`]), [`IdSlab`].
 //!
 //! The memory system keeps per-line state (directory entries, MSHRs, page
 //! tables) and a sparse word-addressed backing store. Both used to live in
@@ -427,6 +428,127 @@ impl<V: Copy + Default> PagedMem<V> {
     }
 }
 
+/// One home's share of a key-interleaved store: keys `k` with
+/// `k % stride == phase` (the round-robin homing of cache lines over L3
+/// shards), held densely at `k / stride` in a [`PagedMem`].
+///
+/// Keyed by `k` itself, each home's pages would be only `1/stride` full;
+/// dense keys fill them. Reads of keys homed elsewhere return
+/// `V::default()`. The snapshot form is exactly the one a `PagedMem` keyed
+/// by `k` writes — every page of `k` space ever written, each with its
+/// `PAGE_ENTRIES` entries and the other homes' entries at default — so the
+/// interleave never shows in snapshot bytes. A `stride` of 1 is a plain
+/// `PagedMem`.
+#[derive(Clone, Debug)]
+pub struct ShardMem<V: Copy + Default> {
+    dense: PagedMem<V>,
+    stride: u64,
+    phase: u64,
+    /// Pages of `k` space written so far: the snapshot's page set.
+    touched: std::collections::BTreeSet<u64>,
+}
+
+impl<V: Copy + Default> ShardMem<V> {
+    /// The empty store of home `phase` out of `stride`. Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `phase < stride`.
+    pub fn new(stride: u64, phase: u64) -> Self {
+        assert!(phase < stride, "home {phase} out of {stride}");
+        ShardMem {
+            dense: PagedMem::new(),
+            stride,
+            phase,
+            touched: std::collections::BTreeSet::new(),
+        }
+    }
+
+    /// The value at `key` (`V::default()` if never written or homed
+    /// elsewhere). Never allocates.
+    pub fn read(&self, key: u64) -> V {
+        if key % self.stride == self.phase {
+            self.dense.read(key / self.stride)
+        } else {
+            V::default()
+        }
+    }
+
+    /// Writes `value` at `key`, which must be homed here.
+    pub fn write(&mut self, key: u64, value: V) {
+        debug_assert_eq!(
+            key % self.stride,
+            self.phase,
+            "key {key} is homed elsewhere"
+        );
+        self.touched.insert(key / PAGE_ENTRIES as u64);
+        self.dense.write(key / self.stride, value);
+    }
+
+    /// Pages of dense storage allocated (see [`PagedMem::allocated_pages`]).
+    pub fn allocated_pages(&self) -> usize {
+        self.dense.allocated_pages()
+    }
+
+    /// Pages of dense storage held privately (see
+    /// [`PagedMem::owned_pages`]).
+    pub fn owned_pages(&self) -> usize {
+        self.dense.owned_pages()
+    }
+}
+
+/// Hand-written: writes the `PagedMem` form of `k` space (see the type
+/// docs) and rejects a value at a key homed elsewhere on load.
+impl<V: crate::snapshot::Pack + Copy + Default + PartialEq> crate::snapshot::Snap for ShardMem<V> {
+    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
+        w.len64(self.touched.len());
+        for &page in &self.touched {
+            w.u64(page);
+            let first = page * PAGE_ENTRIES as u64;
+            // The first key of the page homed here, then every stride-th.
+            let mut homed = first + (self.phase + self.stride - first % self.stride) % self.stride;
+            for off in 0..PAGE_ENTRIES as u64 {
+                if first + off == homed {
+                    self.dense.read(homed / self.stride).pack(w);
+                    homed = homed.wrapping_add(self.stride);
+                } else {
+                    V::default().pack(w);
+                }
+            }
+        }
+    }
+    fn load(
+        &mut self,
+        r: &mut crate::snapshot::SnapReader<'_>,
+    ) -> Result<(), crate::snapshot::SnapError> {
+        use crate::snapshot::SnapError;
+        let n = r.len64()?;
+        let mut fresh = ShardMem::new(self.stride, self.phase);
+        for _ in 0..n {
+            let page = r.u64()?;
+            let first = page
+                .checked_mul(PAGE_ENTRIES as u64)
+                .ok_or(SnapError::Corrupt("PagedMem page out of range"))?;
+            if !fresh.touched.insert(page) {
+                return Err(SnapError::Corrupt("duplicate PagedMem page"));
+            }
+            for off in 0..PAGE_ENTRIES as u64 {
+                let v = V::unpack(r)?;
+                if v == V::default() {
+                    continue;
+                }
+                let key = first + off;
+                if key % self.stride != self.phase {
+                    return Err(SnapError::Corrupt("PagedMem entry homed at another shard"));
+                }
+                fresh.dense.write(key / self.stride, v);
+            }
+        }
+        *self = fresh;
+        Ok(())
+    }
+}
+
 /// Hand-written: the probe table is not the wire format — entries are
 /// written in sorted key order and the table rebuilt by insertion.
 impl<V: crate::snapshot::Pack> crate::snapshot::Pack for LineMap<V> {
@@ -845,5 +967,68 @@ mod tests {
         assert_eq!(q.read(40 * PAGE_ENTRIES as u64), 0);
         // Restored pages are uniquely owned regardless of prior sharing.
         assert_eq!(q.owned_pages(), 3);
+    }
+
+    #[test]
+    fn shardmem_snapshot_bytes_equal_a_globally_keyed_pagedmem() {
+        use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+        fn bytes(s: &impl Snap) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            s.save(&mut w);
+            w.finish()
+        }
+        let mut rng = crate::SimRng::new(0xD15E);
+        let high = (DIRECT_PAGES * PAGE_ENTRIES) as u64;
+        for stride in [1u64, 3, 16, 64, 256] {
+            let phase = rng.next_u64() % stride;
+            let mut global: PagedMem<[u8; 16]> = PagedMem::new();
+            let mut dense = ShardMem::new(stride, phase);
+            let mut keys = Vec::new();
+            for i in 0..300 {
+                // Sparse keys over 64 pages, a few past the dense table;
+                // some values are zero, which still touches a page.
+                let base = if i % 50 == 0 { high } else { 0 };
+                let k = base + rng.next_u64() % (64 * PAGE_ENTRIES as u64);
+                let key = k - k % stride + phase;
+                let v = [(rng.next_u64() % 4) as u8; 16];
+                global.write(key, v);
+                dense.write(key, v);
+                keys.push(key);
+            }
+            let want = bytes(&global);
+            assert!(
+                bytes(&dense) == want,
+                "stride {stride}: snapshot bytes differ"
+            );
+            assert!(dense.allocated_pages() <= global.allocated_pages());
+
+            let mut back: ShardMem<[u8; 16]> = ShardMem::new(stride, phase);
+            let mut r = SnapReader::new(&want);
+            back.load(&mut r).unwrap();
+            r.expect_end().unwrap();
+            for &key in &keys {
+                assert_eq!(
+                    back.read(key),
+                    global.read(key),
+                    "stride {stride}, key {key}"
+                );
+            }
+            assert!(
+                bytes(&back) == want,
+                "stride {stride}: reload changed the bytes"
+            );
+
+            if stride > 1 {
+                // A value at a key homed elsewhere cannot be this shard's.
+                let mut foreign = global.clone();
+                foreign.write(keys[0] + 1, [7; 16]);
+                let foreign = bytes(&foreign);
+                let mut r = SnapReader::new(&foreign);
+                assert!(matches!(
+                    ShardMem::<[u8; 16]>::new(stride, phase).load(&mut r),
+                    Err(SnapError::Corrupt(_))
+                ));
+            }
+        }
     }
 }

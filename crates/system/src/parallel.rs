@@ -55,9 +55,11 @@
 //! `handle_msg*`) and leaves after a tick that ends with `is_active()`
 //! false. A core leaves when `next_event_time` is `None` — see
 //! [`Core::next_event_time`] for the states — and is put back before
-//! `mem_response` reaches it; the stall cycles it would have counted while
-//! asleep are a difference of fast-edge indices, added when it wakes (or
-//! when a run loop returns). The sets are derived state: never serialized,
+//! `mem_response` reaches it, or, if it is spinning, before a
+//! back-invalidation reaches its L1; the stall cycles it would have counted
+//! while asleep are a difference of fast-edge indices, and a spinner's
+//! progress is [`Core::catch_up`], both applied when it wakes (or when a
+//! run loop returns). The sets are derived state: never serialized,
 //! refilled after `restore()`/`fork()`, and kept full while edge skipping
 //! is off, which makes every pass tick everything — the oracle the
 //! determinism suites compare against. Debug builds check after every fast
@@ -164,19 +166,24 @@ impl ShardWake {
             .collect()
     }
 
-    /// Puts sleeping core `k` back in the set, first adding the stall
-    /// cycles of the fast edges it slept through, up to and including edge
-    /// index `through`. Must run before anything changes the core's state.
+    /// Puts sleeping core `k` back in the set, first settling the fast
+    /// edges it slept through, up to and including edge index `through`,
+    /// and ends a spin. Must run before anything changes the core's state.
     pub(crate) fn wake_core(&mut self, k: usize, core: &mut Core, now: Time, through: u64) {
         if self.cores.insert(k) {
             self.settle(k, core, now, through);
             self.blocked.remove(k);
         }
+        core.forget_spin();
     }
 
-    /// Brings sleeping core `k`'s stall count up to edge index `through`.
+    /// Brings sleeping core `k` up to edge index `through` without waking
+    /// it: its stall count, and a spinner's whole visible state.
     pub(crate) fn settle(&mut self, k: usize, core: &mut Core, now: Time, through: u64) {
         core.account_skipped_edges(now, through - self.settled[k]);
+        if core.is_spinning() {
+            core.catch_up(core.config().clock.nth_edge(through));
+        }
         self.settled[k] = through;
         debug_assert_eq!(
             core.stats().mem_stall_cycles,
@@ -344,7 +351,14 @@ impl ShardCtx<'_> {
             while let Some((dst, msg)) = self.l2s[k].pop_outgoing(now) {
                 self.enqueue(node, dst, DuetMsg::Coherence(msg));
             }
-            for (line, _) in self.l2s[k].take_back_invalidations() {
+            let invalidations = self.l2s[k].take_back_invalidations();
+            if !invalidations.is_empty() && self.cores[k].is_spinning() {
+                // A spinner polls its L1: bring it up to the previous edge
+                // and wake it before the line goes.
+                self.wake
+                    .wake_core(k, &mut self.cores[k], now, self.edge - 1);
+            }
+            for (line, _) in invalidations {
                 self.cores[k].back_invalidate(line);
             }
             while let Some(resp) = self.l2s[k].pop_cpu_resp(now) {
@@ -751,6 +765,17 @@ impl System {
         }
     }
 
+    /// Wakes every spinning core (and drops the marks of cores that carry
+    /// one while awake, with edge skipping off), so that per-component
+    /// reports read as they would after ticking every edge.
+    pub(crate) fn wake_spinners(&mut self) {
+        for i in 0..self.cores.len() {
+            if self.cores[i].is_spinning() {
+                self.wake_core(i);
+            }
+        }
+    }
+
     /// Puts every component back in its wake set (edge skipping was just
     /// turned off).
     pub(crate) fn wake_everything(&mut self) {
@@ -777,6 +802,12 @@ impl System {
                     if wake.settled[k] + edges <= self.stats.fast_edges {
                         wake.shadow[k] += edges * u64::from(core.stalls_when_skipped(now));
                     }
+                    // A spinner releases the horizon: it never pins it as
+                    // a store-blocked sleeper does.
+                    assert!(
+                        !(core.is_spinning() && wake.blocked.contains(k)),
+                        "spinning core {i} is marked store-blocked"
+                    );
                 }
                 assert!(
                     wake.l2.contains(k)

@@ -696,10 +696,11 @@ impl System {
     /// edge*: executing it would change nothing except the edge counters
     /// and stalled-core cycle statistics, both of which
     /// [`step_event`](System::run_until_halt) reconstructs arithmetically
-    /// when it jumps. A result `<= now` means the next edge must execute;
-    /// when several components are already due, the walk stops at the
-    /// first one that pins the horizon (callers only compare against
-    /// `now`). Conservatively-early results are always sound (the edge
+    /// when it jumps, and the progress of spinning cores, which are caught
+    /// up before anything reads or wakes them. A result `<= now` means the
+    /// next edge must execute; when several components are already due,
+    /// the walk stops at the first one that pins the horizon (callers only
+    /// compare against `now`). Conservatively-early results are always sound (the edge
     /// executes as a no-op, exactly as exhaustive ticking would).
     pub fn next_event_time(&self) -> Option<Time> {
         let now = self.now;
@@ -849,6 +850,10 @@ impl System {
     /// checker violation surfaces first, then the deadline (the edge past
     /// the deadline has already executed, matching the old panic edge).
     fn run_error(&mut self, t: Time, deadline: Time, goal: &str) -> Option<RunError> {
+        if self.pending_violation.is_some() || t > deadline {
+            // The stall snapshot reads every core's next event.
+            self.wake_spinners();
+        }
         if let Some(v) = self.pending_violation.take() {
             return Some(RunError::ProtocolViolation {
                 violation: v,

@@ -320,11 +320,18 @@ impl System {
         for s in &mut shards {
             s.set_tracer(Tracer::disabled());
         }
+        // Spin marks are derived, like the wake sets: every child core
+        // starts awake (the parent's spinners were settled when its last
+        // run loop returned).
+        let mut cores = self.cores.clone();
+        for c in &mut cores {
+            c.forget_spin();
+        }
         System {
             cfg: self.cfg.clone(),
             dual: self.dual.clone(),
             mesh,
-            cores: self.cores.clone(),
+            cores,
             l2s,
             shards,
             adapter,

@@ -47,8 +47,9 @@ impl System {
         let l2s = (0..cfg.processors)
             .map(|i| PrivCache::new(cfg.l2_config(), cfg.core_node(i), home.clone()))
             .collect();
+        // `home` interleaves lines over every node in order.
         let shards = (0..nodes)
-            .map(|n| L3Shard::new(cfg.dir_config(), n))
+            .map(|n| L3Shard::new(cfg.dir_config(), n).interleaved(nodes, n))
             .collect();
         let adapter = cfg.has_fpga.then(|| {
             DuetAdapter::new(

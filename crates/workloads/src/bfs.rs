@@ -303,8 +303,16 @@ fn emit_process_node(a: &mut Asm, layout: &BfsLayout, id: &str, enq_label: &str)
     a.label(&format!("edges_done_{id}"));
 }
 
-/// Runs the BFS benchmark with `p` workers.
-pub fn run(variant: BenchVariant, p: usize, v: u32, avg_deg: u32, seed: u64) -> AppResult {
+/// Builds a ready-to-run BFS system with `p` workers on a `v`-node graph —
+/// graph installed, programs loaded, frontier queues attached (accelerated
+/// variants) or caches warmed (baseline) — plus the reference distances.
+pub fn prepare(
+    variant: BenchVariant,
+    p: usize,
+    v: u32,
+    avg_deg: u32,
+    seed: u64,
+) -> (System, Vec<u32>) {
     let layout = BfsLayout::new();
     let g = BfsGraph::generate(v, avg_deg, seed);
     let expected = g.bfs_ref();
@@ -455,6 +463,13 @@ pub fn run(variant: BenchVariant, p: usize, v: u32, avg_deg: u32, seed: u64) -> 
             sys.warm_shared(layout.dests, g.dests.len() as u64 * 4, c);
         }
     }
+    (sys, expected)
+}
+
+/// Runs the BFS benchmark with `p` workers.
+pub fn run(variant: BenchVariant, p: usize, v: u32, avg_deg: u32, seed: u64) -> AppResult {
+    let layout = BfsLayout::new();
+    let (mut sys, expected) = prepare(variant, p, v, avg_deg, seed);
     let runtime = sys
         .run_until_halt(Time::from_us(30_000))
         .unwrap_or_else(|e| panic!("{e}"));

@@ -269,6 +269,248 @@ fn differential_store_streams_sleeping_on_a_full_buffer() {
     }
 }
 
+/// How the cores of a [`lock_counter`] program synchronize.
+#[derive(Clone, Copy, Debug)]
+enum SyncKind {
+    Mcs,
+    TestAndSet,
+    SenseBarrier,
+}
+
+const COUNTER: u64 = 0x8100;
+const BAD_ROUND: u64 = 0x8180;
+
+/// `locks.rs`'s counter programs: every core bumps one shared counter
+/// `rounds` times, either inside an MCS or test-and-set critical section,
+/// or with an AMO followed by a sense-reversing barrier (after which the
+/// counter must hold every core's bump of the round, else `BAD_ROUND` is
+/// set). The MCS and barrier waits are `ld; branch` spins on L1-resident
+/// data; the test-and-set lock backs off in counted loops instead.
+fn lock_counter(sync: SyncKind, cores: usize, rounds: i64) -> System {
+    use duet_workloads::locks::{barrier, mcs_acquire, mcs_release, spin_acquire, spin_release};
+    let mut sys = System::new(SystemConfig::proc_only(cores)).expect("valid config");
+    let (lock, node, counter, i) = (regs::S[0], regs::S[1], regs::S[2], regs::S[3]);
+    let (t0, t1, t2) = (regs::T[0], regs::T[1], regs::T[2]);
+    let mut a = Asm::new();
+    a.label("main");
+    a.li(lock, 0x8000);
+    a.li(counter, COUNTER as i64);
+    a.coreid(t0);
+    a.slli(t0, t0, 6);
+    a.li(node, 0x8200);
+    a.add(node, node, t0); // MCS node / barrier sense register below
+    a.li(regs::S[4], 0); // local sense
+    a.li(i, 0);
+    a.label("round");
+    match sync {
+        SyncKind::Mcs | SyncKind::TestAndSet => {
+            if let SyncKind::Mcs = sync {
+                mcs_acquire(&mut a, "l", lock, node, t0, t1);
+            } else {
+                spin_acquire(&mut a, "l", lock, t0);
+            }
+            a.ld(t2, counter, 0);
+            a.addi(t2, t2, 1);
+            a.sd(t2, counter, 0);
+            if let SyncKind::Mcs = sync {
+                mcs_release(&mut a, "l", lock, node, t0, t1);
+            } else {
+                spin_release(&mut a, lock);
+            }
+            a.addi(i, i, 1);
+        }
+        SyncKind::SenseBarrier => {
+            a.li(t0, 1);
+            a.amoadd(t0, counter, t0);
+            barrier(&mut a, "b", lock, regs::S[4], cores as u64, t0, t1);
+            a.addi(i, i, 1);
+            a.ld(t2, counter, 0);
+            a.li(t0, cores as i64);
+            a.mul(t0, t0, i);
+            a.bge(t2, t0, "round_ok");
+            a.li(t0, 1);
+            a.li(t1, BAD_ROUND as i64);
+            a.sd(t0, t1, 0);
+            a.label("round_ok");
+        }
+    }
+    a.li(t0, rounds);
+    a.blt(i, t0, "round");
+    a.fence();
+    a.halt();
+    let prog = Arc::new(a.assemble().unwrap());
+    for c in 0..cores {
+        sys.load_program(c, prog.clone(), "main");
+    }
+    sys
+}
+
+/// `sys`'s state in a fresh system built with `sim_threads` simulation
+/// threads, through a snapshot (the shard knobs are not part of the
+/// config hash).
+fn rebuilt(sys: &System, sim_threads: usize) -> System {
+    let mut cfg = sys.config().clone();
+    cfg.sim_threads = sim_threads;
+    let mut out = System::new(cfg).expect("valid config");
+    for c in 0..sys.config().processors {
+        out.load_program(c, sys.core(c).program().clone(), "main");
+    }
+    out.restore(&sys.snapshot()).expect("same structure");
+    out
+}
+
+/// Spinning cores sleep until an invalidation reaches their L1 and are
+/// caught up arithmetically. On the MCS, test-and-set and sense-barrier
+/// counters at 4 and 8 cores, and on the processor-only PDES and BFS
+/// baselines (which serialize on MCS locks), every combination of edge
+/// skipping × simulation threads × a mid-run snapshot/restore × stepping
+/// through a `run_until` predicate (which settles sleeping spinners after
+/// every executed edge) must match exhaustive ticking: the fingerprint and
+/// every core's `instret`, `load_hits`, stalls and `L1Stats`.
+#[test]
+fn differential_spinning_cores_sleep_until_invalidated() {
+    use duet_workloads::common::BenchVariant;
+    use duet_workloads::{bfs, pdes};
+    struct Case {
+        name: String,
+        build: Box<dyn Fn() -> System>,
+        /// Memory to compare.
+        mem: Vec<(u64, usize)>,
+        /// Whether any core spins: the test-and-set lock backs off in
+        /// counted loops, which never do.
+        spins: bool,
+    }
+    let mut cases = Vec::new();
+    for sync in [SyncKind::Mcs, SyncKind::TestAndSet, SyncKind::SenseBarrier] {
+        for cores in [4, 8] {
+            cases.push(Case {
+                name: format!("{sync:?}/{cores}"),
+                build: Box::new(move || lock_counter(sync, cores, 6)),
+                mem: vec![(COUNTER, 1), (BAD_ROUND, 1)],
+                spins: !matches!(sync, SyncKind::TestAndSet),
+            });
+        }
+    }
+    let dist = bfs::BfsLayout::new().dist;
+    let out = pdes::PdesLayout::new().out;
+    cases.push(Case {
+        name: "pdes-8/proc-only".into(),
+        build: Box::new(|| pdes::prepare(BenchVariant::ProcOnly, 8, 4, 3, 5).0),
+        mem: vec![(out, 8)],
+        spins: true,
+    });
+    cases.push(Case {
+        name: "bfs-8/proc-only".into(),
+        build: Box::new(|| bfs::prepare(BenchVariant::ProcOnly, 8, 40, 3, 5).0),
+        mem: vec![(dist, 20)],
+        spins: true,
+    });
+    let (halt_by, quiesce_by) = (Time::from_us(20_000), Time::from_us(21_000));
+    for Case {
+        name,
+        build,
+        mem,
+        spins,
+    } in &cases
+    {
+        let cores = build().config().processors;
+        let finish = |mut sys: System, stepped: bool| {
+            let mut spun = false;
+            let halt = if stepped {
+                sys.run_until(halt_by, |s| {
+                    spun |= (0..cores).any(|c| s.core(c).is_spinning());
+                    s.all_halted()
+                })
+            } else {
+                sys.run_until_halt(halt_by)
+            }
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let quiesced = sys
+                .quiesce(quiesce_by)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let per_core: Vec<String> = (0..cores)
+                .map(|c| {
+                    let (s, l1) = (sys.core(c).stats(), sys.core(c).l1_stats());
+                    format!(
+                        "instret={} load_hits={} stalls={} {l1:?}",
+                        s.instret, s.load_hits, s.mem_stall_cycles
+                    )
+                })
+                .collect();
+            (fingerprint(&sys, halt, quiesced, mem), per_core, halt, spun)
+        };
+        let mut oracle = build();
+        oracle.set_edge_skipping(false);
+        let (baseline, cores_baseline, halt, _) = finish(oracle, false);
+        if mem[0].0 == COUNTER {
+            let total = format!("m[{COUNTER:#x}]={:#x}\n", cores * 6);
+            let early = format!("m[{BAD_ROUND:#x}]=0x0\n");
+            assert!(baseline.contains(&total), "{name}: lost an increment");
+            assert!(baseline.contains(&early), "{name}: a barrier let a core by");
+        }
+        let midpoint = Time::from_ps(halt.as_ps() / 2);
+        for skip in [false, true] {
+            for sim_threads in [1, 2] {
+                for snapshot in [false, true] {
+                    for stepped in [false, true] {
+                        let mut sys = rebuilt(&build(), sim_threads);
+                        sys.set_edge_skipping(skip);
+                        if snapshot {
+                            sys.run_until_time(midpoint);
+                            sys = rebuilt(&sys, sim_threads);
+                            sys.set_edge_skipping(skip);
+                        }
+                        let (fp, per_core, _, spun) = finish(sys, stepped);
+                        let cell = format!(
+                            "{name}: skip {skip}, {sim_threads} sim threads, snapshot \
+                             {snapshot}, stepped {stepped}"
+                        );
+                        assert_eq!(per_core, cores_baseline, "per-core counters: {cell}");
+                        assert_eq!(fp, baseline, "fingerprint: {cell}");
+                        if skip && stepped {
+                            assert_eq!(spun, *spins, "a core slept on a spin: {cell}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A core spinning on a flag nobody sets runs into the deadline. The stall
+/// snapshot in the error reads every core's next event, so a core asleep
+/// on the spin is woken first: the report equals the exhaustive loop's.
+#[test]
+fn deadlocked_spinner_reports_as_if_ticked() {
+    let report = |skip: bool| {
+        let mut sys = System::new(SystemConfig::proc_only(2)).expect("valid config");
+        let mut a = Asm::new();
+        a.label("main");
+        a.li(regs::T[0], 0x3000);
+        a.label("spin");
+        a.ld(regs::T[1], regs::T[0], 0);
+        a.beqz(regs::T[1], "spin");
+        a.halt();
+        sys.load_program(0, Arc::new(a.assemble().unwrap()), "main");
+        sys.set_edge_skipping(skip);
+        let e = sys
+            .run_until_halt(Time::from_us(20))
+            .expect_err("nobody sets the flag");
+        let spinner = e.snapshot().components.iter().find(|c| c.name == "core0");
+        assert!(
+            spinner.is_some_and(|c| c.next_event_ps.is_some()),
+            "the spinner must be reported with its next issue: {e:?}"
+        );
+        (
+            format!("{e:?}"),
+            sys.core(0).stats(),
+            sys.core(0).l1_stats(),
+        )
+    };
+    let (exhaustive, skipping) = (report(false), report(true));
+    assert_eq!(format!("{exhaustive:?}"), format!("{skipping:?}"));
+}
+
 /// Builds the quickstart-style popcount system: a Duet accelerator invoked
 /// through shadow registers, reading a vector coherently via the Proxy
 /// Cache. Exercises the adapter, slow clock domain, MMIO, and the

@@ -17,8 +17,8 @@ use duet_workloads::popcount::PopcountAccel;
 fn warmed_16x16() -> System {
     let mut sys = System::new(SystemConfig::mesh_16x16()).expect("valid config");
     // Warm the backing store: 2 MiB of nonzero data. Lines interleave
-    // across the 256 home shards, so this touches thousands of distinct
-    // backing pages.
+    // across the 256 home shards, so every shard allocates backing pages
+    // of its own (densely keyed: 8 KiB of this image per shard).
     let chunk: Vec<u8> = (0..4096u32).map(|i| (i * 131 + 17) as u8).collect();
     for k in 0..512u64 {
         sys.poke_bytes(0x10_0000 + k * 4096, &chunk);
@@ -52,8 +52,8 @@ fn fork_of_warmed_mesh_allocates_only_dirty_pages() {
 
     let (allocated, _) = parent.memory_pages();
     assert!(
-        allocated > 1000,
-        "warmup should allocate a large page set, got {allocated}"
+        allocated >= 256,
+        "warmup should allocate pages on every home shard, got {allocated}"
     );
 
     let child = parent.fork();
