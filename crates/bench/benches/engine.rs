@@ -138,44 +138,29 @@ fn main() {
         delivered
     });
 
-    // --- mesh tick: the sharded pass split, serial vs 4-shard inline ---
-    // The same saturated-hotspot traffic on a 16x16 grid, ticked through
-    // `Mesh::tick` at different shard counts. One shard is the serial
-    // mesh tick (with the hoisted per-router route cache and the
-    // start-of-tick fullness snapshot); four shards run the identical
-    // schedule inline with the boundary-lane merge, measuring the pure
-    // pass-split overhead without thread effects. Results are
-    // byte-identical across cells by construction.
+    // --- mesh tick: saturated hotspot on a 16x16 grid ---
     let big_cfg = MeshConfig::new(16, 16, Clock::ghz1());
-    for shards in [1usize, 4] {
-        let name = if shards == 1 {
-            "noc/mesh_tick_16x16_hotspot_1shard"
-        } else {
-            "noc/mesh_tick_16x16_hotspot_4shard"
-        };
-        bench(&filter, name, || {
-            let mut mesh: Mesh<u32> = Mesh::new(big_cfg);
-            mesh.set_shards(shards);
-            let mut t = Time::ZERO;
-            let mut delivered = 0u64;
-            let mut injected = 0u32;
-            while delivered < 2000 {
-                t += Time::from_ps(1000);
-                for src in (0..256).step_by(5) {
-                    if src != 136 && injected < 2000 && mesh.can_inject(src, VNet::Req) {
-                        mesh.inject(t, Message::new(src, 136, VNet::Req, 2, injected))
-                            .unwrap();
-                        injected += 1;
-                    }
-                }
-                mesh.tick(t);
-                while mesh.eject(136, VNet::Req).is_some() {
-                    delivered += 1;
+    bench(&filter, "noc/mesh_tick_16x16_hotspot", || {
+        let mut mesh: Mesh<u32> = Mesh::new(big_cfg);
+        let mut t = Time::ZERO;
+        let mut delivered = 0u64;
+        let mut injected = 0u32;
+        while delivered < 2000 {
+            t += Time::from_ps(1000);
+            for src in (0..256).step_by(5) {
+                if src != 136 && injected < 2000 && mesh.can_inject(src, VNet::Req) {
+                    mesh.inject(t, Message::new(src, 136, VNet::Req, 2, injected))
+                        .unwrap();
+                    injected += 1;
                 }
             }
-            delivered
-        });
-    }
+            mesh.tick(t);
+            while mesh.eject(136, VNet::Req).is_some() {
+                delivered += 1;
+            }
+        }
+        delivered
+    });
 
     // --- coherence ---
     bench(&filter, "coherence/two_cache_pingpong_200_writes", || {

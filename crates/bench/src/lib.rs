@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Shared helpers for the benchmark harness binaries: a dependency-free
 //! parallel sweep runner and wall-clock throughput reporting.
 //!
@@ -22,13 +23,8 @@ use std::time::Instant;
 /// The worker-thread count for [`parallel_map`]: `--threads N` (or
 /// `--threads=N`) from the command line, else `DUET_BENCH_THREADS`, else
 /// [`std::thread::available_parallelism`]. `0` from either source also
-/// means "auto" (available parallelism), matching the `sim_threads`
-/// convention in `duet-system`. Always at least 1.
-///
-/// Sweep workers multiply with *intra-run* simulation threads
-/// (`SystemConfig::sim_threads` / `DUET_SIM_THREADS`): a sweep of S
-/// workers each running a T-shard simulation occupies up to S×T host
-/// threads. Harnesses that sweep `sim_threads` should cap the product.
+/// means "auto" (available parallelism). Always at least 1. Each
+/// simulation runs on one thread, so this is the host thread count.
 pub fn configured_threads() -> usize {
     let auto = || std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut args = std::env::args();

@@ -184,13 +184,6 @@ impl L3Shard {
         self.tracer = tracer;
     }
 
-    /// The installed trace handle. The sharded run loop reads this to
-    /// retarget events into per-shard scratch rings during parallel
-    /// passes, restoring the original afterwards.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// The NoC node of this shard.
     pub fn node(&self) -> NodeId {
         self.node

@@ -239,13 +239,6 @@ impl PrivCache {
         self.tracer = tracer;
     }
 
-    /// The installed trace handle. The sharded run loop reads this to
-    /// retarget events into per-shard scratch rings during parallel
-    /// passes, restoring the original afterwards.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// The NoC node this cache sits on.
     pub fn node(&self) -> NodeId {
         self.node

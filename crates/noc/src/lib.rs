@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # duet-noc
 //!
@@ -37,14 +38,11 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::ops::Range;
 
-use duet_sim::bitset::bits_in;
 use duet_sim::snapshot::ensure;
 use duet_sim::{
-    merge_min, pack_enum, pack_struct, partition_balanced, BitSet, Clock, ClockDomain, Component,
-    LinkReport, LinkStats, LoadEwma, Pack, PushError, Snap, SnapError, SnapReader, SnapWriter,
-    Time,
+    merge_min, pack_enum, pack_struct, BitSet, Clock, ClockDomain, Component, LinkReport,
+    LinkStats, Pack, PushError, Snap, SnapError, SnapReader, SnapWriter, Time,
 };
 use duet_trace::{pack_hop, pack_noc, EventKind, Tracer};
 
@@ -357,52 +355,31 @@ pub struct Mesh<P> {
     trace_seq: u64,
     /// Trace handle (disabled unless the owning system enables tracing).
     tracer: Tracer,
-    /// Requested shard count for the tick pass (host-side; never affects
-    /// results — see [`set_shards`](Mesh::set_shards)).
-    shards_target: usize,
-    /// Current contiguous router ranges, one per shard. Rebuilt lazily
-    /// when `plan_dirty` (shard-count change or a load-EWMA fold).
-    plan: Vec<Range<usize>>,
-    /// Whether `plan` must be rebuilt before the next tick.
-    plan_dirty: bool,
     /// Start-of-tick copy of each active router's `full` mask (zero for an
     /// idle router, whose queues are all empty). Forwards test *this*
-    /// snapshot instead of the live queues (credit-based backpressure),
-    /// which is what makes the arbitration outcome independent of shard
-    /// execution order.
+    /// snapshot, not the live queues: it models the credit flow control
+    /// of the P-Mesh input buffers, where the credit a pop frees reaches
+    /// the upstream router one cycle later. `noc_saturation_golden` pins
+    /// this timing; probing the live queues instead would change it.
     full_snap: Vec<u16>,
-    /// Per-shard deferred side effects, replayed by `finish_tick`.
-    lanes: Vec<MeshTickLane>,
-    /// Per-node pop counters since the last EWMA fold (rebalancer input;
-    /// only kept while the tick is sharded).
-    work_accum: Vec<u64>,
-    /// Folded per-node load, driving the adaptive repartition. Host-side:
-    /// not serialized, never observable in results.
-    ewma: LoadEwma,
+    /// What one tick moves; replayed after every router has arbitrated.
+    /// Empty between ticks.
+    moves: TickMoves,
 }
 
-/// Deferred side effects of one shard's portion of a mesh tick: flits
-/// leaving the shard's routers (toward any router — intra-shard moves are
-/// deferred too, so link statistics are identical at every shard count),
-/// local ejections, routers that drained, and trace events. Replayed by
-/// [`Mesh::finish_tick`] in ascending shard order, which equals serial
-/// router order because shards are contiguous ascending ranges.
+/// What leaves the routers during one tick, recorded while they
+/// arbitrate (ascending) and applied once they all have. Pops happen in
+/// place; pushes wait for the replay, so every queue's occupancy sample
+/// (`LinkStats::record_push`) is taken after the tick's pops, whatever
+/// the router order.
 #[derive(Clone, Debug, Default)]
-struct MeshTickLane {
-    /// `(dst node, dst queue, entry)` for every forwarded message.
+struct TickMoves {
+    /// `(node, queue, entry)` per message forwarded through a mesh port.
     forwards: Vec<(u32, u8, Slot)>,
-    /// `(node, vnet, handle, flits)` for every local ejection.
+    /// `(node, vnet, handle, flits)` per message ejected to its tile.
     ejects: Vec<(u32, u8, u32, u32)>,
-    /// Routers whose input queues fully drained this tick.
-    deactivated: Vec<u32>,
-    /// `(timestamp ps, kind, a, b)` trace events in emission order.
-    events: Vec<(u64, EventKind, u64, u64)>,
-}
-
-impl MeshTickLane {
-    fn is_drained(&self) -> bool {
-        self.forwards.is_empty() && self.ejects.is_empty() && self.deactivated.is_empty()
-    }
+    /// Routers whose input queues all emptied.
+    drained: Vec<u32>,
 }
 
 impl<P> Mesh<P> {
@@ -459,41 +436,15 @@ impl<P> Mesh<P> {
             eject_active: BitSet::new(nodes),
             trace_seq: 0,
             tracer: Tracer::disabled(),
-            shards_target: 1,
-            // One full-range shard: the serial tick as the degenerate plan.
-            #[allow(clippy::single_range_in_vec_init)]
-            plan: vec![0..nodes],
-            plan_dirty: false,
             full_snap: vec![0; nodes],
-            lanes: vec![MeshTickLane::default()],
-            work_accum: vec![0; nodes],
-            ewma: LoadEwma::new(nodes),
+            moves: TickMoves::default(),
         }
     }
 
-    /// Sets the number of contiguous router shards the tick pass splits
-    /// into (clamped to `[1, nodes]`). Purely a host-side throughput knob:
-    /// the shard plan never influences simulated results — the per-shard
-    /// lanes replay in ascending shard order, which equals the serial
-    /// router order at any count. The actual boundaries adapt to observed
-    /// per-router load (see [`begin_tick`](Mesh::begin_tick)).
-    pub fn set_shards(&mut self, n: usize) {
-        let n = n.clamp(1, self.routers.len());
-        if n != self.shards_target {
-            self.shards_target = n;
-            self.plan_dirty = true;
-        }
-    }
-
-    /// The current number of shards in the tick plan.
-    pub fn shards(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// Number of routers with at least one buffered input message.
-    pub fn active_len(&self) -> usize {
-        self.active.len()
-    }
+    /// Ignored: the mesh tick is serial. Kept only so that callers written
+    /// against the removed sharded tick still build — see DESIGN.md
+    /// "Intra-run threading: tried, measured, removed".
+    pub fn set_shards(&mut self, _n: usize) {}
 
     /// The mesh configuration.
     pub fn config(&self) -> &MeshConfig {
@@ -691,128 +642,6 @@ impl<P> Mesh<P> {
         PORTS[self.routers[at].route(self.routers[dst].x, self.routers[dst].y)]
     }
 
-    /// Rebuilds the contiguous shard plan from the folded load EWMAs.
-    /// `1 +` keeps every router weighted even when the mesh just went
-    /// idle, so the split degrades to an even one rather than starving.
-    fn rebuild_plan(&mut self) {
-        self.plan_dirty = false;
-        let n = self.routers.len();
-        let k = self.shards_target.clamp(1, n);
-        if k == 1 {
-            self.plan.clear();
-            self.plan.push(0..n);
-        } else {
-            let weights: Vec<u64> = self.ewma.values().iter().map(|&v| 1 + v).collect();
-            self.plan = partition_balanced(&weights, k);
-        }
-        self.lanes
-            .resize_with(self.plan.len(), MeshTickLane::default);
-    }
-
-    /// The serial prologue of a tick: while the tick is sharded, fold the
-    /// rebalancer EWMAs (at deterministic simulated-time quanta only) and
-    /// rebuild the shard plan if needed; then copy every active router's
-    /// fullness mask into the start-of-tick snapshot its neighbors probe.
-    /// Messages forwarded during the tick are replayed by `finish_tick`, so
-    /// the active set itself is stable while the shards run.
-    fn prepare_tick(&mut self, now: Time) {
-        if self.shards_target > 1 {
-            let period_ps = self.cfg.clock.period().as_ps().max(1);
-            let quantum = now.as_ps() / period_ps / REBALANCE_QUANTUM_TICKS;
-            if self.ewma.fold(&mut self.work_accum, quantum) {
-                self.plan_dirty = true;
-            }
-        }
-        if self.plan_dirty {
-            self.rebuild_plan();
-        }
-        for node in self.active.iter() {
-            self.full_snap[node] = self.routers[node].full;
-        }
-    }
-
-    fn shard_params(&self, now: Time) -> ShardParams {
-        ShardParams {
-            now,
-            period: self.cfg.clock.period(),
-            depth: self.cfg.buf_depth,
-            width: self.cfg.width,
-            trace_on: self.tracer.is_enabled(),
-            count_work: self.shards_target > 1,
-        }
-    }
-
-    /// Splits the tick into per-shard tasks for a worker pool, handing each
-    /// to `sink`. The caller must run **every** task exactly once (on any
-    /// thread — they are range-disjoint; see [`MeshShardTask`]) and then
-    /// call [`finish_tick`](Mesh::finish_tick) with the same `now`. Serial
-    /// callers use [`tick`](Mesh::tick), which drives the identical code
-    /// path inline; results are byte-identical either way, at any shard
-    /// count.
-    pub fn begin_tick(&mut self, now: Time, mut sink: impl FnMut(MeshShardTask)) {
-        self.prepare_tick(now);
-        let p = self.shard_params(now);
-        let rings = QUEUES * p.depth;
-        for (i, range) in self.plan.iter().enumerate() {
-            // SAFETY: `plan` partitions `0..nodes` and `lanes` has one entry
-            // per range, so every offset stays inside its vector.
-            let task = unsafe {
-                MeshShardTask {
-                    p,
-                    nodes: range.clone(),
-                    routers: self.routers.as_mut_ptr().add(range.start),
-                    slots: self.slots.as_mut_ptr().add(range.start * rings),
-                    link_stats: self.link_stats.as_mut_ptr().add(range.start * QUEUES),
-                    work: self.work_accum.as_mut_ptr().add(range.start),
-                    lane: self.lanes.as_mut_ptr().add(i),
-                    active: self.active.words().as_ptr(),
-                    active_len: self.active.words().len(),
-                    full: self.full_snap.as_ptr(),
-                    full_len: self.full_snap.len(),
-                }
-            };
-            sink(task);
-        }
-    }
-
-    /// Replays the per-shard lanes filled by the shard tasks, in ascending
-    /// shard order (= serial router order): trace events first, then every
-    /// deactivation, then every ejection, then every forward — removals
-    /// strictly before insertions, and *all* pops (done in the shard
-    /// phase) strictly before *all* pushes, so per-link occupancy samples
-    /// are identical at every shard count.
-    pub fn finish_tick(&mut self, now: Time) {
-        let mut lanes = std::mem::take(&mut self.lanes);
-        for lane in &mut lanes {
-            for (ts, kind, a, b) in lane.events.drain(..) {
-                self.tracer.emit(ts, kind, a, b);
-            }
-        }
-        for lane in &mut lanes {
-            for n in lane.deactivated.drain(..) {
-                self.active.remove(n as usize);
-                self.full_snap[n as usize] = 0;
-            }
-        }
-        for lane in &mut lanes {
-            for (node, vn, handle, flits) in lane.ejects.drain(..) {
-                self.stats.delivered += 1;
-                self.stats.delivered_flits += u64::from(flits);
-                self.stats.total_latency += now.saturating_sub(self.msg(handle).injected_at);
-                self.eject[node as usize][vn as usize].push_back(handle);
-                self.eject_pending += 1;
-                self.eject_active.insert(node as usize);
-            }
-        }
-        for lane in &mut lanes {
-            for (nb, q, slot) in lane.forwards.drain(..) {
-                // The start-of-tick fullness probe guarantees space.
-                self.push_slot(now, nb as usize, q as usize, slot);
-            }
-        }
-        self.lanes = lanes;
-    }
-
     /// Advances the mesh by one fast-clock edge at time `now`.
     ///
     /// Each output port forwards at most one message per cycle (chosen
@@ -821,88 +650,30 @@ impl<P> Mesh<P> {
     /// against the start-of-tick fullness snapshot (credit-based: a queue
     /// that frees space this cycle accepts new flits the next).
     ///
-    /// This is the serial driver of the exact code path
-    /// [`begin_tick`](Mesh::begin_tick)/[`finish_tick`](Mesh::finish_tick)
-    /// run across a worker pool — the shard passes execute inline over the
-    /// same plan, so results are byte-identical at any shard count.
+    /// The active routers arbitrate in ascending order and pop their
+    /// winners in place; what leaves them is recorded and applied once
+    /// every router has arbitrated (see `TickMoves`).
     pub fn tick(&mut self, now: Time) {
         if self.active.is_empty() {
             return; // nothing buffered: no router can act
         }
-        self.prepare_tick(now);
-        let p = self.shard_params(now);
-        let rings = QUEUES * p.depth;
-        for (i, range) in self.plan.iter().enumerate() {
-            ShardView {
-                p,
-                nodes: range.clone(),
-                routers: &mut self.routers[range.clone()],
-                slots: &mut self.slots[range.start * rings..range.end * rings],
-                link_stats: &mut self.link_stats[range.start * QUEUES..range.end * QUEUES],
-                work: &mut self.work_accum[range.clone()],
-                lane: &mut self.lanes[i],
-                active: self.active.words(),
-                full: &self.full_snap,
-            }
-            .run();
+        for node in self.active.iter() {
+            self.full_snap[node] = self.routers[node].full;
         }
-        self.finish_tick(now);
-    }
-}
-
-/// Fast-clock ticks per adaptive-rebalancing quantum. Folds happen when a
-/// tick first executes past a quantum boundary — a pure function of
-/// simulated time, so the shard layout never depends on wall clock or
-/// thread count.
-const REBALANCE_QUANTUM_TICKS: u64 = 4096;
-
-/// What every shard of one tick is told.
-#[derive(Clone, Copy)]
-struct ShardParams {
-    now: Time,
-    period: Time,
-    depth: usize,
-    width: usize,
-    trace_on: bool,
-    /// Whether to count pops per router for the rebalancer (sharded ticks
-    /// only — one shard has nothing to balance).
-    count_work: bool,
-}
-
-/// One shard's portion of a mesh tick: switch arbitration and pops on the
-/// shard's own routers (`routers`, `slots`, `link_stats` and `work` cover
-/// nodes `nodes`), with every push — boundary-crossing *and* intra-shard —
-/// deferred into `lane`. Downstream space is probed against the
-/// start-of-tick `full` snapshot, never the live queues, so the outcome is
-/// independent of shard execution order. `active` and `full` are whole-mesh
-/// read-only views.
-struct ShardView<'a> {
-    p: ShardParams,
-    nodes: Range<usize>,
-    routers: &'a mut [Router],
-    slots: &'a mut [Slot],
-    link_stats: &'a mut [LinkStats],
-    work: &'a mut [u64],
-    lane: &'a mut MeshTickLane,
-    active: &'a [u64],
-    full: &'a [u16],
-}
-
-impl ShardView<'_> {
-    fn run(self) {
-        let ShardParams {
-            now,
-            period,
-            depth,
-            width,
-            trace_on,
-            count_work,
-        } = self.p;
-        let lane = self.lane;
-        for node in bits_in(self.active, self.nodes.clone()) {
-            let k = node - self.nodes.start;
-            let r = &mut self.routers[k];
-            let rings = &mut self.slots[k * QUEUES * depth..(k + 1) * QUEUES * depth];
+        let period = self.cfg.clock.period();
+        let depth = self.cfg.buf_depth;
+        let width = self.cfg.width;
+        let tracer = self.tracer.is_enabled().then_some(&self.tracer);
+        let (routers, slots, link_stats, full_snap) = (
+            &mut self.routers[..],
+            &mut self.slots[..],
+            &mut self.link_stats[..],
+            &self.full_snap[..],
+        );
+        let mut moves = std::mem::take(&mut self.moves);
+        for node in self.active.iter() {
+            let r = &mut routers[node];
+            let rings = &mut slots[node * QUEUES * depth..(node + 1) * QUEUES * depth];
             // Route the visible front of every occupied queue once:
             // `want[o]` collects the queues whose front leaves through
             // output `o`. Within a tick a front only changes when it is
@@ -925,7 +696,7 @@ impl ShardView<'_> {
                 if o != LOCAL {
                     // Drop candidates whose vnet has no credit downstream.
                     let no_credit =
-                        self.full[r.nbr[o] as usize] >> (OPPOSITE[o] * VNET_COUNT) & 0b111;
+                        full_snap[r.nbr[o] as usize] >> (OPPOSITE[o] * VNET_COUNT) & 0b111;
                     cand &= !(no_credit * EVERY_PORT);
                     if cand == 0 {
                         continue;
@@ -946,7 +717,7 @@ impl ShardView<'_> {
                 }
                 r.len[q] -= 1;
                 r.full &= !(1 << q);
-                self.link_stats[k * QUEUES + q].pops += 1;
+                link_stats[node * QUEUES + q].pops += 1;
                 if r.len[q] == 0 {
                     r.occ &= !(1 << q);
                 } else {
@@ -957,95 +728,53 @@ impl ShardView<'_> {
                     }
                 }
                 r.out_busy[o] = now + period.mul(u64::from(s.flits));
-                if count_work {
-                    self.work[k] += 1;
-                }
                 let vn = q % VNET_COUNT;
                 if o == LOCAL {
-                    if trace_on {
+                    if let Some(t) = tracer {
                         let dst = usize::from(s.dst_y) * width + usize::from(s.dst_x);
-                        lane.events.push((
-                            now.as_ps(),
-                            EventKind::NocEject,
-                            s.trace_id,
-                            pack_noc(s.src as usize, dst, vn, s.flits),
-                        ));
+                        let b = pack_noc(s.src as usize, dst, vn, s.flits);
+                        t.emit(now.as_ps(), EventKind::NocEject, s.trace_id, b);
                     }
-                    lane.ejects.push((node as u32, vn as u8, s.handle, s.flits));
+                    moves
+                        .ejects
+                        .push((node as u32, vn as u8, s.handle, s.flits));
                 } else {
-                    if trace_on {
-                        lane.events.push((
-                            now.as_ps(),
-                            EventKind::NocRoute,
-                            s.trace_id,
-                            pack_hop(node, o, vn),
-                        ));
+                    if let Some(t) = tracer {
+                        let b = pack_hop(node, o, vn);
+                        t.emit(now.as_ps(), EventKind::NocRoute, s.trace_id, b);
                     }
                     let q_in = OPPOSITE[o] * VNET_COUNT + vn;
-                    lane.forwards.push((r.nbr[o], q_in as u8, s));
+                    moves.forwards.push((r.nbr[o], q_in as u8, s));
                 }
             }
             if r.occ == 0 {
-                lane.deactivated.push(node as u32);
+                moves.drained.push(node as u32);
             }
         }
+        self.replay(now, moves);
     }
-}
 
-/// Raw-pointer work descriptor for one mesh shard, produced by
-/// [`Mesh::begin_tick`] and safe to send to a worker thread.
-///
-/// Disjointness invariant (upheld by `begin_tick`): every task's
-/// `routers`/`slots`/`link_stats`/`work`/`lane` pointers cover ranges of
-/// the parent mesh that no other task of the same tick overlaps, while
-/// `active`/`full` are read-only shared snapshots. The parent mesh must
-/// stay alive and untouched until every task has run and
-/// [`finish_tick`](Mesh::finish_tick) reclaims the lanes. Tasks never see
-/// the messages themselves, only their `Slot`s, so the payload type does
-/// not appear here.
-pub struct MeshShardTask {
-    p: ShardParams,
-    nodes: Range<usize>,
-    routers: *mut Router,
-    slots: *mut Slot,
-    link_stats: *mut LinkStats,
-    work: *mut u64,
-    lane: *mut MeshTickLane,
-    active: *const u64,
-    active_len: usize,
-    full: *const u16,
-    full_len: usize,
-}
-
-// SAFETY: the pointed-to regions are range-disjoint per task (see the
-// struct docs) and hold only plain integers; the epoch barrier around the
-// tick provides the necessary happens-before edges on both sides.
-unsafe impl Send for MeshShardTask {}
-
-impl MeshShardTask {
-    /// Runs this shard's portion of the tick.
-    ///
-    /// # Safety
-    ///
-    /// The parent [`Mesh`] must be alive and otherwise untouched (no
-    /// concurrent `&mut` access, no other task overlapping this one's
-    /// ranges — guaranteed for the task set of a single
-    /// [`Mesh::begin_tick`] call), and each task must run at most once
-    /// per `begin_tick`.
-    pub unsafe fn run(&self) {
-        let n = self.nodes.len();
-        ShardView {
-            p: self.p,
-            nodes: self.nodes.clone(),
-            routers: std::slice::from_raw_parts_mut(self.routers, n),
-            slots: std::slice::from_raw_parts_mut(self.slots, n * QUEUES * self.p.depth),
-            link_stats: std::slice::from_raw_parts_mut(self.link_stats, n * QUEUES),
-            work: std::slice::from_raw_parts_mut(self.work, n),
-            lane: &mut *self.lane,
-            active: std::slice::from_raw_parts(self.active, self.active_len),
-            full: std::slice::from_raw_parts(self.full, self.full_len),
+    /// Applies a tick's moves — drained routers leave the active set,
+    /// then ejections, then forwards (which re-activate their targets) —
+    /// and keeps the emptied lists for the next tick.
+    fn replay(&mut self, now: Time, mut moves: TickMoves) {
+        for n in moves.drained.drain(..) {
+            self.active.remove(n as usize);
+            self.full_snap[n as usize] = 0;
         }
-        .run();
+        for (node, vn, handle, flits) in moves.ejects.drain(..) {
+            self.stats.delivered += 1;
+            self.stats.delivered_flits += u64::from(flits);
+            self.stats.total_latency += now.saturating_sub(self.msg(handle).injected_at);
+            self.eject[node as usize][usize::from(vn)].push_back(handle);
+            self.eject_pending += 1;
+            self.eject_active.insert(node as usize);
+        }
+        for (node, q, slot) in moves.forwards.drain(..) {
+            // The start-of-tick fullness probe guarantees space.
+            self.push_slot(now, node as usize, usize::from(q), slot);
+        }
+        self.moves = moves;
     }
 }
 
@@ -1110,24 +839,21 @@ pack_struct!(MeshStats {
 /// trusted from the bytes.
 impl<P: Pack> Snap for Mesh<P> {
     /// Serializes router buffers, ejection queues, traffic stats, the
-    /// trace-id counter, and the (empty) boundary-exchange lanes. Each
-    /// queue is written as the synchronous `Link` it models: transport tag
-    /// 0, capacity, latency, the entries front to back as `(ready_at,
-    /// message)`, the counters, and a cleared frozen flag. Slab handles
-    /// never reach the bytes. The derived state (`active`, `eject_active`,
+    /// trace-id counter, and three empty lists. Each queue is written as
+    /// the synchronous `Link` it models: transport tag 0, capacity,
+    /// latency, the entries front to back as `(ready_at, message)`, the
+    /// counters, and a cleared frozen flag. Slab handles never reach the
+    /// bytes. The derived state (`active`, `eject_active`,
     /// `eject_pending`, per-router `occ`/`full`, the fullness snapshot) is
     /// *recomputed* on load — it is a pure function of queue occupancy, so
     /// rebuilding it is bit-exact and removes a whole class of
     /// corrupt-snapshot inconsistencies. The tracer handle is a session
-    /// resource, and the adaptive rebalancer (`work_accum`, the load EWMAs,
-    /// the plan itself) is host-side machinery that never influences
-    /// results; none of those are serialized — a restored mesh re-learns
-    /// its load profile from zero.
+    /// resource and is not serialized.
     ///
-    /// # Panics
-    ///
-    /// Panics between `begin_tick` and `finish_tick`: snapshots are taken
-    /// between clock edges, when every lane has been replayed.
+    /// The three trailing zero counts are where the format once carried a
+    /// sharded tick's boundary-exchange lanes (forwards, ejections,
+    /// drained routers), which were always empty between edges; they stay
+    /// so that snapshot bytes are unchanged.
     fn save(&self, w: &mut SnapWriter) {
         let depth = self.cfg.buf_depth;
         w.len64(self.routers.len());
@@ -1160,11 +886,6 @@ impl<P: Pack> Snap for Mesh<P> {
         }
         self.stats.pack(w);
         w.u64(self.trace_seq);
-        // The three lane lists (forwards, ejections, deactivations).
-        assert!(
-            self.lanes.iter().all(MeshTickLane::is_drained),
-            "mesh snapshot taken mid-tick"
-        );
         for _ in 0..3 {
             w.len64(0);
         }
@@ -1243,21 +964,13 @@ impl<P: Pack> Snap for Mesh<P> {
         }
         self.stats = MeshStats::unpack(r)?;
         self.trace_seq = r.u64()?;
-        // Snapshots are taken between clock edges, where every lane has
-        // been drained by `finish_tick`; a non-empty lane means the buffer
-        // was produced mid-tick (or corrupted).
+        // Those lists were always empty between edges: anything else is
+        // corrupt.
         for _ in 0..3 {
             ensure(r.len64()? == 0, "mesh tick lane not drained")?;
         }
-        for lane in &mut self.lanes {
-            *lane = MeshTickLane::default();
-        }
-        // Host-side rebalancer and the start-of-tick fullness snapshot:
-        // cleared, not loaded — the snapshot is refreshed by the next
-        // `prepare_tick` and the EWMAs re-learn from zero.
+        // Cleared, not loaded: the next tick refreshes it.
         self.full_snap.fill(0);
-        self.work_accum.fill(0);
-        self.ewma.reset();
         Ok(())
     }
 }
@@ -1271,9 +984,7 @@ pack_struct!(DirtyNodes { nodes } check |d| ensure(
 /// run loop: nodes whose injection pipes are non-empty. Iteration order is
 /// always ascending node id, so a scan over the dirty set visits nodes in
 /// exactly the same order as a full `0..nodes` scan — that makes the
-/// optimized injection pump bit-identical to the naive one, and lets
-/// per-shard dirty lists (each sorted, covering disjoint ranges) merge
-/// deterministically regardless of which thread produced them.
+/// optimized injection pump bit-identical to the naive one.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DirtyNodes {
     nodes: Vec<NodeId>,
@@ -1296,40 +1007,6 @@ impl DirtyNodes {
     /// Whether `node` is in the set.
     pub fn contains(&self, node: NodeId) -> bool {
         self.nodes.binary_search(&node).is_ok()
-    }
-
-    /// Merges a sorted (strictly ascending) slice into the set in one
-    /// in-place pass from the back — O(n + m) instead of m
-    /// binary-search-and-shift inserts, and no allocation once the set has
-    /// grown to its working size. Used when replaying per-shard dirty
-    /// lists at the deterministic merge.
-    ///
-    /// # Panics
-    ///
-    /// Panics (via `debug_assert`) if `other` is not strictly ascending.
-    pub fn merge_sorted(&mut self, other: &[NodeId]) {
-        debug_assert!(other.windows(2).all(|w| w[0] < w[1]));
-        let old = self.nodes.len();
-        let fresh = other.iter().filter(|&&n| !self.contains(n)).count();
-        self.nodes.resize(old + fresh, 0);
-        // Fill from the back; `i`/`j` are one past the next unmerged
-        // element of the old contents / of `other`.
-        let (mut i, mut j) = (old, other.len());
-        for k in (0..old + fresh).rev() {
-            if j == 0 {
-                break; // the rest of the old contents is already in place
-            }
-            if i > 0 && self.nodes[i - 1] >= other[j - 1] {
-                if self.nodes[i - 1] == other[j - 1] {
-                    j -= 1;
-                }
-                self.nodes[k] = self.nodes[i - 1];
-                i -= 1;
-            } else {
-                self.nodes[k] = other[j - 1];
-                j -= 1;
-            }
-        }
     }
 
     /// Keeps only the nodes for which `keep` returns true, preserving
@@ -1697,125 +1374,6 @@ mod tests {
         let _ = a.eject(0, VNet::Req);
     }
 
-    /// Drives a 4x4 mesh with traffic that crosses shard edges on both
-    /// axes (corner-to-corner flows through the center, a hotspot, and
-    /// self-deliveries) for long enough to cross several rebalancing
-    /// quanta, and asserts the ejection streams, stats, and per-link
-    /// reports are identical at every shard count — including counts that
-    /// put a shard boundary through the corner routers' row *and* column.
-    #[test]
-    fn sharded_tick_is_invariant_across_shard_counts() {
-        type LinkRow = (String, u64, u64, usize, [u64; 8]);
-        fn run(shards: usize) -> (Vec<(u64, NodeId, u64)>, MeshStats, Vec<LinkRow>) {
-            let cfg = MeshConfig::new(4, 4, Clock::ghz1());
-            let mut mesh: Mesh<u64> = Mesh::new(cfg);
-            mesh.set_shards(shards);
-            let flows: [(NodeId, NodeId); 6] =
-                [(0, 15), (15, 0), (3, 12), (12, 3), (5, 5), (1, 14)];
-            let mut ejected: Vec<(u64, NodeId, u64)> = Vec::new();
-            let mut t = Time::ZERO;
-            let mut seq = 0u64;
-            for cycle in 0..6000u64 {
-                t += Time::from_ps(1000);
-                // Bursty injection so queues fill and the fullness probe
-                // actually blocks (exercising the credit path), with long
-                // idle gaps so the EWMA folds see both load and decay.
-                if cycle % 3 == 0 && cycle % 512 < 160 {
-                    for &(src, dst) in &flows {
-                        let vnet = [VNet::Req, VNet::Fwd, VNet::Resp][(seq % 3) as usize];
-                        if mesh.can_inject(src, vnet) {
-                            let flits = 1 + (seq % 3) as u32;
-                            mesh.inject(t, Message::new(src, dst, vnet, flits, seq))
-                                .unwrap();
-                            seq += 1;
-                        }
-                    }
-                }
-                mesh.tick(t);
-                while let Some(node) = mesh.first_eject_node() {
-                    for vnet in VNet::ALL {
-                        while let Some(m) = mesh.eject(node, vnet) {
-                            ejected.push((t.as_ps(), node, m.payload));
-                        }
-                    }
-                }
-            }
-            let mut links = Vec::new();
-            Component::visit_links(&mesh, &mut |name, rep| {
-                links.push((
-                    name.to_string(),
-                    rep.stats.pushes,
-                    rep.stats.pops,
-                    rep.stats.peak_occupancy,
-                    rep.stats.occupancy_hist,
-                ));
-            });
-            (ejected, mesh.stats(), links)
-        }
-        let (base_ej, base_stats, base_links) = run(1);
-        assert!(
-            base_stats.delivered > 500,
-            "workload actually moved traffic"
-        );
-        for shards in [2, 3, 4, 5, 8, 16] {
-            let (ej, stats, links) = run(shards);
-            assert_eq!(ej, base_ej, "ejection stream differs at {shards} shards");
-            assert_eq!(stats.delivered, base_stats.delivered);
-            assert_eq!(stats.delivered_flits, base_stats.delivered_flits);
-            assert_eq!(stats.total_latency, base_stats.total_latency);
-            assert_eq!(stats.injected, base_stats.injected);
-            assert_eq!(links, base_links, "link reports differ at {shards} shards");
-        }
-    }
-
-    /// The pooled entry points (`begin_tick` task set + `finish_tick`)
-    /// must produce exactly what the inline `tick` does — run the tasks
-    /// on the calling thread here; thread placement cannot matter for
-    /// range-disjoint tasks.
-    #[test]
-    fn begin_finish_tick_matches_inline_tick() {
-        let cfg = MeshConfig::new(4, 4, Clock::ghz1());
-        let mut a: Mesh<u64> = Mesh::new(cfg);
-        let mut b: Mesh<u64> = Mesh::new(cfg);
-        a.set_shards(4);
-        b.set_shards(4);
-        let mut t = Time::ZERO;
-        for i in 0..400u64 {
-            t += Time::from_ps(1000);
-            if i % 2 == 0 {
-                let (src, dst) = ((i % 16) as usize, ((i * 7 + 3) % 16) as usize);
-                for m in [&mut a, &mut b] {
-                    if m.can_inject(src, VNet::Req) {
-                        m.inject(t, Message::new(src, dst, VNet::Req, 2, i))
-                            .unwrap();
-                    }
-                }
-            }
-            a.tick(t);
-            let mut tasks = Vec::new();
-            b.begin_tick(t, |task| tasks.push(task));
-            for task in &tasks {
-                // SAFETY: tasks from one begin_tick are range-disjoint and
-                // each runs exactly once before finish_tick.
-                unsafe { task.run() };
-            }
-            b.finish_tick(t);
-            for node in 0..16 {
-                for vnet in VNet::ALL {
-                    loop {
-                        match (a.eject(node, vnet), b.eject(node, vnet)) {
-                            (None, None) => break,
-                            (Some(x), Some(y)) => assert_eq!(x.payload, y.payload),
-                            _ => panic!("ejection divergence at node {node}"),
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(a.stats().delivered, b.stats().delivered);
-        assert!(a.is_idle() == b.is_idle());
-    }
-
     #[test]
     fn mesh_snapshot_rejects_undrained_lane() {
         // Hand-craft a buffer whose trailing lane section claims one
@@ -1869,34 +1427,5 @@ mod tests {
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![0, 7, 9]);
         d.clear();
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn dirty_nodes_merge_sorted_matches_inserts() {
-        let cases: &[(&[NodeId], &[NodeId])] = &[
-            (&[], &[1, 2, 3]),
-            (&[1, 2, 3], &[]),
-            (&[1, 5, 9], &[2, 5, 10]),
-            (&[1, 2], &[3, 4]),       // append fast path
-            (&[3, 4], &[1, 2]),       // prepend
-            (&[2, 4, 6], &[2, 4, 6]), // all duplicates
-        ];
-        for (base, other) in cases {
-            let mut merged = DirtyNodes::new();
-            let mut reference = DirtyNodes::new();
-            for &n in *base {
-                merged.insert(n);
-                reference.insert(n);
-            }
-            merged.merge_sorted(other);
-            for &n in *other {
-                reference.insert(n);
-            }
-            assert_eq!(
-                merged.iter().collect::<Vec<_>>(),
-                reference.iter().collect::<Vec<_>>(),
-                "base {base:?} + {other:?}"
-            );
-        }
     }
 }

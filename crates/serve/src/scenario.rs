@@ -104,8 +104,8 @@ pub struct RunOutcome {
 /// throughput atomics (shared across concurrent runs in this process),
 /// `run.executed_edges` (host edge-skip accounting), and
 /// `link.*.rejected_pushes` (counts *attempts*, not data movement). The
-/// parallel-determinism suite asserts everything kept here is
-/// bit-identical across thread counts, shard counts, and edge-skip modes.
+/// trace-differential suite asserts everything kept here is bit-identical
+/// across trace and edge-skip modes.
 fn cacheable_metrics(sys: &System) -> Vec<(String, u64)> {
     sys.metrics_registry()
         .iter()

@@ -19,8 +19,8 @@
 //!   never cached.
 //! - the tenant — results are content-addressed, not owner-addressed;
 //!   quotas meter *work*, and cache hits cost no work.
-//! - `sim_threads` / `mesh_shards` — host parallelism knobs, already
-//!   excluded by `SystemConfig::canonical_encode`.
+//! - `sim_threads` / `mesh_shards` — inert config fields (the simulator is
+//!   serial), already excluded by `SystemConfig::canonical_encode`.
 
 use std::fmt;
 

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # duet-sim
 //!
@@ -65,7 +66,7 @@ pub use fifo::{AsyncFifo, Fifo, PushError};
 pub use horizon::{merge_min, Horizon};
 pub use link::{Link, LinkReport, LinkStats};
 pub use rng::SimRng;
-pub use shard::{partition_balanced, EpochBarrier, LoadEwma};
+pub use shard::EpochBarrier;
 pub use snapshot::{Pack, Snap, SnapError, SnapHasher, SnapReader, SnapWriter};
 pub use stats::{Counter, LatencyBreakdown, RunningStats};
 pub use storage::{IdSlab, LineMap, PagedMem, ShardMem};

@@ -1,142 +1,15 @@
-//! Sharded-execution primitives: a deterministic contiguous partitioner
-//! and the epoch barrier that synchronizes per-shard worker threads.
+//! [`EpochBarrier`]: a spin-then-park barrier for per-epoch fork/join
+//! between one coordinator thread and a few persistent workers.
 //!
-//! The intra-run parallel loop (see `duet-system`) slices the component
-//! graph into contiguous node ranges — one shard per simulation thread —
-//! and runs each shard's per-edge component passes concurrently between
-//! two deterministic barriers. Everything here is host-side machinery:
-//! shard *count* and shard *boundaries* are pure functions of the
-//! configuration, and the merge order after each barrier is fixed, so
-//! simulation results are bit-identical for any thread count.
-//!
-//! The conservative lookahead bound for this design degenerates to a
-//! single clock edge: every cross-shard `Link` (the mesh hop FIFOs and
-//! the per-node injection pipes) has next-edge visibility, so a message
-//! produced at edge *k* can be consumed at edge *k+1* — shards therefore
-//! synchronize every executed edge, and the event-horizon scheduler keeps
-//! the edge count itself low. [`EpochBarrier`] makes that per-edge
-//! synchronization cheap: an epoch open is one atomic store plus one
-//! load, and workers spin briefly before yielding (and eventually parking
-//! on a condvar, so an idle pool costs nothing between runs).
+//! No simulator code uses it: the simulator is serial (DESIGN.md
+//! "Intra-run threading: tried, measured, removed"). It stays only as the
+//! subject of the benchmark's `sim.epoch_barrier_ns` probe, and goes with
+//! that probe.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Splits `weights.len()` items into at most `parts` contiguous,
-/// non-empty ranges with approximately equal total weight.
-///
-/// The split is deterministic (greedy left-to-right against the remaining
-/// average) and every item lands in exactly one range, so concatenating
-/// the ranges in order always re-yields `0..weights.len()`. Fewer ranges
-/// than requested come back when there are fewer items than parts.
-pub fn partition_balanced(weights: &[u64], parts: usize) -> Vec<std::ops::Range<usize>> {
-    let n = weights.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let k = parts.clamp(1, n);
-    let total: u64 = weights.iter().sum();
-    let mut out = Vec::with_capacity(k);
-    let mut start = 0usize;
-    let mut used = 0u64;
-    for p in 0..k {
-        let parts_left = (k - p) as u64;
-        // Leave at least one item for every remaining part.
-        let max_end = n - (k - p - 1);
-        let target = ((total - used) / parts_left).max(1);
-        let mut end = start + 1;
-        let mut w = weights[start];
-        while end < max_end && w + weights[end] / 2 < target {
-            w += weights[end];
-            end += 1;
-        }
-        if p == k - 1 {
-            end = n;
-        }
-        used += weights[start..end].iter().sum::<u64>();
-        out.push(start..end);
-        start = end;
-    }
-    out
-}
-
-/// Per-item load EWMAs folded at fixed simulated-time quanta, feeding the
-/// adaptive shard rebalancer.
-///
-/// Work counters accumulate in a caller-owned `accum` array between folds;
-/// [`fold`](LoadEwma::fold) halves each EWMA into the new quantum
-/// (`v = (v + accum) / 2`) and applies one extra pure-decay halving per
-/// *additionally* elapsed quantum. Because the fold is checked before every
-/// executed tick, all accumulated work belongs to the quantum of the last
-/// fold — so folding once with `k` decay steps is bit-identical to folding
-/// at every quantum boundary exhaustively, which is what keeps the shard
-/// layout a pure function of simulated state under edge-skip (skipped idle
-/// quanta contribute exactly the decay they would have contributed had
-/// their edges executed).
-#[derive(Clone, Debug)]
-pub struct LoadEwma {
-    values: Vec<u64>,
-    last_quantum: u64,
-}
-
-impl LoadEwma {
-    /// EWMAs for `items` load counters, all starting at zero.
-    pub fn new(items: usize) -> Self {
-        LoadEwma {
-            values: vec![0; items],
-            last_quantum: 0,
-        }
-    }
-
-    /// The folded per-item load values.
-    pub fn values(&self) -> &[u64] {
-        &self.values
-    }
-
-    /// Folds `accum` into the EWMAs if `quantum` advanced past the last
-    /// fold, zeroing `accum`. Returns whether any value changed (callers
-    /// skip repartitioning when nothing did, so a long-idle mesh pays
-    /// nothing per tick). Decay steps are capped: every tracked value is
-    /// far below 2^63, so enough halvings reach zero exactly as an
-    /// uncapped chain would.
-    ///
-    /// # Panics
-    ///
-    /// Panics (via `debug_assert`) if `accum` has a different length than
-    /// the EWMA array.
-    pub fn fold(&mut self, accum: &mut [u64], quantum: u64) -> bool {
-        debug_assert_eq!(accum.len(), self.values.len());
-        if quantum <= self.last_quantum {
-            return false;
-        }
-        let steps = (quantum - self.last_quantum).min(64);
-        self.last_quantum = quantum;
-        let mut changed = false;
-        for (v, a) in self.values.iter_mut().zip(accum.iter_mut()) {
-            let old = *v;
-            let mut nv = (*v + *a) / 2;
-            for _ in 1..steps {
-                nv /= 2;
-            }
-            *a = 0;
-            if nv != old {
-                changed = true;
-            }
-            *v = nv;
-        }
-        changed
-    }
-
-    /// Resets every EWMA and the quantum cursor to the initial state (used
-    /// after a snapshot restore: the rebalancer is host-side machinery and
-    /// re-learns the load profile from zero).
-    pub fn reset(&mut self) {
-        self.values.iter_mut().for_each(|v| *v = 0);
-        self.last_quantum = 0;
-    }
-}
-
-/// A reusable two-phase barrier for per-edge fork/join between one
+/// A reusable two-phase barrier for per-epoch fork/join between one
 /// coordinator and `workers` persistent worker threads.
 ///
 /// Per epoch: the coordinator publishes work, calls
@@ -178,11 +51,6 @@ impl EpochBarrier {
             lock: Mutex::new(()),
             cv: Condvar::new(),
         }
-    }
-
-    /// Number of worker threads this barrier coordinates.
-    pub fn workers(&self) -> usize {
-        self.done.len()
     }
 
     /// Opens epoch `epoch` (must be strictly increasing). Everything the
@@ -284,42 +152,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn partition_covers_everything_in_order() {
-        for n in 1..40usize {
-            for k in 1..10usize {
-                let weights: Vec<u64> = (0..n as u64).map(|i| 1 + i % 7).collect();
-                let parts = partition_balanced(&weights, k);
-                assert!(parts.len() <= k.min(n));
-                assert!(!parts.is_empty());
-                let mut next = 0;
-                for r in &parts {
-                    assert_eq!(r.start, next, "contiguous, ascending");
-                    assert!(r.end > r.start, "non-empty");
-                    next = r.end;
-                }
-                assert_eq!(next, n, "full coverage");
-            }
-        }
-    }
-
-    #[test]
-    fn partition_is_roughly_balanced() {
-        let weights = vec![1u64; 64];
-        let parts = partition_balanced(&weights, 4);
-        assert_eq!(parts.len(), 4);
-        for r in &parts {
-            assert!(r.len() >= 8, "no starved shard: {parts:?}");
-        }
-    }
-
-    #[test]
-    fn partition_more_parts_than_items_degrades() {
-        let parts = partition_balanced(&[5, 5], 8);
-        assert_eq!(parts, vec![0..1, 1..2]);
-        assert!(partition_balanced(&[], 4).is_empty());
-    }
-
-    #[test]
     fn barrier_synchronizes_epochs() {
         let workers = 3;
         let barrier = Arc::new(EpochBarrier::new(workers));
@@ -349,49 +181,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn ewma_fold_skips_stale_quanta_exactly() {
-        // Folding once after k quanta must equal folding at every quantum
-        // boundary when the skipped quanta carried no work.
-        let mut skip = LoadEwma::new(3);
-        let mut exhaustive = LoadEwma::new(3);
-        let mut accum_a = [40u64, 7, 0];
-        let mut accum_b = [40u64, 7, 0];
-        // Work accumulated during quantum 0; skip jumps straight to q=4.
-        assert!(skip.fold(&mut accum_a, 4));
-        for q in 1..=4 {
-            exhaustive.fold(&mut accum_b, q);
-        }
-        assert_eq!(skip.values(), exhaustive.values());
-        assert_eq!(skip.values(), &[2, 0, 0]); // (40/2)/2/2/2, (7/2)>>3, 0
-        assert_eq!(accum_a, [0, 0, 0], "fold zeroes the accumulators");
-    }
-
-    #[test]
-    fn ewma_fold_reports_change_and_idles_quietly() {
-        let mut e = LoadEwma::new(2);
-        let mut accum = [8u64, 0];
-        assert!(e.fold(&mut accum, 1), "new work changes values: 0 -> 4");
-        assert!(
-            e.fold(&mut accum, 2),
-            "decay changes a non-zero value: 4 -> 2"
-        );
-        assert!(e.fold(&mut accum, 3), "2 -> 1");
-        assert!(e.fold(&mut accum, 4), "1 -> 0");
-        assert!(
-            !e.fold(&mut accum, 5),
-            "all-zero idle fold reports no change"
-        );
-        assert!(!e.fold(&mut accum, 5), "stale quantum is a no-op");
-        e.reset();
-        assert_eq!(e.values(), &[0, 0]);
-        let mut accum2 = [u64::MAX / 4, 1];
-        // A huge gap fully decays even large values (cap is exact, not lossy).
-        assert!(e.fold(&mut accum2, 1));
-        assert!(e.fold(&mut accum2, 100_000), "huge value decays to zero");
-        assert_eq!(e.values(), &[0, 0]);
     }
 
     /// Regression test for the lost-wakeup race: pause long enough before

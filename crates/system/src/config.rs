@@ -98,28 +98,11 @@ pub struct SystemConfig {
     /// Deterministic fault-injection schedule (empty by default: inject
     /// nothing, cost nothing). See [`duet_verify::FaultPlan`].
     pub faults: FaultPlan,
-    /// Intra-run simulation threads: the component graph is partitioned
-    /// into this many shards, run concurrently between deterministic
-    /// per-edge barriers. `1` (the default) is the serial loop; `0` means
-    /// "use [`std::thread::available_parallelism`]". Overridable at run
-    /// time via `DUET_SIM_THREADS`. Results are bit-identical for any
-    /// value — this knob only trades host CPUs for wall-clock time.
-    ///
-    /// Note that sweep-level threads ([`parallel_map`] in `duet-bench`)
-    /// and intra-run threads multiply: a sweep of 8 workers each running
-    /// a 4-shard system wants 32 host CPUs. Cap the product at the host's
-    /// parallelism — prefer sweep-level workers for many small runs and
-    /// intra-run shards for one big mesh.
-    ///
-    /// [`parallel_map`]: https://docs.rs/duet-bench
+    /// Ignored; the simulator is serial — DESIGN.md "Intra-run
+    /// threading: tried, measured, removed".
     pub sim_threads: usize,
-    /// Mesh-tick shards: the router grid is split into this many contiguous
-    /// weight-balanced ranges, ticked concurrently with boundary-crossing
-    /// flits replayed at a deterministic merge. `0` (the default) follows
-    /// the resolved `sim_threads` value; `1` forces the serial mesh tick.
-    /// Overridable at run time via `DUET_MESH_SHARDS`. Like `sim_threads`,
-    /// results are bit-identical for any value — fingerprints, metrics, and
-    /// traces do not depend on the shard layout.
+    /// Ignored; the simulator is serial — DESIGN.md "Intra-run
+    /// threading: tried, measured, removed".
     pub mesh_shards: usize,
 }
 
@@ -169,7 +152,7 @@ impl SystemConfig {
     }
 
     /// A 64-tile processor-only system on an 8×8 mesh — the mid-size
-    /// scaling configuration for intra-run parallel simulation.
+    /// scaling configuration.
     pub fn mesh_8x8() -> Self {
         Self::proc_only(64)
     }
@@ -210,9 +193,8 @@ impl SystemConfig {
     /// simulated state to `w`: topology, clocks, variant, MMIO base, and
     /// the full fault plan (via [`FaultPlan::canonical_encode`]).
     ///
-    /// `sim_threads` and `mesh_shards` are deliberately excluded: shard
-    /// counts only trade host CPUs for wall-clock time (results are
-    /// bit-identical), so two configs differing only there are the *same*
+    /// `sim_threads` and `mesh_shards` are deliberately excluded: nothing
+    /// reads them, so two configs differing only there are the *same*
     /// simulated system. This one encoding backs both consumers of
     /// config identity — the snapshot header hash
     /// ([`config_hash`](SystemConfig::config_hash)) and the service
@@ -425,8 +407,6 @@ mod tests {
         assert_eq!(c.tiles(), 256);
         assert_eq!(c.mesh_dims(), (16, 16));
         assert_eq!(c.validate(), Ok(()));
-        assert_eq!(c.sim_threads, 1, "presets default to the serial loop");
-        assert_eq!(c.mesh_shards, 0, "mesh shards default to follow threads");
     }
 
     #[test]
@@ -435,9 +415,8 @@ mod tests {
         let base = SystemConfig::dolly(2, 2, 100.0);
         assert_eq!(base.config_hash(), base.clone().config_hash());
 
-        // Host-parallelism knobs are not part of config identity: a
-        // snapshot taken at one shard count restores at any other, and a
-        // cached service result is reusable at any thread count.
+        // The inert thread knobs are not part of config identity: setting
+        // them moves no snapshot header and no service cache key.
         let mut threaded = base.clone();
         threaded.sim_threads = 4;
         threaded.mesh_shards = 2;

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! # duet-system
@@ -50,7 +51,7 @@
 
 pub mod config;
 pub mod metrics;
-mod parallel;
+mod passes;
 mod run_loop;
 mod snapshot;
 mod stats;

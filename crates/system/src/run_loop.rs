@@ -16,8 +16,6 @@
 //! [`RunError`] — with a per-component stall snapshot — instead of
 //! panicking on deadline or protocol violation.
 
-use std::sync::atomic::Ordering;
-
 use duet_core::{DuetMsg, IrqCause};
 use duet_mem::msg::CoherenceMsg;
 use duet_mem::tlb::Vpn;
@@ -153,21 +151,18 @@ impl System {
         for k in 0..self.fault_index.eject_specs(node).len() {
             let i = self.fault_index.eject_specs(node)[k];
             let spec = self.cfg.faults.specs[i];
-            // Budgets are atomics only so the sharded passes can decrement
-            // them through a shared borrow; here on the serial path plain
-            // relaxed load/store is exact.
-            if !spec.active_at(now) || self.fault_budget[i].load(Ordering::Relaxed) == 0 {
+            if !spec.active_at(now) || self.fault_budget[i] == 0 {
                 continue;
             }
             match spec.kind {
                 FaultKind::NocDrop { node: n, .. } if n == node => {
-                    self.fault_budget[i].fetch_sub(1, Ordering::Relaxed);
+                    self.fault_budget[i] -= 1;
                     return None;
                 }
                 FaultKind::NocReorder { node: n, .. } if n == node => {
                     if let Some(k) = self.reorder_stash.iter().position(|(s, _, _)| *s == i) {
                         let (_, _, held) = self.reorder_stash.remove(k);
-                        self.fault_budget[i].fetch_sub(1, Ordering::Relaxed); // one swap done
+                        self.fault_budget[i] -= 1; // one swap done
                         return Some((m, Some(held)));
                     }
                     self.reorder_stash.push((i, node, m));
@@ -389,24 +384,19 @@ impl System {
         self.sys_tracer.emit(now.as_ps(), EventKind::EdgeFast, 0, 0);
         self.run_os_tasks(now);
         self.pump_injections(now);
-        self.mesh_pass(now);
+        self.mesh.tick(now);
         if self.mesh.has_ejections() {
             self.dispatch_ejections(now);
         }
 
-        // Per-node component passes (L2s, L3 shards, cores), sharded
-        // across the partition plan — the serial loop is the one-shard
-        // degenerate case through the same code path (see `parallel`).
+        // Per-node component passes: L2s, L3 shards, cores (see `passes`).
         self.component_passes(now);
 
-        // Adapter pass, then a deterministic replay of the per-shard
-        // output lanes (deferred core MMIOs, pipe dirty/push accounting).
-        // Relative to the phase order of the classic serial loop this
-        // runs the adapter *after* the cores; that reorder is invisible:
-        // within an edge the adapter and the cores never touch each
+        // The adapter pass, then the core MMIOs the core pass deferred.
+        // Within an edge the adapter and the cores never touch each
         // other's state, and they inject into disjoint NoC nodes' pipes.
         self.adapter_pass(now);
-        self.merge_shard_lanes(now);
+        self.send_deferred_mmio();
         self.stats.fast_edges += 1;
         if cfg!(debug_assertions) {
             self.check_wake_sets(1);
@@ -552,8 +542,8 @@ impl System {
     }
 
     // ----- fault-injection helpers (duet-verify) -----
-    // (`L3RespStall` / `L3RespDrop` interception lives in `parallel`,
-    // inside the sharded component passes.)
+    // (`L3RespStall` / `L3RespDrop` interception lives in `passes`, inside
+    // the L3 pass.)
 
     /// Whether an active `AccelHang` fault is wedging the accelerator.
     fn accel_hung(&self, now: Time) -> bool {
@@ -705,8 +695,8 @@ impl System {
     pub fn next_event_time(&self) -> Option<Time> {
         let now = self.now;
         // Anything retrying every edge pins the horizon to `now` — cores
-        // asleep on a full store buffer included (see `ShardWake::blocked`).
-        if self.inject_pending_total > 0 || self.wake.iter().any(|w| !w.blocked.is_empty()) {
+        // asleep on a full store buffer included (see `WakeSets::blocked`).
+        if self.inject_pending_total > 0 || !self.wake.blocked.is_empty() {
             return Some(now);
         }
         let mut horizon = Horizon::new(now);
@@ -716,35 +706,29 @@ impl System {
         // work is in flight) come first, so a due component costs one
         // probe. Merge *order* never affects the result — a horizon is a
         // pure minimum.
-        for (spec, wake) in self.shard_plan.iter().zip(&self.wake) {
-            for k in wake.cores.iter() {
-                let core = &self.cores[spec.cores.start + k];
-                if core.store_blocked_at(now) {
-                    return Some(now); // not yet asleep; pins like the sleepers
-                }
-                if horizon.merge_opt(core.next_event_time(now)) {
-                    return horizon.earliest();
-                }
+        for i in self.wake.cores.iter() {
+            let core = &self.cores[i];
+            if core.store_blocked_at(now) {
+                return Some(now); // not yet asleep; pins like the sleepers
+            }
+            if horizon.merge_opt(core.next_event_time(now)) {
+                return horizon.earliest();
             }
         }
         if horizon.merge_opt(self.mesh.next_event_time(now)) {
             return horizon.earliest();
         }
-        for (spec, wake) in self.shard_plan.iter().zip(&self.wake) {
-            for k in wake.l2.iter() {
-                let i = spec.cores.start + k;
-                if self.core_held[i].is_some() {
-                    return Some(now); // retried every edge
-                }
-                if horizon.merge_opt(self.l2s[i].next_event_time(now)) {
-                    return horizon.earliest();
-                }
+        for i in self.wake.l2.iter() {
+            if self.core_held[i].is_some() {
+                return Some(now); // retried every edge
             }
-            for j in wake.l3.iter() {
-                let shard = &self.shards[spec.nodes.start + j];
-                if horizon.merge_opt(shard.next_event_time(now)) {
-                    return horizon.earliest();
-                }
+            if horizon.merge_opt(self.l2s[i].next_event_time(now)) {
+                return horizon.earliest();
+            }
+        }
+        for n in self.wake.l3.iter() {
+            if horizon.merge_opt(self.shards[n].next_event_time(now)) {
+                return horizon.earliest();
             }
         }
         // Merging the adapter's hubs uniformly is equivalent to split
@@ -820,10 +804,8 @@ impl System {
                         // Sleeping cores catch up from the edge count when
                         // they wake; awake ones are accounted here.
                         let now = self.now;
-                        for (spec, wake) in self.shard_plan.iter().zip(&self.wake) {
-                            for k in wake.cores.iter() {
-                                self.cores[spec.cores.start + k].account_skipped_edges(now, fast);
-                            }
+                        for i in self.wake.cores.iter() {
+                            self.cores[i].account_skipped_edges(now, fast);
                         }
                         self.stats.fast_edges += fast;
                         self.stats.slow_edges += slow;

@@ -7,8 +7,7 @@
 //!   [`System::restore`] loads it back into a freshly *built* system (same
 //!   [`SystemConfig`], same program, same accelerator design). A restored
 //!   run continues bit-identically to the uninterrupted one: identical
-//!   fingerprints, metrics, and traces at any thread count, with edge-skip
-//!   on or off.
+//!   fingerprints, metrics, and traces, with edge-skip on or off.
 //! * **COW fork** — [`System::fork`] clones a live system in O(dirty pages):
 //!   backing memory is page-grained copy-on-write ([`duet_sim::PagedMem`]),
 //!   so a warmed multi-megabyte footprint forks by bumping `Arc` counts.
@@ -27,17 +26,12 @@
 //! hubs, proxy caches, CDC FIFOs), the accelerator's registered state
 //! (its [`Snap`] supertrait impl), the OS stub (page table, pending
 //! tasks, MMIO id space), fault-injection progress, and the runtime
-//! checkers. Host-side plumbing is *not*: trace sessions, shard pools and
-//! lanes, the edge-skip knob, and the mesh-tick rebalancer (per-router
-//! load EWMAs and the current shard partition) are rebuilt from the
-//! config and environment, because none of them may influence results in
-//! the first place — a restored mesh re-learns its load balance from
-//! zero. The mesh's boundary-exchange lanes *are* carried (encoded
-//! shard-count-invariantly) but must be empty at snapshot time, since
-//! snapshots are only taken between edges when every lane has been
-//! replayed. `executed_edges` (a host-performance metric) travels in its
-//! own trailing section so it survives restore but stays out of
-//! divergence fingerprints.
+//! checkers. Host-side plumbing is *not*: trace sessions, the wake sets
+//! and the edge-skip knob are rebuilt from the config and environment,
+//! because none of them may influence results in the first place.
+//! `executed_edges` (a host-performance metric) travels in its own
+//! trailing section so it survives restore but stays out of divergence
+//! fingerprints.
 //!
 //! # Restore protocol
 //!
@@ -52,8 +46,6 @@
 //!
 //! [`SystemConfig`]: crate::config::SystemConfig
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use duet_fpga::SoftAccelerator;
 use duet_sim::snapshot::{ensure, load_each, save_each};
 use duet_sim::{
@@ -61,6 +53,7 @@ use duet_sim::{
 };
 use duet_trace::Tracer;
 
+use crate::passes::WakeSets;
 use crate::run_loop::OsTask;
 use crate::stats::RunStats;
 use crate::system::System;
@@ -102,12 +95,7 @@ impl System {
         self.write_state(&mut w);
         w.section(*b"FLT\0", |w| {
             self.fault_active.pack(w);
-            let budget: Vec<u64> = self
-                .fault_budget
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect();
-            budget.pack(w);
+            self.fault_budget.pack(w);
             self.faults_injected.pack(w);
         });
         w.section(*b"HOST", |w| self.executed_edges.pack(w));
@@ -133,9 +121,7 @@ impl System {
             if budget.len() != self.fault_budget.len() {
                 return Err(SnapError::Corrupt("fault budget count mismatch"));
             }
-            for (slot, v) in self.fault_budget.iter().zip(budget) {
-                slot.store(v, Ordering::Relaxed);
-            }
+            self.fault_budget = budget;
             self.faults_injected = Pack::unpack(r)?;
             Ok(())
         })?;
@@ -144,8 +130,7 @@ impl System {
         // Derived counters and host-side scratch. The wake sets are derived
         // too: everything starts awake and the first gated pass re-sorts.
         self.inject_pending_total = self.inject_pending.iter().map(duet_sim::Link::len).sum();
-        self.trace_scratch = None;
-        self.wake = crate::parallel::ShardWake::all_awake(&self.shard_plan);
+        self.wake = WakeSets::all_awake(self.cores.len(), self.shards.len());
         Ok(())
     }
 
@@ -301,11 +286,10 @@ impl System {
     /// Host-side plumbing is deliberately *not* inherited: the child starts
     /// with tracing disabled (call
     /// [`enable_tracing`](System::enable_tracing) for its own session) and
-    /// builds its own shard pool lazily. If the parent has an accelerator
+    /// with every component awake. If the parent has an accelerator
     /// attached, the child gets none — use
     /// [`fork_with`](System::fork_with) to carry accelerator state across.
     pub fn fork(&self) -> System {
-        let sim_shards = self.sim_shards;
         let mut adapter = self.adapter.clone();
         if let Some(a) = &mut adapter {
             a.clear_tracers();
@@ -343,6 +327,7 @@ impl System {
             core_held: self.core_held.clone(),
             node_roles: self.node_roles.clone(),
             mmio_ids: self.mmio_ids.clone(),
+            mmio_deferred: Vec::new(),
             next_os_mmio_id: self.next_os_mmio_id,
             page_table: self.page_table.clone(),
             os_tasks: self.os_tasks.clone(),
@@ -357,11 +342,7 @@ impl System {
             accel_busy: self.accel_busy,
             fault_active: self.fault_active.clone(),
             fault_index: self.fault_index.clone(),
-            fault_budget: self
-                .fault_budget
-                .iter()
-                .map(|b| AtomicU64::new(b.load(Ordering::Relaxed)))
-                .collect(),
+            fault_budget: self.fault_budget.clone(),
             reorder_stash: self.reorder_stash.clone(),
             mesi_checker: self.mesi_checker.clone(),
             noc_checker: self.noc_checker.clone(),
@@ -372,18 +353,7 @@ impl System {
             accel_fenced: self.accel_fenced,
             watchdog_sig: self.watchdog_sig,
             watchdog_since: self.watchdog_since,
-            sim_shards,
-            shard_plan: self.shard_plan.clone(),
-            shard_lanes: (0..sim_shards)
-                .map(|_| crate::parallel::ShardLane::default())
-                .collect(),
-            mesh_shards: self.mesh_shards,
-            mesh_pool_min_active: self.mesh_pool_min_active,
-            shard_pool: None,
-            pool_enabled: self.pool_enabled,
-            trace_scratch: None,
-            wake: crate::parallel::ShardWake::all_awake(&self.shard_plan),
-            jobs: Vec::new(),
+            wake: WakeSets::all_awake(self.cores.len(), self.shards.len()),
         }
     }
 

@@ -68,6 +68,10 @@ pub struct System {
     /// MMIO id mangling: slab id -> (core index, original id). The wire id
     /// *is* the slot index, so response lookup is an array access.
     pub(crate) mmio_ids: IdSlab<(usize, u64)>,
+    /// Core MMIO requests `(core index, request)` issued during this fast
+    /// edge's core pass, sent after the adapter pass in ascending core
+    /// order (see `passes`). Empty between edges.
+    pub(crate) mmio_deferred: Vec<(usize, MemReq)>,
     /// Monotone id counter for OS-stub MMIOs (fire-and-forget: tagged with
     /// `OS_ID_BASE`, never looked up on response).
     pub(crate) next_os_mmio_id: u64,
@@ -107,11 +111,8 @@ pub struct System {
     /// instead of scanning the whole plan per message.
     pub(crate) fault_index: duet_verify::FaultIndex,
     /// Per-spec remaining budget for count-limited faults (`u64::MAX` for
-    /// window-only kinds). Atomic so the sharded component passes can
-    /// decrement through a shared borrow; every counter still has exactly
-    /// one consumer per edge (each spec targets a single node), so the
-    /// values are deterministic.
-    pub(crate) fault_budget: Vec<std::sync::atomic::AtomicU64>,
+    /// window-only kinds).
+    pub(crate) fault_budget: Vec<u64>,
     /// Messages held back by an active `NocReorder` fault:
     /// `(spec index, eject node, message)`.
     pub(crate) reorder_stash: Vec<(usize, NodeId, duet_noc::Message<DuetMsg>)>,
@@ -136,39 +137,10 @@ pub struct System {
     pub(crate) watchdog_sig: u64,
     pub(crate) watchdog_since: Time,
 
-    // ----- intra-run parallel simulation (parallel) -----
-    /// Effective shard count for the fast-edge component passes
-    /// (resolved from `cfg.sim_threads` / `DUET_SIM_THREADS` at wiring).
-    pub(crate) sim_shards: usize,
-    /// Contiguous weight-balanced partition of the node range; always at
-    /// least one shard covering every node.
-    pub(crate) shard_plan: Vec<crate::parallel::ShardSpec>,
-    /// Per-shard output lanes (deferred MMIOs, pipe accounting), replayed
-    /// in shard order after the passes.
-    pub(crate) shard_lanes: Vec<crate::parallel::ShardLane>,
-    /// Effective mesh-tick shard count (resolved from `cfg.mesh_shards` /
-    /// `DUET_MESH_SHARDS` at wiring; 0 in the config follows `sim_shards`).
-    pub(crate) mesh_shards: usize,
-    /// Below this many active routers the sharded mesh tick runs inline
-    /// instead of waking the pool (0 when `DUET_SIM_FORCE_THREADS=1`, so
-    /// the determinism tests exercise the pooled path on tiny meshes).
-    pub(crate) mesh_pool_min_active: usize,
-    /// Persistent worker threads, spawned lazily on the first pooled pass.
-    /// Shared between the component passes and the sharded mesh tick (one
-    /// epoch each per fast edge).
-    pub(crate) shard_pool: Option<crate::parallel::ShardPool>,
-    /// Whether multi-shard passes may use real worker threads (host has
-    /// parallelism, or `DUET_SIM_FORCE_THREADS=1`); otherwise the sharded
-    /// schedule runs inline on the coordinator.
-    pub(crate) pool_enabled: bool,
-    /// Per-shard trace scratch rings, built lazily while tracing is on
-    /// and invalidated by [`enable_tracing`](System::enable_tracing).
-    pub(crate) trace_scratch: Option<crate::parallel::TraceScratch>,
-    /// Per-shard wake sets: the components each pass must visit. Derived
-    /// state — never serialized, refilled by `restore()` and `fork()`.
-    pub(crate) wake: Vec<crate::parallel::ShardWake>,
-    /// Reused buffer for the jobs of one pool epoch.
-    pub(crate) jobs: Vec<crate::parallel::ShardJob>,
+    /// The components each fast-edge pass must visit (see `passes`).
+    /// Derived state — never serialized, refilled by `restore()` and
+    /// `fork()`.
+    pub(crate) wake: crate::passes::WakeSets,
 }
 
 impl System {
@@ -212,10 +184,6 @@ impl System {
         if let Some(a) = self.adapter.as_mut() {
             a.set_fabric_tracer(self.accel_tracer.clone());
         }
-        // The scratch rings cache clones of the per-component tracers, so
-        // a new session invalidates them (rebuilt lazily on the next
-        // sharded pass).
-        self.trace_scratch = None;
         self.trace = Some(session);
     }
 

@@ -82,8 +82,7 @@ impl System {
             Vec::new()
         };
         // Count-limited faults get their budget up front; window-only
-        // kinds are effectively unbudgeted. Atomic cells so the sharded
-        // component passes can decrement through a shared borrow.
+        // kinds are effectively unbudgeted.
         let fault_budget = cfg
             .faults
             .specs
@@ -94,35 +93,10 @@ impl System {
                 | duet_verify::FaultKind::L3RespDrop { count, .. } => u64::from(count),
                 _ => u64::MAX,
             })
-            .map(std::sync::atomic::AtomicU64::new)
             .collect();
-        // Intra-run parallelism: partition the node range into
-        // weight-balanced contiguous shards; one shard reproduces the
-        // classic serial loop through the same code path.
-        let sim_shards = crate::parallel::resolve_sim_shards(cfg.sim_threads, nodes);
-        let shard_plan = crate::parallel::build_shard_plan(&node_roles, cfg.processors, sim_shards);
-        let sim_shards = shard_plan.len();
-        let shard_lanes = (0..sim_shards)
-            .map(|_| crate::parallel::ShardLane::default())
-            .collect();
-        let wake = crate::parallel::ShardWake::all_awake(&shard_plan);
-        // Mesh-tick sharding rides the same pool: the mesh keeps its own
-        // contiguous partition (rebalanced from observed router load), the
-        // system only tells it how many shards to aim for.
-        let mesh_shards = crate::parallel::resolve_mesh_shards(cfg.mesh_shards, sim_shards, nodes);
-        let mut mesh = Mesh::new(mesh_cfg);
-        mesh.set_shards(mesh_shards);
-        let pool_enabled =
-            (sim_shards > 1 || mesh_shards > 1) && crate::parallel::want_worker_threads();
-        let mesh_pool_min_active =
-            if std::env::var("DUET_SIM_FORCE_THREADS").is_ok_and(|v| v == "1") {
-                0
-            } else {
-                crate::parallel::MESH_POOL_MIN_ACTIVE
-            };
         Ok(System {
             dual: DualClock::new(cfg.clock, cfg.fpga_clock()),
-            mesh,
+            mesh: Mesh::new(mesh_cfg),
             cores,
             l2s,
             shards,
@@ -135,6 +109,7 @@ impl System {
             core_held: vec![None; cfg.processors],
             node_roles,
             mmio_ids: duet_sim::IdSlab::new(),
+            mmio_deferred: Vec::new(),
             next_os_mmio_id: 1,
             page_table: PageTable::new(),
             os_tasks: Vec::new(),
@@ -162,16 +137,7 @@ impl System {
             accel_fenced: false,
             watchdog_sig: 0,
             watchdog_since: Time::ZERO,
-            sim_shards,
-            shard_plan,
-            shard_lanes,
-            mesh_shards,
-            mesh_pool_min_active,
-            shard_pool: None,
-            pool_enabled,
-            trace_scratch: None,
-            wake,
-            jobs: Vec::new(),
+            wake: crate::passes::WakeSets::all_awake(cfg.processors, nodes),
             cfg,
         })
     }

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! # duet-trace
@@ -433,25 +434,6 @@ impl TraceBuffer {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// Moves every retained event into `dst` (oldest first), folds this
-    /// ring's drop count into `dst`, and resets this ring to empty.
-    ///
-    /// Used by the sharded run loop to drain per-shard scratch rings into
-    /// the session ring at an epoch barrier: when the scratch capacity
-    /// matches the destination capacity, the destination ends up exactly
-    /// as if every event had been pushed into it directly — same retained
-    /// window, same drop count.
-    pub fn take_into(&mut self, dst: &mut TraceBuffer) {
-        for i in 0..self.len {
-            dst.push(self.ring[(self.head + i) % self.ring.len().max(1)]);
-        }
-        dst.dropped += self.dropped;
-        self.ring.clear();
-        self.head = 0;
-        self.len = 0;
-        self.dropped = 0;
-    }
 }
 
 /// A component's handle on the trace: shared ring + cached mask + bound
@@ -496,19 +478,6 @@ impl Tracer {
             a,
             b,
         });
-    }
-
-    /// A handle with the same component id and mask but writing into
-    /// `buffer` instead of the session ring. The sharded run loop uses
-    /// this to redirect a component's events into per-shard scratch rings
-    /// for the duration of a parallel pass; a disabled handle stays
-    /// effectively disabled (its mask is zero, so nothing is captured).
-    pub fn retarget(&self, buffer: Arc<Mutex<TraceBuffer>>) -> Tracer {
-        Tracer {
-            shared: Some(buffer),
-            mask: self.mask,
-            comp: self.comp,
-        }
     }
 }
 
@@ -572,18 +541,6 @@ impl TraceSession {
     /// Total events captured (retained + dropped).
     pub fn total(&self) -> u64 {
         lock_ring(&self.shared).total()
-    }
-
-    /// A handle on the session ring itself, for drains that bypass the
-    /// per-component [`Tracer`] path (e.g. merging per-shard scratch
-    /// rings back in delivery order).
-    pub fn shared_buffer(&self) -> Arc<Mutex<TraceBuffer>> {
-        Arc::clone(&self.shared)
-    }
-
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        lock_ring(&self.shared).capacity()
     }
 
     /// Renders the Chrome trace-event JSON for this session.
@@ -659,54 +616,6 @@ mod tests {
         assert_eq!(b.len(), 1);
         assert_eq!(b.dropped(), 1);
         assert_eq!(b.events()[0].a, 2);
-    }
-
-    #[test]
-    fn take_into_matches_direct_pushes_exactly() {
-        // Push the same stream (a) directly and (b) via a scratch ring of
-        // equal capacity drained at an arbitrary point: retained window
-        // and drop accounting must be identical.
-        let cap = 4;
-        let mut direct = TraceBuffer::new(cap);
-        let mut main = TraceBuffer::new(cap);
-        let mut scratch = TraceBuffer::new(cap);
-        for i in 0..3 {
-            direct.push(ev(i, i));
-            main.push(ev(i, i));
-        }
-        for i in 3..10 {
-            direct.push(ev(i, i));
-            scratch.push(ev(i, i));
-        }
-        scratch.take_into(&mut main);
-        assert_eq!(main.events(), direct.events());
-        assert_eq!(main.dropped(), direct.dropped());
-        assert_eq!(main.total(), direct.total());
-        assert!(scratch.is_empty());
-        assert_eq!(scratch.dropped(), 0);
-        // The drained scratch ring is reusable.
-        scratch.push(ev(99, 99));
-        assert_eq!(scratch.events()[0].a, 99);
-    }
-
-    #[test]
-    fn retarget_keeps_comp_and_mask() {
-        let cfg = TraceConfig::with_capacity(16).with_mask(masks::NOC);
-        let mut s = TraceSession::new(&cfg);
-        let _runloop = s.tracer("runloop");
-        let t = s.tracer("mesh");
-        assert_eq!(s.capacity(), 16);
-        let scratch = Arc::new(Mutex::new(TraceBuffer::new(s.capacity())));
-        let rt = t.retarget(Arc::clone(&scratch));
-        rt.emit(10, EventKind::NocInject, 1, 0);
-        rt.emit(11, EventKind::EdgeFast, 1, 0); // masked out, like the original
-        assert!(s.events().is_empty(), "session ring untouched");
-        let main = s.shared_buffer();
-        scratch.lock().unwrap().take_into(&mut main.lock().unwrap());
-        let evs = s.events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].comp, 1, "component id preserved across retarget");
-        assert_eq!(evs[0].kind, EventKind::NocInject as u8);
     }
 
     #[test]

@@ -1,1 +1,2 @@
+#![forbid(unsafe_code)]
 //! Shared helpers for the example binaries.

@@ -1,1 +1,2 @@
+#![forbid(unsafe_code)]
 //! Integration-test-only crate; see the tests/ directory.

@@ -183,17 +183,14 @@ fn differential_four_core_amoadd() {
 /// and the default four-deep store buffer: the cores spend most edges
 /// retrying a store against the full buffer, the state in which they leave
 /// the wake set and their stall cycles are settled from edge counts. Every
-/// combination of edge skipping × simulation threads × a mid-run
-/// snapshot/restore must agree on the full fingerprint, per-core
-/// `mem_stall_cycles` included.
+/// combination of edge skipping × a mid-run snapshot/restore must agree on
+/// the full fingerprint, per-core `mem_stall_cycles` included.
 #[test]
 fn differential_store_streams_sleeping_on_a_full_buffer() {
     use duet_cpu::Core;
     for store_buffer in [1, 4] {
-        let build = |sim_threads: usize| {
-            let mut cfg = SystemConfig::proc_only(4);
-            cfg.sim_threads = sim_threads;
-            let mut sys = System::new(cfg).expect("valid config");
+        let build = || {
+            let mut sys = System::new(SystemConfig::proc_only(4)).expect("valid config");
             let (addr, val, end, pass) = (regs::T[0], regs::T[1], regs::T[2], regs::T[3]);
             let mut a = Asm::new();
             a.label("main");
@@ -236,7 +233,7 @@ fn differential_store_streams_sleeping_on_a_full_buffer() {
                 halt,
             )
         };
-        let mut oracle = build(1);
+        let mut oracle = build();
         oracle.set_edge_skipping(false);
         let (baseline, stalls, halt) = finish(oracle);
         assert!(
@@ -245,25 +242,20 @@ fn differential_store_streams_sleeping_on_a_full_buffer() {
         );
         let midpoint = Time::from_ps(halt.as_ps() / 2);
         for skip in [false, true] {
-            for sim_threads in [1, 2] {
-                for snapshot in [false, true] {
-                    let mut sys = build(sim_threads);
+            for snapshot in [false, true] {
+                let mut sys = build();
+                sys.set_edge_skipping(skip);
+                if snapshot {
+                    sys.run_until_time(midpoint);
+                    let bytes = sys.snapshot();
+                    sys = build();
                     sys.set_edge_skipping(skip);
-                    if snapshot {
-                        sys.run_until_time(midpoint);
-                        let bytes = sys.snapshot();
-                        sys = build(sim_threads);
-                        sys.set_edge_skipping(skip);
-                        sys.restore(&bytes).expect("self-restore");
-                    }
-                    let (fp, s, _) = finish(sys);
-                    let cell = format!(
-                        "store_buffer {store_buffer}, skip {skip}, {sim_threads} sim \
-                         threads, snapshot {snapshot}"
-                    );
-                    assert_eq!(s, stalls, "per-core mem_stall_cycles differ: {cell}");
-                    assert_eq!(fp, baseline, "fingerprint differs: {cell}");
+                    sys.restore(&bytes).expect("self-restore");
                 }
+                let (fp, s, _) = finish(sys);
+                let cell = format!("store_buffer {store_buffer}, skip {skip}, snapshot {snapshot}");
+                assert_eq!(s, stalls, "per-core mem_stall_cycles differ: {cell}");
+                assert_eq!(fp, baseline, "fingerprint differs: {cell}");
             }
         }
     }
@@ -345,13 +337,9 @@ fn lock_counter(sync: SyncKind, cores: usize, rounds: i64) -> System {
     sys
 }
 
-/// `sys`'s state in a fresh system built with `sim_threads` simulation
-/// threads, through a snapshot (the shard knobs are not part of the
-/// config hash).
-fn rebuilt(sys: &System, sim_threads: usize) -> System {
-    let mut cfg = sys.config().clone();
-    cfg.sim_threads = sim_threads;
-    let mut out = System::new(cfg).expect("valid config");
+/// `sys`'s state in a freshly built system, through a snapshot.
+fn rebuilt(sys: &System) -> System {
+    let mut out = System::new(sys.config().clone()).expect("valid config");
     for c in 0..sys.config().processors {
         out.load_program(c, sys.core(c).program().clone(), "main");
     }
@@ -363,10 +351,11 @@ fn rebuilt(sys: &System, sim_threads: usize) -> System {
 /// caught up arithmetically. On the MCS, test-and-set and sense-barrier
 /// counters at 4 and 8 cores, and on the processor-only PDES and BFS
 /// baselines (which serialize on MCS locks), every combination of edge
-/// skipping × simulation threads × a mid-run snapshot/restore × stepping
-/// through a `run_until` predicate (which settles sleeping spinners after
-/// every executed edge) must match exhaustive ticking: the fingerprint and
-/// every core's `instret`, `load_hits`, stalls and `L1Stats`.
+/// skipping × a mid-run snapshot/restore × stepping through a `run_until`
+/// predicate (which settles sleeping spinners after every executed edge)
+/// must match exhaustive ticking: the fingerprint and every core's
+/// `instret`, `load_hits`, stalls and `L1Stats`. Every cell starts from a
+/// system rebuilt through a snapshot, as a restoring process would.
 #[test]
 fn differential_spinning_cores_sleep_until_invalidated() {
     use duet_workloads::common::BenchVariant;
@@ -450,26 +439,22 @@ fn differential_spinning_cores_sleep_until_invalidated() {
         }
         let midpoint = Time::from_ps(halt.as_ps() / 2);
         for skip in [false, true] {
-            for sim_threads in [1, 2] {
-                for snapshot in [false, true] {
-                    for stepped in [false, true] {
-                        let mut sys = rebuilt(&build(), sim_threads);
+            for snapshot in [false, true] {
+                for stepped in [false, true] {
+                    let mut sys = rebuilt(&build());
+                    sys.set_edge_skipping(skip);
+                    if snapshot {
+                        sys.run_until_time(midpoint);
+                        sys = rebuilt(&sys);
                         sys.set_edge_skipping(skip);
-                        if snapshot {
-                            sys.run_until_time(midpoint);
-                            sys = rebuilt(&sys, sim_threads);
-                            sys.set_edge_skipping(skip);
-                        }
-                        let (fp, per_core, _, spun) = finish(sys, stepped);
-                        let cell = format!(
-                            "{name}: skip {skip}, {sim_threads} sim threads, snapshot \
-                             {snapshot}, stepped {stepped}"
-                        );
-                        assert_eq!(per_core, cores_baseline, "per-core counters: {cell}");
-                        assert_eq!(fp, baseline, "fingerprint: {cell}");
-                        if skip && stepped {
-                            assert_eq!(spun, *spins, "a core slept on a spin: {cell}");
-                        }
+                    }
+                    let (fp, per_core, _, spun) = finish(sys, stepped);
+                    let cell =
+                        format!("{name}: skip {skip}, snapshot {snapshot}, stepped {stepped}");
+                    assert_eq!(per_core, cores_baseline, "per-core counters: {cell}");
+                    assert_eq!(fp, baseline, "fingerprint: {cell}");
+                    if skip && stepped {
+                        assert_eq!(spun, *spins, "a core slept on a spin: {cell}");
                     }
                 }
             }

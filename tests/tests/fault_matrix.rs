@@ -178,6 +178,30 @@ fn two_core_system(faults: FaultPlan) -> System {
 /// Memory checks for the two-core scenario after a completed run.
 const TWO_CORE_MEM: &[(u64, usize)] = &[(0x1000, 1), (0x2000, 1), (0x3000, 1)];
 
+/// Four cores adding 1 to one word 15 times each: faults land on contended
+/// traffic from several cores at once.
+fn amoadd_system(faults: FaultPlan) -> System {
+    let mut cfg = SystemConfig::proc_only(4);
+    cfg.faults = faults;
+    let mut sys = System::new(cfg).expect("valid config");
+    let mut a = Asm::new();
+    a.label("main");
+    a.li(regs::T[0], 0x7000);
+    a.li(regs::S[0], 0);
+    a.label("loop");
+    a.li(regs::T[1], 1);
+    a.amoadd(regs::T[2], regs::T[0], regs::T[1]);
+    a.addi(regs::S[0], regs::S[0], 1);
+    a.li(regs::T[3], 15);
+    a.blt(regs::S[0], regs::T[3], "loop");
+    a.halt();
+    let prog = Arc::new(a.assemble().expect("static program"));
+    for c in 0..4 {
+        sys.load_program(c, prog.clone(), "main");
+    }
+    sys
+}
+
 /// The quickstart popcount on Dolly-P1M1: accelerator, CDC, and slow
 /// domain — the target for `accel_hang` and `cdc_freeze`.
 fn popcount_system(faults: FaultPlan) -> System {
@@ -280,19 +304,63 @@ fn noc_delay_window_delays_but_completes() {
     );
 }
 
+/// A reorder alone on the two-core hand-off, and mixed with the other
+/// budgeted and windowed kinds on four-core fetch-and-add: NoC delay +
+/// reorder + drop, and NoC delay + L3 stall + reorder + L3 drop.
 #[test]
 fn noc_reorder_checker_fires_or_recovers() {
-    let plan = FaultPlan::empty().with(window(FaultKind::NocReorder { node: 1, count: 1 }, 0, 200));
-    let build = move || two_core_system(plan.clone());
-    let (outcome, fp) = run_matrix("noc_reorder", &build, Time::from_us(300), TWO_CORE_MEM);
-    // Swapping adjacent deliveries either trips a checker, wedges the
-    // blocking protocol, or (both messages on unrelated flows) is absorbed.
-    // Whatever happens must be structured and mode-invariant; on recovery
-    // the memory image must still be correct.
-    if outcome == Outcome::Completed {
-        assert!(fp.contains("m[0x3000]=0xbeef"), "silent corruption:\n{fp}");
-    } else {
-        assert!(matches!(outcome, Outcome::Deadlock | Outcome::Violation));
+    let reorder =
+        FaultPlan::empty().with(window(FaultKind::NocReorder { node: 1, count: 1 }, 0, 200));
+    let noc_mix = FaultPlan::empty()
+        .with(window(FaultKind::NocDelay { node: 0 }, 0, 20))
+        .with(window(FaultKind::NocReorder { node: 2, count: 1 }, 0, 200))
+        .with(window(FaultKind::NocDrop { node: 3, count: 1 }, 0, 100));
+    let l3_mix = FaultPlan::empty()
+        .with(window(FaultKind::NocDelay { node: 0 }, 0, 20))
+        .with(window(FaultKind::L3RespStall { node: 1 }, 10, 40))
+        .with(window(FaultKind::NocReorder { node: 2, count: 1 }, 0, 200))
+        .with(window(FaultKind::L3RespDrop { node: 3, count: 1 }, 0, 100));
+    type Case = (
+        &'static str,
+        Box<dyn Fn() -> System>,
+        u64,
+        &'static [(u64, usize)],
+        &'static str,
+    );
+    let cases: [Case; 3] = [
+        (
+            "noc_reorder",
+            Box::new(move || two_core_system(reorder.clone())),
+            300,
+            TWO_CORE_MEM,
+            "m[0x3000]=0xbeef",
+        ),
+        (
+            "amoadd+noc_mix",
+            Box::new(move || amoadd_system(noc_mix.clone())),
+            1_000,
+            &[(0x7000, 1)],
+            "m[0x7000]=0x3c",
+        ),
+        (
+            "amoadd+l3_mix",
+            Box::new(move || amoadd_system(l3_mix.clone())),
+            1_000,
+            &[(0x7000, 1)],
+            "m[0x7000]=0x3c",
+        ),
+    ];
+    for (label, build, deadline_us, mem, payload) in &cases {
+        let (outcome, fp) = run_matrix(label, build, Time::from_us(*deadline_us), mem);
+        // Swapping adjacent deliveries either trips a checker, wedges the
+        // blocking protocol, or (both messages on unrelated flows) is
+        // absorbed. Whatever happens must be structured and mode-invariant;
+        // on recovery the memory image must still be correct.
+        if outcome == Outcome::Completed {
+            assert!(fp.contains(payload), "{label}: silent corruption:\n{fp}");
+        } else {
+            assert!(matches!(outcome, Outcome::Deadlock | Outcome::Violation));
+        }
     }
 }
 

@@ -106,25 +106,12 @@ fn forked_child_continues_identically_to_parent() {
     );
 }
 
-/// A midrun snapshot taken under a forced mesh-sharded pool (4 mesh
-/// shards, real worker threads) restores into a fresh system and
-/// continues bit-identically. The mesh's boundary-exchange lanes are
-/// drained every tick, so the snapshot carries them empty, and the
-/// rebalancer (host-side only) re-learns from zero without perturbing
-/// results.
+/// A midrun snapshot of the warmed 16x16 mesh, with traffic in flight,
+/// restores into a fresh system and continues bit-identically.
 #[test]
-fn midrun_snapshot_restores_under_forced_mesh_sharded_pool() {
-    // Both systems must be built while the overrides are set (the mesh
-    // shard count and pool mode resolve at wiring time). Other tests in
-    // this binary may build systems inside this window; that is benign —
-    // mesh sharding never affects results, which is the very invariant
-    // under test.
-    std::env::set_var("DUET_MESH_SHARDS", "4");
-    std::env::set_var("DUET_SIM_FORCE_THREADS", "1");
+fn midrun_snapshot_of_warmed_mesh_restores_bit_identically() {
     let mut live = warmed_16x16();
     let mut resumed = warmed_16x16();
-    std::env::remove_var("DUET_MESH_SHARDS");
-    std::env::remove_var("DUET_SIM_FORCE_THREADS");
 
     live.run_until_time(Time::from_ns(150));
     let snap = live.snapshot();
@@ -142,7 +129,7 @@ fn midrun_snapshot_restores_under_forced_mesh_sharded_pool() {
     assert_eq!(
         live.divergence_fingerprint(),
         resumed.divergence_fingerprint(),
-        "restored run must continue bit-identically under the sharded mesh pool"
+        "restored run must continue bit-identically"
     );
 }
 

@@ -69,11 +69,9 @@ fn fingerprint(sys: &System, halt: Time, quiesced: Time, mem: &[(u64, usize)]) -
 }
 
 /// ProcOnly variant: two-core producer/consumer message passing.
-fn proc_only_system(threads: usize) -> System {
+fn proc_only_system() -> System {
     let iters = 8i64;
-    let mut cfg = SystemConfig::proc_only(2);
-    cfg.sim_threads = threads;
-    let mut sys = System::new(cfg).expect("valid config");
+    let mut sys = System::new(SystemConfig::proc_only(2)).expect("valid config");
     let mut a = Asm::new();
     a.label("producer");
     let (data, flag, i) = (regs::S[0], regs::S[1], regs::S[2]);
@@ -110,11 +108,9 @@ fn proc_only_system(threads: usize) -> System {
 
 /// Duet variant: the quickstart-style popcount accelerator invoked through
 /// shadow registers, reading a vector coherently via the Proxy Cache.
-fn duet_system(threads: usize) -> System {
+fn duet_system() -> System {
     use duet_core::RegMode;
-    let mut cfg = SystemConfig::dolly(1, 1, 189.0);
-    cfg.sim_threads = threads;
-    let mut sys = System::new(cfg).expect("valid config");
+    let mut sys = System::new(SystemConfig::dolly(1, 1, 189.0)).expect("valid config");
     sys.set_reg_mode(0, RegMode::FpgaBound);
     sys.set_reg_mode(1, RegMode::CpuBound);
     sys.attach_accelerator(Box::new(PopcountAccel::new(true)));
@@ -137,10 +133,8 @@ fn duet_system(threads: usize) -> System {
 }
 
 /// FPSoC variant: slow-domain hubs behind CDC FIFOs, shared-memory loop.
-fn fpsoc_system(threads: usize) -> System {
-    let mut cfg = SystemConfig::fpsoc(2, 1, 137.0);
-    cfg.sim_threads = threads;
-    let mut sys = System::new(cfg).expect("valid config");
+fn fpsoc_system() -> System {
+    let mut sys = System::new(SystemConfig::fpsoc(2, 1, 137.0)).expect("valid config");
     let mut a = Asm::new();
     a.label("main");
     a.li(regs::T[0], 0x4000);
@@ -194,18 +188,17 @@ fn per_run_metrics(sys: &System) -> String {
 /// cell checks.
 fn midrun_cell(
     name: &str,
-    build: &dyn Fn(usize) -> System,
+    build: &dyn Fn() -> System,
     mem: &[(u64, usize)],
-    threads: usize,
     skip: bool,
     trace: bool,
 ) {
     use duet_trace::TraceConfig;
     let deadline = Time::from_us(10_000);
-    let label = format!("{name} threads={threads} skip={skip} trace={trace}");
+    let label = format!("{name} skip={skip} trace={trace}");
 
     // Probe run: find the halt time so the checkpoint lands mid-run.
-    let mut probe = build(threads);
+    let mut probe = build();
     probe.set_edge_skipping(skip);
     let halt = probe
         .run_until_halt(deadline)
@@ -215,7 +208,7 @@ fn midrun_cell(
     drop(probe);
 
     // Reference: uninterrupted, tracing attached at the checkpoint time.
-    let mut reference = build(threads);
+    let mut reference = build();
     reference.set_edge_skipping(skip);
     reference.run_until_time(mid);
     if trace {
@@ -232,14 +225,14 @@ fn midrun_cell(
     let trace_a = reference.trace_text_log();
 
     // Checkpoint "process": run to the mid-point and serialize.
-    let mut writer = build(threads);
+    let mut writer = build();
     writer.set_edge_skipping(skip);
     writer.run_until_time(mid);
     let snap = writer.snapshot();
     drop(writer);
 
     // Fresh "process": rebuild the same structure, restore, continue.
-    let mut restored = build(threads);
+    let mut restored = build();
     restored.set_edge_skipping(skip);
     restored
         .restore(&snap)
@@ -272,21 +265,19 @@ fn midrun_cell(
 
 #[test]
 fn midrun_snapshot_restore_continues_bit_identically() {
-    // `build(threads)` must construct the *identical* structure the
-    // snapshot writer had (config, programs, accelerator design) — the
-    // restore protocol rebuilds structure, snapshots carry only state.
-    type Case<'a> = (&'a str, &'a dyn Fn(usize) -> System, &'a [(u64, usize)]);
+    // `build()` must construct the *identical* structure the snapshot
+    // writer had (config, programs, accelerator design) — the restore
+    // protocol rebuilds structure, snapshots carry only state.
+    type Case<'a> = (&'a str, &'a dyn Fn() -> System, &'a [(u64, usize)]);
     let cases: [Case; 3] = [
         ("proc_only", &proc_only_system, &[(0x1000, 1), (0x2000, 1)]),
         ("duet", &duet_system, &[(0x2_0000, 1)]),
         ("fpsoc", &fpsoc_system, &[(0x4000, 1)]),
     ];
     for (name, build, mem) in cases {
-        for threads in [1usize, 4] {
-            for skip in [false, true] {
-                for trace in [false, true] {
-                    midrun_cell(name, build, mem, threads, skip, trace);
-                }
+        for skip in [false, true] {
+            for trace in [false, true] {
+                midrun_cell(name, build, mem, skip, trace);
             }
         }
     }
@@ -296,20 +287,20 @@ fn midrun_snapshot_restore_continues_bit_identically() {
 fn restore_rejects_mismatched_structure() {
     use duet_sim::SnapError;
     // Snapshot of the Duet system (accelerator attached)...
-    let mut writer = duet_system(1);
+    let mut writer = duet_system();
     writer.run_until_time(Time::from_ns(200));
     let snap = writer.snapshot();
 
     // ...must not load into a system built from a different config
     // (header hash mismatch fails before any section is read)...
-    let mut wrong_cfg = proc_only_system(1);
+    let mut wrong_cfg = proc_only_system();
     assert!(matches!(
         wrong_cfg.restore(&snap),
         Err(SnapError::ConfigHash { .. })
     ));
 
     // ...and truncated bytes fail loudly rather than half-loading.
-    let mut target = duet_system(1);
+    let mut target = duet_system();
     assert!(target.restore(&snap[..snap.len() - 1]).is_err());
 }
 
@@ -324,11 +315,11 @@ fn golden_fingerprints_match_pre_refactor_values() {
     let cases: [Case; 3] = [
         (
             "proc_only",
-            Box::new(|| proc_only_system(1)),
+            Box::new(proc_only_system),
             &[(0x1000, 1), (0x2000, 1)],
         ),
-        ("duet", Box::new(|| duet_system(1)), &[(0x2_0000, 1)]),
-        ("fpsoc", Box::new(|| fpsoc_system(1)), &[(0x4000, 1)]),
+        ("duet", Box::new(duet_system), &[(0x2_0000, 1)]),
+        ("fpsoc", Box::new(fpsoc_system), &[(0x4000, 1)]),
     ];
     for (name, build, mem) in &cases {
         for skip in [false, true] {

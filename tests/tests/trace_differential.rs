@@ -5,7 +5,8 @@
 //!
 //! The differential test runs the same scenario across the full
 //! {trace off, trace on} × {edge-skip off, edge-skip on} matrix and
-//! requires all four fingerprints to be bit-identical.
+//! requires all four fingerprints to be bit-identical, and each traced
+//! cell's text log to come out the same when the cell is run again.
 
 use std::sync::Arc;
 
@@ -79,6 +80,97 @@ fn two_core_system() -> System {
     sys
 }
 
+/// Producer/consumer over twelve rounds on two cores: long spin phases,
+/// so skip gating, stall reconstruction and spin sleep all run traced.
+fn message_passing_system() -> System {
+    let iters = 12i64;
+    let mut sys = System::new(SystemConfig::proc_only(2)).expect("valid config");
+    let mut a = Asm::new();
+    a.label("producer");
+    let (data, flag, i) = (regs::S[0], regs::S[1], regs::S[2]);
+    a.li(data, 0x1000);
+    a.li(flag, 0x2000);
+    a.li(i, 1);
+    a.label("p_loop");
+    a.li(regs::T[0], 1000);
+    a.mul(regs::T[1], i, regs::T[0]);
+    a.sd(regs::T[1], data, 0);
+    a.fence();
+    a.sd(i, flag, 0);
+    a.addi(i, i, 1);
+    a.li(regs::T[2], iters + 1);
+    a.blt(i, regs::T[2], "p_loop");
+    a.halt();
+    a.label("consumer");
+    a.li(data, 0x1000);
+    a.li(flag, 0x2000);
+    a.li(i, 1);
+    a.li(regs::S[3], 0x3000);
+    a.label("spin");
+    a.ld(regs::T[0], flag, 0);
+    a.blt(regs::T[0], i, "spin");
+    a.ld(regs::T[1], data, 0);
+    a.li(regs::T[2], 1000);
+    a.mul(regs::T[3], i, regs::T[2]);
+    a.bge(regs::T[1], regs::T[3], "ok");
+    a.li(regs::T[4], 1);
+    a.sd(regs::T[4], regs::S[3], 0);
+    a.label("ok");
+    a.addi(i, i, 1);
+    a.li(regs::T[5], iters + 1);
+    a.blt(i, regs::T[5], "spin");
+    a.fence();
+    a.halt();
+    let prog = Arc::new(a.assemble().unwrap());
+    sys.load_program(0, prog.clone(), "producer");
+    sys.load_program(1, prog, "consumer");
+    sys
+}
+
+/// Four cores hammering one line with fetch-and-add: maximal coherence
+/// contention, no idle phases.
+fn amoadd_system() -> System {
+    let mut sys = System::new(SystemConfig::proc_only(4)).expect("valid config");
+    let mut a = Asm::new();
+    a.label("main");
+    a.li(regs::T[0], 0x7000);
+    a.li(regs::S[0], 0);
+    a.label("loop");
+    a.li(regs::T[1], 1);
+    a.amoadd(regs::T[2], regs::T[0], regs::T[1]);
+    a.addi(regs::S[0], regs::S[0], 1);
+    a.li(regs::T[3], 15);
+    a.blt(regs::S[0], regs::T[3], "loop");
+    a.halt();
+    let prog = Arc::new(a.assemble().unwrap());
+    for c in 0..4 {
+        sys.load_program(c, prog.clone(), "main");
+    }
+    sys
+}
+
+/// FPSoC variant on two cores: slow-domain hubs behind CDC FIFOs at an
+/// awkward clock ratio.
+fn fpsoc_system() -> System {
+    let mut sys = System::new(SystemConfig::fpsoc(2, 1, 137.0)).expect("valid config");
+    let mut a = Asm::new();
+    a.label("main");
+    a.li(regs::T[0], 0x4000);
+    a.li(regs::T[1], 0);
+    a.label("loop");
+    a.sd(regs::T[1], regs::T[0], 0);
+    a.ld(regs::T[2], regs::T[0], 0);
+    a.addi(regs::T[1], regs::T[1], 1);
+    a.slti(regs::T[3], regs::T[1], 60);
+    a.bnez(regs::T[3], "loop");
+    a.fence();
+    a.halt();
+    let prog = Arc::new(a.assemble().unwrap());
+    sys.load_program(0, prog.clone(), "main");
+    sys.load_program(1, prog, "main");
+    sys
+}
+
 /// The quickstart-style popcount system: accelerator through shadow
 /// registers and the Proxy Cache — covers the adapter, CDC, slow domain,
 /// and accelerator trace hooks.
@@ -106,7 +198,8 @@ fn popcount_system() -> System {
 }
 
 /// Runs `build` across the {trace, skip} matrix and asserts all four
-/// fingerprints are bit-identical.
+/// fingerprints are bit-identical, and that each traced cell renders the
+/// same text log when run a second time.
 fn assert_trace_invisible(build: impl Fn() -> System, deadline: Time, mem: &[(u64, usize)]) {
     let run = |trace: bool, skip: bool| {
         let mut sys = build();
@@ -120,18 +213,29 @@ fn assert_trace_invisible(build: impl Fn() -> System, deadline: Time, mem: &[(u6
         let quiesced = sys
             .quiesce(deadline + Time::from_us(1_000))
             .unwrap_or_else(|e| panic!("{e}"));
-        fingerprint(&sys, halt, quiesced, mem)
+        (fingerprint(&sys, halt, quiesced, mem), sys.trace_text_log())
     };
-    let baseline = run(false, false);
+    let (baseline, _) = run(false, false);
     for (trace, skip) in [(false, true), (true, false), (true, true)] {
+        let (fp, log) = run(trace, skip);
         assert_eq!(
-            baseline,
-            run(trace, skip),
+            baseline, fp,
             "fingerprint diverged at trace={trace} skip={skip}"
         );
+        if trace {
+            assert!(log.is_some(), "tracing produced no log (skip={skip})");
+            assert_eq!(
+                log,
+                run(trace, skip).1,
+                "trace text log differs between identical runs (skip={skip})"
+            );
+        }
     }
 }
 
+/// The processor-only and FPSoC core workloads: the two-core hand-off,
+/// twelve-round message passing, the FPSoC slow hubs, and four-core
+/// fetch-and-add contention.
 #[test]
 fn differential_trace_onoff_skip_onoff_two_cores() {
     assert_trace_invisible(
@@ -139,6 +243,13 @@ fn differential_trace_onoff_skip_onoff_two_cores() {
         Time::from_us(5_000),
         &[(0x1000, 1), (0x2000, 1), (0x3000, 1)],
     );
+    assert_trace_invisible(
+        message_passing_system,
+        Time::from_us(10_000),
+        &[(0x1000, 1), (0x2000, 1), (0x3000, 1)],
+    );
+    assert_trace_invisible(fpsoc_system, Time::from_us(1_000), &[(0x4000, 1)]);
+    assert_trace_invisible(amoadd_system, Time::from_us(5_000), &[(0x7000, 1)]);
 }
 
 #[test]
