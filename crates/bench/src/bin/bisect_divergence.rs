@@ -208,6 +208,8 @@ fn main() {
         "coarse: checkpoints agree at {from}, diverge by {diverged_boundary}\n"
     ));
 
+    // `restore` leaves the host-side edge count alone.
+    let edges_at_checkpoint = a.executed_edges();
     loop {
         let (ta, da) = a.step_edge();
         let (tb, db) = b.step_edge();
@@ -220,7 +222,7 @@ fn main() {
             report.push_str(&format!("FIRST DIVERGENT EDGE: {ta} ({da:?} edge)\n"));
             report.push_str(&format!(
                 "edges executed from checkpoint: {}\n",
-                a.executed_edges()
+                a.executed_edges() - edges_at_checkpoint
             ));
             let diff = metric_diff(&a, &b);
             if diff.is_empty() {

@@ -161,7 +161,7 @@ impl L3Shard {
     /// Declares this shard home `index` of `homes` round-robin homes (the
     /// [`HomeMap`](crate::priv_cache::HomeMap) interleave): it will only
     /// ever hold lines `l` with `l % homes == index`, so its memory image
-    /// is stored densely at `l / homes`. Snapshot bytes do not change.
+    /// is stored densely at `l / homes`, in memory and in snapshots.
     ///
     /// # Panics
     ///

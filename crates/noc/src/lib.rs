@@ -832,36 +832,27 @@ pack_struct!(MeshStats {
     injected
 });
 
-/// Hand-written: the bytes are those of the layout this storage replaced —
-/// per router, fifteen `Link::sync` queues holding whole messages — so
-/// snapshots stay interchangeable; the geometry is cross-checked, and every
-/// derived worklist is recomputed from the loaded buffers instead of being
-/// trusted from the bytes.
+/// Hand-written: messages live in a slab and move between rings by handle,
+/// so the bytes follow ring order instead of storage; every derived
+/// worklist is recomputed from the loaded rings instead of being trusted
+/// from the bytes.
 impl<P: Pack> Snap for Mesh<P> {
-    /// Serializes router buffers, ejection queues, traffic stats, the
-    /// trace-id counter, and three empty lists. Each queue is written as
-    /// the synchronous `Link` it models: transport tag 0, capacity,
-    /// latency, the entries front to back as `(ready_at, message)`, the
-    /// counters, and a cleared frozen flag. Slab handles never reach the
-    /// bytes. The derived state (`active`, `eject_active`,
+    /// Serializes the node count, then per router each input ring front to
+    /// back as `(ready_at, message)` with its `LinkStats`, then `out_busy`
+    /// and the round-robin pointers; then every ejection queue, the traffic
+    /// stats and the trace-id counter. Slab handles never reach the bytes.
+    /// Ring capacity and hop latency are configuration, pinned by the
+    /// config hash. The derived state (`active`, `eject_active`,
     /// `eject_pending`, per-router `occ`/`full`, the fullness snapshot) is
     /// *recomputed* on load — it is a pure function of queue occupancy, so
     /// rebuilding it is bit-exact and removes a whole class of
     /// corrupt-snapshot inconsistencies. The tracer handle is a session
     /// resource and is not serialized.
-    ///
-    /// The three trailing zero counts are where the format once carried a
-    /// sharded tick's boundary-exchange lanes (forwards, ejections,
-    /// drained routers), which were always empty between edges; they stay
-    /// so that snapshot bytes are unchanged.
     fn save(&self, w: &mut SnapWriter) {
         let depth = self.cfg.buf_depth;
         w.len64(self.routers.len());
         for (node, router) in self.routers.iter().enumerate() {
             for q in 0..QUEUES {
-                w.u8(0);
-                w.len64(depth);
-                self.hop_latency.pack(w);
                 let len = usize::from(router.len[q]);
                 w.len64(len);
                 for i in 0..len {
@@ -871,7 +862,6 @@ impl<P: Pack> Snap for Mesh<P> {
                     self.msg(slot.handle).pack(w);
                 }
                 self.link_stats[node * QUEUES + q].pack(w);
-                false.pack(w);
             }
             router.out_busy.pack(w);
             router.rr.map(usize::from).pack(w);
@@ -886,9 +876,6 @@ impl<P: Pack> Snap for Mesh<P> {
         }
         self.stats.pack(w);
         w.u64(self.trace_seq);
-        for _ in 0..3 {
-            w.len64(0);
-        }
     }
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let nodes = self.routers.len();
@@ -901,15 +888,6 @@ impl<P: Pack> Snap for Mesh<P> {
         for node in 0..nodes {
             let (mut occ, mut full) = (0u16, 0u16);
             for q in 0..QUEUES {
-                ensure(r.u8()? == 0, "link transport kind mismatch")?;
-                ensure(
-                    r.len64()? == depth,
-                    "capacity differs from the built component",
-                )?;
-                ensure(
-                    Time::unpack(r)? == self.hop_latency,
-                    "mesh hop latency mismatch",
-                )?;
                 let len = r.len64()?;
                 ensure(len <= depth, "router queue over capacity")?;
                 for pos in 0..len {
@@ -929,7 +907,6 @@ impl<P: Pack> Snap for Mesh<P> {
                 occ |= u16::from(len > 0) << q;
                 full |= u16::from(len == depth) << q;
                 self.link_stats[node * QUEUES + q] = LinkStats::unpack(r)?;
-                ensure(!bool::unpack(r)?, "mesh link frozen")?;
             }
             let router = &mut self.routers[node];
             router.out_busy = Pack::unpack(r)?;
@@ -964,11 +941,6 @@ impl<P: Pack> Snap for Mesh<P> {
         }
         self.stats = MeshStats::unpack(r)?;
         self.trace_seq = r.u64()?;
-        // Those lists were always empty between edges: anything else is
-        // corrupt.
-        for _ in 0..3 {
-            ensure(r.len64()? == 0, "mesh tick lane not drained")?;
-        }
         // Cleared, not loaded: the next tick refreshes it.
         self.full_snap.fill(0);
         Ok(())
@@ -1372,26 +1344,6 @@ mod tests {
         let mut r = SnapReader::new(&buf);
         assert!(matches!(b.load(&mut r), Err(SnapError::Corrupt(_))));
         let _ = a.eject(0, VNet::Req);
-    }
-
-    #[test]
-    fn mesh_snapshot_rejects_undrained_lane() {
-        // Hand-craft a buffer whose trailing lane section claims one
-        // pending forward: load must fail loudly instead of dropping it.
-        let cfg = MeshConfig::new(2, 2, Clock::ghz1());
-        let a: Mesh<u32> = Mesh::new(cfg);
-        let mut w = SnapWriter::new();
-        a.save(&mut w);
-        let mut buf = w.finish();
-        // The clean save ends with three zero-length lane counts; rewrite
-        // the tail with a lane carrying one deactivation instead.
-        let mut lw = SnapWriter::new();
-        (0usize, 0usize, vec![1usize]).pack(&mut lw);
-        buf.truncate(buf.len() - 3 * 8);
-        buf.extend_from_slice(&lw.finish());
-        let mut b: Mesh<u32> = Mesh::new(cfg);
-        let mut r = SnapReader::new(&buf);
-        assert!(matches!(b.load(&mut r), Err(SnapError::Corrupt(_))));
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::time::Time;
 pub const MAGIC: [u8; 8] = *b"DUETSNP\0";
 
 /// Current snapshot format version. Bump on any layout change.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]

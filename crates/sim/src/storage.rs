@@ -434,18 +434,14 @@ impl<V: Copy + Default> PagedMem<V> {
 ///
 /// Keyed by `k` itself, each home's pages would be only `1/stride` full;
 /// dense keys fill them. Reads of keys homed elsewhere return
-/// `V::default()`. The snapshot form is exactly the one a `PagedMem` keyed
-/// by `k` writes — every page of `k` space ever written, each with its
-/// `PAGE_ENTRIES` entries and the other homes' entries at default — so the
-/// interleave never shows in snapshot bytes. A `stride` of 1 is a plain
+/// `V::default()`. The snapshot form is the dense `PagedMem`'s, so a
+/// foreign-homed entry cannot even be written. A `stride` of 1 is a plain
 /// `PagedMem`.
 #[derive(Clone, Debug)]
 pub struct ShardMem<V: Copy + Default> {
     dense: PagedMem<V>,
     stride: u64,
     phase: u64,
-    /// Pages of `k` space written so far: the snapshot's page set.
-    touched: std::collections::BTreeSet<u64>,
 }
 
 impl<V: Copy + Default> ShardMem<V> {
@@ -460,7 +456,6 @@ impl<V: Copy + Default> ShardMem<V> {
             dense: PagedMem::new(),
             stride,
             phase,
-            touched: std::collections::BTreeSet::new(),
         }
     }
 
@@ -481,7 +476,6 @@ impl<V: Copy + Default> ShardMem<V> {
             self.phase,
             "key {key} is homed elsewhere"
         );
-        self.touched.insert(key / PAGE_ENTRIES as u64);
         self.dense.write(key / self.stride, value);
     }
 
@@ -497,55 +491,17 @@ impl<V: Copy + Default> ShardMem<V> {
     }
 }
 
-/// Hand-written: writes the `PagedMem` form of `k` space (see the type
-/// docs) and rejects a value at a key homed elsewhere on load.
-impl<V: crate::snapshot::Pack + Copy + Default + PartialEq> crate::snapshot::Snap for ShardMem<V> {
+/// Hand-written: a delegation to the dense store. `stride` and `phase` are
+/// construction-time wiring, pinned by the config hash in the header.
+impl<V: crate::snapshot::Pack + Copy + Default> crate::snapshot::Snap for ShardMem<V> {
     fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.len64(self.touched.len());
-        for &page in &self.touched {
-            w.u64(page);
-            let first = page * PAGE_ENTRIES as u64;
-            // The first key of the page homed here, then every stride-th.
-            let mut homed = first + (self.phase + self.stride - first % self.stride) % self.stride;
-            for off in 0..PAGE_ENTRIES as u64 {
-                if first + off == homed {
-                    self.dense.read(homed / self.stride).pack(w);
-                    homed = homed.wrapping_add(self.stride);
-                } else {
-                    V::default().pack(w);
-                }
-            }
-        }
+        self.dense.save(w);
     }
     fn load(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
     ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::SnapError;
-        let n = r.len64()?;
-        let mut fresh = ShardMem::new(self.stride, self.phase);
-        for _ in 0..n {
-            let page = r.u64()?;
-            let first = page
-                .checked_mul(PAGE_ENTRIES as u64)
-                .ok_or(SnapError::Corrupt("PagedMem page out of range"))?;
-            if !fresh.touched.insert(page) {
-                return Err(SnapError::Corrupt("duplicate PagedMem page"));
-            }
-            for off in 0..PAGE_ENTRIES as u64 {
-                let v = V::unpack(r)?;
-                if v == V::default() {
-                    continue;
-                }
-                let key = first + off;
-                if key % self.stride != self.phase {
-                    return Err(SnapError::Corrupt("PagedMem entry homed at another shard"));
-                }
-                fresh.dense.write(key / self.stride, v);
-            }
-        }
-        *self = fresh;
-        Ok(())
+        self.dense.load(r)
     }
 }
 
@@ -970,65 +926,50 @@ mod tests {
     }
 
     #[test]
-    fn shardmem_snapshot_bytes_equal_a_globally_keyed_pagedmem() {
-        use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+    fn shardmem_snapshot_roundtrips_in_dense_form() {
+        use crate::snapshot::{Snap, SnapReader, SnapWriter};
         fn bytes(s: &impl Snap) -> Vec<u8> {
             let mut w = SnapWriter::new();
             s.save(&mut w);
             w.finish()
         }
         let mut rng = crate::SimRng::new(0xD15E);
-        let high = (DIRECT_PAGES * PAGE_ENTRIES) as u64;
-        for stride in [1u64, 3, 16, 64, 256] {
+        for stride in [1u64, 16] {
             let phase = rng.next_u64() % stride;
             let mut global: PagedMem<[u8; 16]> = PagedMem::new();
             let mut dense = ShardMem::new(stride, phase);
             let mut keys = Vec::new();
-            for i in 0..300 {
-                // Sparse keys over 64 pages, a few past the dense table;
-                // some values are zero, which still touches a page.
-                let base = if i % 50 == 0 { high } else { 0 };
-                let k = base + rng.next_u64() % (64 * PAGE_ENTRIES as u64);
-                let key = k - k % stride + phase;
-                let v = [(rng.next_u64() % 4) as u8; 16];
-                global.write(key, v);
-                dense.write(key, v);
-                keys.push(key);
+            // Every homed line of 64 pages of key space, non-zero, so the
+            // globally keyed store allocates all 64 pages.
+            for k in (phase..64 * PAGE_ENTRIES as u64).step_by(stride as usize) {
+                let v = [(rng.next_u64() % 255 + 1) as u8; 16];
+                global.write(k, v);
+                dense.write(k, v);
+                keys.push(k);
             }
-            let want = bytes(&global);
-            assert!(
-                bytes(&dense) == want,
-                "stride {stride}: snapshot bytes differ"
-            );
-            assert!(dense.allocated_pages() <= global.allocated_pages());
-
+            let saved = bytes(&dense);
             let mut back: ShardMem<[u8; 16]> = ShardMem::new(stride, phase);
-            let mut r = SnapReader::new(&want);
+            back.write(phase, [9; 16]); // prior contents must be replaced
+            let mut r = SnapReader::new(&saved);
             back.load(&mut r).unwrap();
             r.expect_end().unwrap();
-            for &key in &keys {
-                assert_eq!(
-                    back.read(key),
-                    global.read(key),
-                    "stride {stride}, key {key}"
-                );
+            for _ in 0..2_000 {
+                let key = keys[(rng.next_u64() % keys.len() as u64) as usize];
+                assert_eq!(back.read(key), global.read(key), "stride {stride}");
+                // The key next door is homed elsewhere unless stride is 1.
+                assert_eq!(back.read(key + 1), dense.read(key + 1));
             }
             assert!(
-                bytes(&back) == want,
+                bytes(&back) == saved,
                 "stride {stride}: reload changed the bytes"
             );
 
-            if stride > 1 {
-                // A value at a key homed elsewhere cannot be this shard's.
-                let mut foreign = global.clone();
-                foreign.write(keys[0] + 1, [7; 16]);
-                let foreign = bytes(&foreign);
-                let mut r = SnapReader::new(&foreign);
-                assert!(matches!(
-                    ShardMem::<[u8; 16]>::new(stride, phase).load(&mut r),
-                    Err(SnapError::Corrupt(_))
-                ));
-            }
+            // Dense pages on the wire: 1/stride of the global form.
+            let ratio = bytes(&global).len() as f64 / saved.len() as f64;
+            assert!(
+                (ratio - stride as f64).abs() < 0.01,
+                "stride {stride}: global/dense bytes {ratio}"
+            );
         }
     }
 }

@@ -51,8 +51,9 @@ pub(crate) struct WakeSets {
     /// Sleeping cores that would retry a store on every edge
     /// ([`Core::store_blocked_at`]). They need no tick, but the run loop
     /// keeps executing edges while there are any, as it did when they
-    /// ticked: `executed_edges` travels in snapshots, and the committed
-    /// byte goldens hold it.
+    /// ticked. Skipping those edges was measured slower: on
+    /// `coherence_stream` it executed 20 % fewer edges and took 7 % longer
+    /// (EXPERIMENTS.md, "The store-blocked horizon pin").
     pub(crate) blocked: BitSet,
     /// Per core, meaningful while it is asleep: the fast-edge index up to
     /// which its `mem_stall_cycles` already account for the sleep.

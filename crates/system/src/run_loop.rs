@@ -32,6 +32,13 @@ use duet_core::control_hub::mmio_map;
 /// Id-space tag for MMIOs generated by the OS stub (responses discarded).
 const OS_ID_BASE: u64 = 1 << 62;
 
+/// The skip bound of a loop that fails on the first edge *past*
+/// `deadline`: dead edges up to and including the deadline may be skipped,
+/// so the failing edge is the one exhaustive stepping fails on.
+fn past(deadline: Time) -> Time {
+    deadline.checked_add(Time::from_ps(1)).unwrap_or(Time::MAX)
+}
+
 /// A deferred OS action (page-fault handling).
 #[derive(Clone, Debug)]
 pub(crate) enum OsTask {
@@ -695,7 +702,8 @@ impl System {
     pub fn next_event_time(&self) -> Option<Time> {
         let now = self.now;
         // Anything retrying every edge pins the horizon to `now` — cores
-        // asleep on a full store buffer included (see `WakeSets::blocked`).
+        // asleep on a full store buffer included: skipping their edges
+        // measured slower (see `WakeSets::blocked`).
         if self.inject_pending_total > 0 || !self.wake.blocked.is_empty() {
             return Some(now);
         }
@@ -787,16 +795,14 @@ impl System {
     }
 
     /// Advances to — and executes — the next clock edge that can do work,
-    /// skipping any provably-dead edges in between. `limit` bounds the
-    /// jump so deadline panics fire on the same edge as exhaustive
-    /// stepping.
-    fn step_event(&mut self, limit: Time) -> (Time, EdgeDomain) {
+    /// skipping any provably-dead edges in between, but only those strictly
+    /// before `bound`: the first edge at or after `bound` always executes,
+    /// as it would under exhaustive stepping, so a loop that stops there
+    /// stops on the same edge either way.
+    fn step_event(&mut self, bound: Time) -> (Time, EdgeDomain) {
         if self.skip_enabled {
             if let Some(horizon) = self.next_event_time() {
-                // Edges strictly before the horizon are dead; the +1ps
-                // past-`limit` clamp keeps the first out-of-deadline edge
-                // executed (so the panic edge matches baseline stats).
-                let bound = limit.checked_add(Time::from_ps(1)).unwrap_or(Time::MAX);
+                // Edges strictly before the horizon are dead.
                 let target = horizon.min(bound);
                 if target > self.now {
                     let (fast, slow) = self.dual.advance_to(target);
@@ -937,7 +943,7 @@ impl System {
     pub fn run_until_halt(&mut self, deadline: Time) -> Result<Time, RunError> {
         let batch = self.begin_batch();
         while !self.all_halted() {
-            let (t, _) = self.step_event(deadline);
+            let (t, _) = self.step_event(past(deadline));
             if let Some(e) = self.run_error(t, deadline, "all cores halted") {
                 self.end_batch(batch);
                 return Err(e);
@@ -964,7 +970,7 @@ impl System {
     ) -> Result<Time, RunError> {
         let batch = self.begin_batch();
         while !pred(self) {
-            let (t, _) = self.step_event(deadline);
+            let (t, _) = self.step_event(past(deadline));
             if let Some(e) = self.run_error(t, deadline, "run_until predicate") {
                 self.end_batch(batch);
                 return Err(e);
@@ -984,8 +990,8 @@ impl System {
     pub fn run_until_time(&mut self, until: Time) -> Time {
         let batch = self.begin_batch();
         while self.now < until && !self.all_halted() {
-            // `until` doubles as the skip limit so the jump never
-            // overshoots the requested instant by more than one edge.
+            // The loop stops on the first edge at or after `until`, so
+            // only edges before it may be skipped.
             self.step_event(until);
         }
         self.end_batch(batch);
@@ -1000,7 +1006,7 @@ impl System {
     pub fn quiesce(&mut self, deadline: Time) -> Result<Time, RunError> {
         let batch = self.begin_batch();
         while !self.is_quiescent() {
-            let (t, _) = self.step_event(deadline);
+            let (t, _) = self.step_event(past(deadline));
             if let Some(e) = self.run_error(t, deadline, "all queues drained") {
                 self.end_batch(batch);
                 return Err(e);

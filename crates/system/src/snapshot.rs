@@ -13,25 +13,26 @@
 //!   so a warmed multi-megabyte footprint forks by bumping `Arc` counts.
 //!   Sweeps boot once and fork per point instead of re-running warmup.
 //! * **Divergence fingerprints** — [`System::divergence_fingerprint`]
-//!   hashes the full simulated state (host-only metrics excluded) into one
-//!   `u64`, cheap enough to compare every few thousand edges. The
+//!   hashes the snapshot minus its header and fault-schedule section into
+//!   one `u64`, cheap enough to compare every few thousand edges. The
 //!   `bisect_divergence` tool in `duet-bench` uses it to walk two runs to
 //!   their first divergent clock edge.
 //!
 //! # What is (and is not) in a snapshot
 //!
-//! Everything that affects simulated behavior is serialized: clocks, cores,
-//! L1/L2/TLB, the mesh (routers, in-flight messages, per-link stats), L3
-//! shards (directory + backing memory), the adapter (control hub, memory
-//! hubs, proxy caches, CDC FIFOs), the accelerator's registered state
-//! (its [`Snap`] supertrait impl), the OS stub (page table, pending
-//! tasks, MMIO id space), fault-injection progress, and the runtime
-//! checkers. Host-side plumbing is *not*: trace sessions, the wake sets
-//! and the edge-skip knob are rebuilt from the config and environment,
-//! because none of them may influence results in the first place.
-//! `executed_edges` (a host-performance metric) travels in its own
-//! trailing section so it survives restore but stays out of divergence
-//! fingerprints.
+//! Everything that affects simulated behavior is serialized, each type in
+//! its own in-memory form: clocks, cores, L1/L2/TLB, the mesh (routers,
+//! in-flight messages, per-link stats), L3 shards (directory + dense
+//! per-shard backing pages), the adapter (control hub, memory hubs, proxy
+//! caches, CDC FIFOs), the accelerator's registered state (its [`Snap`]
+//! supertrait impl), the OS stub (page table, pending tasks, MMIO id
+//! space), fault-injection progress, and the runtime checkers. Nothing
+//! else is, so a snapshot is a pure function of simulated state: the same
+//! bytes with edge skipping on or off. Host-side state is rebuilt or kept
+//! by the receiving system: trace sessions, the wake sets and the
+//! edge-skip knob come from the config and environment, and
+//! `executed_edges` (a host-performance metric) is left alone by `restore`
+//! and copied by `fork`.
 //!
 //! # Restore protocol
 //!
@@ -98,7 +99,6 @@ impl System {
             self.fault_budget.pack(w);
             self.faults_injected.pack(w);
         });
-        w.section(*b"HOST", |w| self.executed_edges.pack(w));
         w.finish()
     }
 
@@ -108,7 +108,8 @@ impl System {
     /// the header hash) with the same structure — programs loaded and, if
     /// the snapshot carries accelerator state, the same accelerator design
     /// attached. On `Err` the system is partially overwritten and must be
-    /// discarded.
+    /// discarded. The host-side `executed_edges` count is not in the bytes
+    /// and keeps this system's value.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = SnapReader::with_header(bytes, self.cfg.config_hash())?;
         self.read_state(&mut r)?;
@@ -125,7 +126,6 @@ impl System {
             self.faults_injected = Pack::unpack(r)?;
             Ok(())
         })?;
-        self.executed_edges = r.section(*b"HOST", |r| Pack::unpack(r))?;
         r.expect_end()?;
         // Derived counters and host-side scratch. The wake sets are derived
         // too: everything starts awake and the first gated pass re-sorts.
@@ -134,13 +134,13 @@ impl System {
         Ok(())
     }
 
-    /// A 64-bit digest of the full simulated state, excluding host-only
-    /// metrics (`executed_edges`) and fault-*schedule* bookkeeping (window
-    /// flags, remaining budgets, injection counts — progress through the
-    /// plan, not system state). That exclusion is what lets a clean run
-    /// and a faulted run compare equal until a fault actually perturbs
-    /// something: the `bisect_divergence` tool compares these digests to
-    /// localize the first edge where two runs part ways.
+    /// A 64-bit digest of the [`snapshot`](System::snapshot) minus its
+    /// header and its `FLT\0` section: the fault-*schedule* bookkeeping
+    /// (window flags, remaining budgets, injection counts — progress
+    /// through the plan, not system state). That exclusion is what lets a
+    /// clean run and a faulted run compare equal until a fault actually
+    /// perturbs something: the `bisect_divergence` tool compares these
+    /// digests to localize the first edge where two runs part ways.
     pub fn divergence_fingerprint(&self) -> u64 {
         let mut w = SnapWriter::new();
         self.write_state(&mut w);
@@ -150,10 +150,9 @@ impl System {
         h.finish()
     }
 
-    /// Every state section except the trailing fault-bookkeeping and
-    /// host-metrics sections, in fixed order. Shared by
-    /// [`snapshot`](System::snapshot) (which appends the header plus the
-    /// `FLT`/`HOST` sections) and
+    /// Every state section except the trailing fault-bookkeeping section,
+    /// in fixed order. Shared by [`snapshot`](System::snapshot) (which adds
+    /// the header and the `FLT\0` section) and
     /// [`divergence_fingerprint`](System::divergence_fingerprint) (which
     /// hashes exactly these bytes).
     ///
@@ -286,9 +285,10 @@ impl System {
     /// Host-side plumbing is deliberately *not* inherited: the child starts
     /// with tracing disabled (call
     /// [`enable_tracing`](System::enable_tracing) for its own session) and
-    /// with every component awake. If the parent has an accelerator
-    /// attached, the child gets none — use
-    /// [`fork_with`](System::fork_with) to carry accelerator state across.
+    /// with every component awake. Its `executed_edges` count starts at the
+    /// parent's. If the parent has an accelerator attached, the child gets
+    /// none — use [`fork_with`](System::fork_with) to carry accelerator
+    /// state across.
     pub fn fork(&self) -> System {
         let mut adapter = self.adapter.clone();
         if let Some(a) = &mut adapter {

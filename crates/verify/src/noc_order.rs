@@ -11,8 +11,7 @@
 //! not ordering violations).
 
 use duet_noc::NodeId;
-use duet_sim::snapshot::ensure;
-use duet_sim::{LineMap, Snap, SnapError, SnapReader, SnapWriter, Time};
+use duet_sim::{snap_fields, LineMap, Time};
 
 use crate::report::Violation;
 
@@ -96,40 +95,12 @@ fn flow_key(src: NodeId, dst: NodeId, vnet: usize) -> u64 {
     src << 40 | dst << 8 | vnet
 }
 
-/// Hand-written: flows are written as the `(src, dst, vnet)` tuples of the
-/// ordered map this table replaced, in that map's order.
-impl Snap for NocOrderChecker {
-    fn save(&self, w: &mut SnapWriter) {
-        w.len64(self.last.len());
-        for (key, id) in self.last.sorted_iter() {
-            w.u64(key >> 40);
-            w.u64(key >> 8 & 0xFFFF_FFFF);
-            w.u64(key & 0xFF);
-            w.u64(*id);
-        }
-        self.checked.save(w);
-        self.violations.save(w);
-        self.first.save(w);
-    }
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.last = LineMap::new();
-        for _ in 0..r.len64()? {
-            let (src, dst, vnet) = (r.u64()?, r.u64()?, r.u64()?);
-            ensure(
-                src < 1 << 24 && dst < 1 << 32 && vnet < 1 << 8,
-                "NoC flow out of range",
-            )?;
-            let key = flow_key(src as usize, dst as usize, vnet as usize);
-            ensure(
-                self.last.insert(key, r.u64()?).is_none(),
-                "duplicate NoC flow",
-            )?;
-        }
-        self.checked.load(r)?;
-        self.violations.load(r)?;
-        self.first.load(r)
-    }
-}
+snap_fields!(NocOrderChecker {
+    last,
+    checked,
+    violations,
+    first
+});
 
 #[cfg(test)]
 mod tests {

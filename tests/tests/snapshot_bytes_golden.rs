@@ -1,19 +1,22 @@
 //! Byte-level snapshot goldens: `(len, SnapHasher)` of mid-run
 //! `System::snapshot()` buffers, the canonical config encodings, one
 //! service cache key, and the result store's record-layout hash must stay
-//! identical to the values recorded *before* PR 12 replaced the
-//! hand-written `Pack`/`Snap` impls with declared field lists.
+//! identical to the recorded values.
 //!
 //! The cases put every kind of serialized state on the wire: all three
 //! system variants, an accelerator attached and in flight (popcount,
 //! dijkstra with and without its soft cache, sort, the pdes scheduler), an
 //! 8x8 hotspot with flits in the mesh, and a faulted run with an open
 //! fault window, spent budgets, a fenced accelerator and a recorded
-//! checker violation.
+//! checker violation. Each snapshot is taken twice, with edge skipping on
+//! and off, and the two buffers must be equal: a snapshot is a pure
+//! function of simulated state.
 //!
-//! The golden values were generated at the parent of PR 12 by running with
-//! `DUET_BLESS_GOLDEN=1`. A layout change that is *meant* to alter these
-//! bytes must bump `duet_sim::snapshot::FORMAT_VERSION` and re-bless:
+//! The config, cache-key and store-layout lines are encoded without a
+//! snapshot header, so a format version bump must not move them: spec
+//! canonical bytes are the service's cache key. A layout change that is
+//! *meant* to alter the snapshot bytes must bump
+//! `duet_sim::snapshot::FORMAT_VERSION` and re-bless:
 //! `DUET_BLESS_GOLDEN=1 cargo test -p duet-tests --test
 //! snapshot_bytes_golden` — and say so in the commit message.
 
@@ -27,10 +30,7 @@ use duet_system::{DegradeConfig, FaultKind, FaultPlan, FaultSpec, System, System
 use duet_workloads::common::BenchVariant;
 use duet_workloads::{dijkstra, pdes, popcount, sort};
 
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/golden/snapshot_bytes_pr12.txt"
-);
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/snapshot_bytes_v2.txt");
 
 fn digest(bytes: &[u8]) -> String {
     let mut h = SnapHasher::new();
@@ -38,21 +38,41 @@ fn digest(bytes: &[u8]) -> String {
     format!("len={} hash={:016x}", bytes.len(), h.finish())
 }
 
-/// Runs a freshly built system to half its halt time and snapshots it.
-/// Edge skipping is pinned on so the host-side `executed_edges` section is
-/// the same under the `DUET_DISABLE_EDGE_SKIP=1` CI leg.
-fn midrun_snapshot(build: &dyn Fn() -> System) -> Vec<u8> {
-    let mut probe = build();
-    let halt = probe
+/// Runs a freshly built system to `at` with edge skipping on and again
+/// with it off, checks each with `check`, and returns the snapshot line
+/// for `name` after asserting both snapshots are the same bytes.
+fn snapshot_line(
+    name: &str,
+    build: &dyn Fn() -> System,
+    at: Time,
+    check: &dyn Fn(&System),
+) -> String {
+    let [on, off] = [true, false].map(|skip| {
+        let mut sys = build();
+        sys.set_edge_skipping(skip);
+        sys.run_until_time(at);
+        check(&sys);
+        sys.snapshot()
+    });
+    assert!(
+        on == off,
+        "{name}: snapshot differs with edge skipping on ({}) and off ({})",
+        digest(&on),
+        digest(&off)
+    );
+    format!("snapshot {name}: {}\n", digest(&on))
+}
+
+/// The snapshot line of a system stopped at half its halt time.
+fn midrun_line(name: &str, build: &dyn Fn() -> System) -> String {
+    let halt = build()
         .run_until_halt(Time::from_us(400_000))
-        .unwrap_or_else(|e| panic!("probe run failed: {e}"));
-    let mut sys = build();
-    sys.set_edge_skipping(true);
-    sys.run_until_time(Time::from_ps(halt.as_ps() / 2));
-    if let Some(a) = sys.accelerator() {
-        assert!(!a.is_idle(), "accelerator must be in flight at mid-run");
-    }
-    sys.snapshot()
+        .unwrap_or_else(|e| panic!("{name}: probe run failed: {e}"));
+    snapshot_line(name, build, Time::from_ps(halt.as_ps() / 2), &|sys| {
+        if let Some(a) = sys.accelerator() {
+            assert!(!a.is_idle(), "accelerator must be in flight at mid-run");
+        }
+    })
 }
 
 /// Every core of an 8x8 mesh stores into one 4 KB hotspot.
@@ -96,7 +116,7 @@ fn faulted_popcount() -> System {
 }
 
 #[test]
-fn snapshot_bytes_match_pre_conversion_values() {
+fn snapshot_bytes_match_golden_with_skip_on_and_off() {
     let clean = FaultPlan::empty;
     type Case<'a> = (&'a str, &'a dyn Fn() -> System);
     let midrun: [Case; 8] = [
@@ -127,31 +147,24 @@ fn snapshot_bytes_match_pre_conversion_values() {
     ];
     let mut all = String::new();
     for (name, build) in midrun {
-        all.push_str(&format!(
-            "snapshot {name}: {}\n",
-            digest(&midrun_snapshot(build))
-        ));
+        all.push_str(&midrun_line(name, build));
     }
-
-    let mut hot = hotspot_8x8();
-    hot.set_edge_skipping(true);
-    hot.run_until_time(Time::from_ns(400));
-    assert!(!hot.mesh().is_idle(), "hotspot must have flits in the mesh");
-    all.push_str(&format!(
-        "snapshot hotspot/8x8: {}\n",
-        digest(&hot.snapshot())
+    all.push_str(&snapshot_line(
+        "hotspot/8x8",
+        &hotspot_8x8,
+        Time::from_ns(400),
+        &|sys| assert!(!sys.mesh().is_idle(), "hotspot must have flits in the mesh"),
     ));
-
-    let mut faulted = faulted_popcount();
-    faulted.set_edge_skipping(true);
-    faulted.run_until_time(Time::from_us(6));
-    let m = faulted.metrics_registry();
-    assert!(m.get("verify.faults_injected") >= Some(2));
-    assert!(m.get("verify.fences") >= Some(1));
-    assert!(m.get("verify.violations") >= Some(1));
-    all.push_str(&format!(
-        "snapshot popcount/duet faulted: {}\n",
-        digest(&faulted.snapshot())
+    all.push_str(&snapshot_line(
+        "popcount/duet faulted",
+        &faulted_popcount,
+        Time::from_us(6),
+        &|sys| {
+            let m = sys.metrics_registry();
+            assert!(m.get("verify.faults_injected") >= Some(2));
+            assert!(m.get("verify.fences") >= Some(1));
+            assert!(m.get("verify.violations") >= Some(1));
+        },
     ));
 
     for (name, cfg) in [
@@ -194,6 +207,6 @@ fn snapshot_bytes_match_pre_conversion_values() {
         .expect("golden file missing; bless with DUET_BLESS_GOLDEN=1");
     assert_eq!(
         golden, all,
-        "snapshot bytes diverged from the pre-conversion golden values"
+        "snapshot bytes diverged from the golden values"
     );
 }

@@ -165,14 +165,14 @@ fn run_fingerprint(build: impl Fn() -> System, skip: bool, mem: &[(u64, usize)])
     fingerprint(&sys, halt, quiesced, mem)
 }
 
-/// The metrics dump minus the `process.*` namespace: those two counters
-/// are process-wide throughput atomics shared by every system in the
-/// process, so they accumulate across the reference/probe runs and are not
-/// part of any single run's state.
+/// The metrics dump minus the host counters: the `process.*` namespace
+/// holds process-wide throughput atomics shared by every system in the
+/// process, and `run.executed_edges` counts only the edges this system
+/// executed itself (a restored one never ran the first half).
 fn per_run_metrics(sys: &System) -> String {
     sys.metrics_registry()
         .iter()
-        .filter(|(k, _)| !k.starts_with("process."))
+        .filter(|(k, _)| !k.starts_with("process.") && *k != "run.executed_edges")
         .map(|(k, v)| format!("{k} = {v}\n"))
         .collect()
 }
