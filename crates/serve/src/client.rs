@@ -66,9 +66,9 @@ pub fn request(
         "content-length: {}\r\nconnection: close\r\n\r\n",
         body.len()
     ));
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()?;
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
 
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;

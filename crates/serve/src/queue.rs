@@ -8,7 +8,7 @@
 //! [`RunError::Deadlock`](duet_system::RunError) after a bounded amount
 //! of simulated — and therefore host — time.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -184,6 +184,8 @@ struct TenantCounters {
 struct Inner {
     queue: VecDeque<u64>,
     jobs: HashMap<u64, JobRecord>,
+    /// Ids of the done and failed jobs still in `jobs`.
+    finished: BTreeSet<u64>,
     tenants: HashMap<String, TenantCounters>,
     next_id: u64,
     shutdown: bool,
@@ -221,8 +223,9 @@ pub struct ServiceState {
     done_cv: Condvar,
 }
 
-/// Finished jobs kept around for `GET /v1/runs/<id>`; older ones are
-/// pruned so a long-lived server does not accumulate records forever.
+/// Finished jobs kept around for `GET /v1/runs/<id>`; lower ids are
+/// pruned first, so a long-lived server does not accumulate records
+/// forever.
 const FINISHED_RETAIN: usize = 1024;
 
 impl ServiceState {
@@ -242,6 +245,7 @@ impl ServiceState {
             inner: Mutex::new(Inner {
                 queue: VecDeque::new(),
                 jobs: HashMap::new(),
+                finished: BTreeSet::new(),
                 tenants: HashMap::new(),
                 next_id: 1,
                 shutdown: false,
@@ -299,31 +303,9 @@ impl ServiceState {
             },
         );
         inner.queue.push_back(id);
-        Self::prune_finished(&mut inner);
         drop(inner);
         self.work_cv.notify_one();
         Ok(id)
-    }
-
-    fn prune_finished(inner: &mut Inner) {
-        let finished = inner
-            .jobs
-            .values()
-            .filter(|j| matches!(j.status, JobStatus::Done | JobStatus::Failed))
-            .count();
-        if finished <= FINISHED_RETAIN {
-            return;
-        }
-        let mut ids: Vec<u64> = inner
-            .jobs
-            .iter()
-            .filter(|(_, j)| matches!(j.status, JobStatus::Done | JobStatus::Failed))
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort_unstable();
-        for id in ids.into_iter().take(finished - FINISHED_RETAIN) {
-            inner.jobs.remove(&id);
-        }
     }
 
     fn view_locked(id: u64, j: &JobRecord) -> JobView {
@@ -346,15 +328,18 @@ impl ServiceState {
         inner.jobs.get(&id).map(|j| Self::view_locked(id, j))
     }
 
-    /// Blocks until the job finishes (or the timeout passes) and returns
-    /// its final snapshot.
+    /// Blocks until the job finishes (or the timeout passes, or shutdown
+    /// leaves it queued for good) and returns its last snapshot.
     pub fn wait_done(&self, id: u64, timeout: Duration) -> Option<JobView> {
         let deadline = std::time::Instant::now() + timeout;
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
             match inner.jobs.get(&id) {
                 None => return None,
-                Some(j) if matches!(j.status, JobStatus::Done | JobStatus::Failed) => {
+                Some(j)
+                    if matches!(j.status, JobStatus::Done | JobStatus::Failed)
+                        || (inner.shutdown && j.status == JobStatus::Queued) =>
+                {
                     return Some(Self::view_locked(id, j));
                 }
                 Some(_) => {}
@@ -487,6 +472,12 @@ impl ServiceState {
             if let Some(c) = inner.tenants.get_mut(&tenant) {
                 c.running = c.running.saturating_sub(1);
             }
+            inner.finished.insert(id);
+            if inner.finished.len() > FINISHED_RETAIN {
+                if let Some(oldest) = inner.finished.pop_first() {
+                    inner.jobs.remove(&oldest);
+                }
+            }
         }
         drop(inner);
         // A job finishing may unblock a tenant that was at its concurrency
@@ -569,6 +560,27 @@ mod tests {
         let err = state.submit("alice", big).unwrap_err();
         assert!(matches!(err, SubmitError::SimTimeQuota { .. }));
         assert_eq!(err.http_status(), 429);
+    }
+
+    #[test]
+    fn pruning_keeps_the_highest_finished_ids() {
+        let state = ServiceState::new(Quota::default(), 64);
+        let finishes = 3_000u64;
+        for i in 0..finishes {
+            state.submit("alice", tiny()).unwrap();
+            let (id, _, _) = state.claim().expect("a queued job");
+            let outcome = if i % 3 == 0 {
+                Err("{}".to_string())
+            } else {
+                Ok(Arc::new(Vec::new()))
+            };
+            state.finish(id, outcome);
+        }
+        let kept = finishes - FINISHED_RETAIN as u64;
+        for id in 1..=finishes {
+            assert_eq!(state.job_view(id).is_some(), id > kept, "job {id}");
+        }
+        assert_eq!(state.job_counts(), (0, 0, 2_000, 1_000));
     }
 
     #[test]

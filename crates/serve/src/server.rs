@@ -6,7 +6,7 @@
 //! |---|---|
 //! | `GET /healthz` | liveness probe |
 //! | `GET /v1/health` | readiness: 200 while serving, 503 once draining |
-//! | `GET /v1/stats` | cache + store + queue counters, degradation flags |
+//! | `GET /v1/stats` | cache + store + queue counters, handlers spawned, degradation flags |
 //! | `GET /v1/recovery` | the startup recovery report (requires `--store`) |
 //! | `POST /v1/runs` | submit a scenario spec; `?wait=1` blocks for the result, `?verify=1` re-runs cache hits and demands byte-identity |
 //! | `GET /v1/runs/<id>` | job status, progress, spec echo, result/error |
@@ -20,13 +20,23 @@
 //!
 //! Refusals carry structured bodies and, when a retry can help, a
 //! `Retry-After` header; accepted sockets get read/write timeouts so a
-//! slowloris peer costs one connection thread for a bounded time (408).
+//! slowloris peer holds one connection handler for a bounded time (408).
+//!
+//! # Connections
+//!
+//! Connections are served by a leader/follower pool of handler threads,
+//! each blocked in `accept` on the shared listener. The pool starts
+//! with one handler; the handler that takes the last idle slot spawns a
+//! successor, up to `workers + queue_cap + 2` — one per job that can be
+//! running or queued (each may hold a `?wait=1` handler), plus two so a
+//! full queue can still be refused and polled. Handlers live until
+//! [`Server::shutdown`], which joins them all.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -84,17 +94,81 @@ impl Default for ServeConfig {
 /// A running server. Dropping the handle does **not** stop it; call
 /// [`shutdown`](Server::shutdown).
 pub struct Server {
-    state: Arc<ServiceState>,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    handlers: Arc<Handlers>,
     worker_threads: Vec<JoinHandle<()>>,
 }
 
+/// What every connection handler shares.
+struct Handlers {
+    listener: TcpListener,
+    state: Arc<ServiceState>,
+    wait_timeout: Duration,
+    io_timeout: Duration,
+    /// Most handler threads ever spawned.
+    cap: usize,
+    pool: Mutex<Pool>,
+}
+
+#[derive(Default)]
+struct Pool {
+    /// Set once by `shutdown`; no handler is spawned after it.
+    stop: bool,
+    /// Handlers in (or on their way to) `accept`.
+    idle: usize,
+    /// Every handler spawned; none exits before `stop`.
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Handlers {
+    fn pool(&self) -> MutexGuard<'_, Pool> {
+        self.pool.lock().expect("handler pool lock")
+    }
+
+    /// Spawns one more idle handler.
+    fn spawn(self: &Arc<Self>, pool: &mut Pool) -> io::Result<()> {
+        let handlers = self.clone();
+        let thread = std::thread::Builder::new()
+            .name(format!("duet-serve-conn{}", pool.threads.len()))
+            .spawn(move || handlers.run())?;
+        pool.threads.push(thread);
+        pool.idle += 1;
+        Ok(())
+    }
+
+    /// A handler's life: accept, hand the leader role on, serve, repeat.
+    fn run(self: &Arc<Self>) {
+        loop {
+            let accepted = self.listener.accept();
+            let mut stream = {
+                let mut pool = self.pool();
+                if pool.stop {
+                    return;
+                }
+                let Ok((stream, _)) = accepted else { continue };
+                pool.idle -= 1;
+                if pool.idle == 0 && pool.threads.len() < self.cap {
+                    // Without a successor the next connection would wait
+                    // for this one to finish; a failed spawn only means it
+                    // does.
+                    let _ = self.spawn(&mut pool);
+                }
+                stream
+            };
+            let _ = handle_connection(self, &mut stream);
+            // Idle again before the close lets the peer send its next
+            // request, so sequential traffic never spawns a third handler.
+            self.pool().idle += 1;
+            drop(stream);
+        }
+    }
+}
+
 impl Server {
-    /// Binds, spawns the worker pool and the accept loop, and returns.
-    /// With `store_dir` set, the durable tier is opened (and recovered)
-    /// first; its recovery summary goes to stderr and `GET /v1/recovery`.
+    /// Binds, spawns the worker pool and the first connection handler,
+    /// and returns. With `store_dir` set, the durable tier is opened (and
+    /// recovered) first; its recovery summary goes to stderr and
+    /// `GET /v1/recovery`.
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -113,7 +187,15 @@ impl Server {
             store,
         });
         let state = Arc::new(ServiceState::with_cache(cfg.quota, cfg.queue_cap, cache));
-        let stop = Arc::new(AtomicBool::new(false));
+        let handlers = Arc::new(Handlers {
+            listener,
+            state: state.clone(),
+            wait_timeout: cfg.wait_timeout,
+            io_timeout: cfg.io_timeout,
+            cap: cfg.workers + cfg.queue_cap + 2,
+            pool: Mutex::new(Pool::default()),
+        });
+        handlers.spawn(&mut handlers.pool())?;
         let worker_threads = (0..cfg.workers)
             .map(|i| {
                 let state = state.clone();
@@ -123,32 +205,9 @@ impl Server {
                     .expect("spawn worker")
             })
             .collect();
-        let accept_thread = {
-            let state = state.clone();
-            let stop = stop.clone();
-            let wait_timeout = cfg.wait_timeout;
-            let io_timeout = cfg.io_timeout;
-            std::thread::Builder::new()
-                .name("duet-serve-accept".to_string())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        let state = state.clone();
-                        std::thread::spawn(move || {
-                            let _ = handle_connection(&state, stream, wait_timeout, io_timeout);
-                        });
-                    }
-                })
-                .expect("spawn accept loop")
-        };
         Ok(Server {
-            state,
             addr,
-            stop,
-            accept_thread: Some(accept_thread),
+            handlers,
             worker_threads,
         })
     }
@@ -160,21 +219,27 @@ impl Server {
 
     /// The shared service state (test hook: cache poisoning, counters).
     pub fn state(&self) -> &Arc<ServiceState> {
-        &self.state
+        &self.handlers.state
     }
 
     /// Stops accepting, drains workers, and joins every service thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.state.shutdown();
-        // The accept loop blocks in `accept`; poke it awake.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
+    pub fn shutdown(self) {
+        self.state().shutdown();
+        let handlers = {
+            let mut pool = self.handlers.pool();
+            pool.stop = true;
+            std::mem::take(&mut pool.threads)
+        };
+        // Any handler may be the one blocked in `accept`, and each leaves
+        // after one accept: poke all of them awake before joining any.
+        let pokes: Vec<_> = handlers
+            .iter()
+            .map(|_| TcpStream::connect(self.addr))
+            .collect();
+        for t in handlers.into_iter().chain(self.worker_threads) {
             let _ = t.join();
         }
-        for t in self.worker_threads.drain(..) {
-            let _ = t.join();
-        }
+        drop(pokes);
     }
 
     /// Blocks until a `POST /v1/drain` (or a direct `begin_drain`)
@@ -183,11 +248,11 @@ impl Server {
     pub fn serve_until_drained(self) {
         // Long poll: wake on every finished job, leave when drained.
         loop {
-            if self.state.wait_drained(Duration::from_secs(3600)) {
+            if self.state().wait_drained(Duration::from_secs(3600)) {
                 break;
             }
         }
-        if let Some(store) = self.state.cache.store() {
+        if let Some(store) = self.state().cache.store() {
             store.flush();
         }
         self.shutdown();
@@ -201,17 +266,12 @@ fn reply(status: u16, body: Vec<u8>) -> Reply {
     (status, body, Vec::new())
 }
 
-fn handle_connection(
-    state: &Arc<ServiceState>,
-    mut stream: TcpStream,
-    wait_timeout: Duration,
-    io_timeout: Duration,
-) -> io::Result<()> {
+fn handle_connection(handlers: &Handlers, stream: &mut TcpStream) -> io::Result<()> {
     // Slowloris bound: a peer that trickles its request head (or stalls
     // reading our response) gets cut off at the timeout, not never.
-    let _ = stream.set_read_timeout(Some(io_timeout));
-    let _ = stream.set_write_timeout(Some(io_timeout));
-    let req = match read_request(&mut stream) {
+    let _ = stream.set_read_timeout(Some(handlers.io_timeout));
+    let _ = stream.set_write_timeout(Some(handlers.io_timeout));
+    let req = match read_request(stream) {
         Ok(Some(req)) => req,
         Ok(None) => return Ok(()),
         Err(e)
@@ -221,30 +281,16 @@ fn handle_connection(
             ) =>
         {
             let body = error_body("timeout", "request not completed within the io timeout");
-            return write_response_with(
-                &mut stream,
-                408,
-                reason(408),
-                "application/json",
-                &[],
-                &body,
-            );
+            return write_response_with(stream, 408, reason(408), "application/json", &[], &body);
         }
         Err(e) => {
             let body = error_body("bad_request", &e.to_string());
-            return write_response_with(
-                &mut stream,
-                400,
-                reason(400),
-                "application/json",
-                &[],
-                &body,
-            );
+            return write_response_with(stream, 400, reason(400), "application/json", &[], &body);
         }
     };
-    let (status, body, headers) = route(state, &req, wait_timeout);
+    let (status, body, headers) = route(handlers, &req);
     write_response_with(
-        &mut stream,
+        stream,
         status,
         reason(status),
         "application/json",
@@ -282,13 +328,17 @@ fn envelope(fields: &[(&str, String)], result_key: &str, payload: &[u8]) -> Vec<
     out
 }
 
-fn route(state: &Arc<ServiceState>, req: &Request, wait_timeout: Duration) -> Reply {
+fn route(handlers: &Handlers, req: &Request) -> Reply {
+    let state = &handlers.state;
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => reply(200, obj([("ok", Json::Bool(true))]).to_bytes()),
         ("GET", "/v1/health") => health(state),
-        ("GET", "/v1/stats") => reply(200, stats_body(state)),
+        ("GET", "/v1/stats") => {
+            let handlers_spawned = handlers.pool().threads.len() as u64;
+            reply(200, stats_body(state, handlers_spawned))
+        }
         ("GET", "/v1/recovery") => recovery(state),
-        ("POST", "/v1/runs") => post_run(state, req, wait_timeout),
+        ("POST", "/v1/runs") => post_run(state, req, handlers.wait_timeout),
         ("POST", "/v1/drain") => {
             state.begin_drain();
             reply(
@@ -346,7 +396,7 @@ fn recovery(state: &Arc<ServiceState>) -> Reply {
     }
 }
 
-fn stats_body(state: &Arc<ServiceState>) -> Vec<u8> {
+fn stats_body(state: &Arc<ServiceState>, handlers_spawned: u64) -> Vec<u8> {
     let c = state.cache.stats();
     let (queued, running, done, failed) = state.job_counts();
     let store_section = match state.cache.store() {
@@ -396,6 +446,7 @@ fn stats_body(state: &Arc<ServiceState>) -> Vec<u8> {
                 ("failed", Json::U64(failed)),
             ]),
         ),
+        ("handlers_spawned", Json::U64(handlers_spawned)),
         ("draining", Json::Bool(state.is_draining())),
         ("degraded_storage", Json::Bool(degraded)),
     ])
