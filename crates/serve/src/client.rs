@@ -1,6 +1,13 @@
 //! A tiny blocking HTTP client for the service API — used by the
-//! integration tests and the load generator. One request per connection,
-//! mirroring the server's `Connection: close` discipline.
+//! integration tests and the load generator.
+//!
+//! Each thread keeps one connection open and sends every request with
+//! `connection: keep-alive`, so a closed-loop caller pays for one TCP
+//! connect, not one per request. The server closes an idle connection
+//! after its I/O timeout, on restart or at shutdown; a kept connection
+//! that fails before any byte of the response arrives is replaced by a
+//! fresh one and the request sent once more. A failure after the first
+//! response byte is returned as is.
 //!
 //! The retrying entry points ([`get_retry`], [`post_json_retry`]) wrap
 //! the one-shot [`request`] with **bounded retries**: connect/transport
@@ -11,9 +18,12 @@
 //! header overrides the computed backoff. Any other status is returned
 //! immediately: a 4xx is the caller's bug, not the weather.
 
+use std::cell::RefCell;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
+
+use crate::http::{keeps_alive, read_head};
 
 /// A parsed response.
 #[derive(Clone, Debug)]
@@ -48,7 +58,13 @@ impl Response {
     }
 }
 
-/// Sends one request and reads the full response.
+thread_local! {
+    /// This thread's open connection and the server it leads to.
+    static KEPT: RefCell<Option<(SocketAddr, TcpStream)>> = const { RefCell::new(None) };
+}
+
+/// Sends one request and reads the full response, on this thread's kept
+/// connection to `addr` if it has one.
 pub fn request(
     addr: SocketAddr,
     method: &str,
@@ -56,27 +72,71 @@ pub fn request(
     headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<Response> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(600)))?;
     let mut head = format!("{method} {path} HTTP/1.1\r\nhost: {addr}\r\n");
     for (k, v) in headers {
         head.push_str(&format!("{k}: {v}\r\n"));
     }
     head.push_str(&format!(
-        "content-length: {}\r\nconnection: close\r\n\r\n",
+        "content-length: {}\r\nconnection: keep-alive\r\n\r\n",
         body.len()
     ));
     let mut message = head.into_bytes();
     message.extend_from_slice(body);
-    stream.write_all(&message)?;
 
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let split = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no header terminator"))?;
-    let head_text = std::str::from_utf8(&raw[..split])
+    // Taken out for the exchange: a stream that errors is never put back.
+    let kept = KEPT.with(|k| k.borrow_mut().take());
+    let mut buf = Vec::new();
+    if let Some((_, mut stream)) = kept.filter(|(to, _)| *to == addr) {
+        match exchange(&mut stream, &message, &mut buf) {
+            Ok(reply) => return Ok(keep(addr, stream, reply)),
+            // Part of a response arrived, or none is coming yet: sending
+            // again could run the request twice.
+            Err(e)
+                if !buf.is_empty()
+                    || matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+            {
+                return Err(e)
+            }
+            // The server closed the idle connection: send on a fresh one.
+            Err(_) => {}
+        }
+    }
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(600)))?;
+    stream.set_nodelay(true)?;
+    let reply = exchange(&mut stream, &message, &mut buf)?;
+    Ok(keep(addr, stream, reply))
+}
+
+/// Stores `stream` as this thread's connection if the server keeps it
+/// open, and returns the response.
+fn keep(addr: SocketAddr, stream: TcpStream, (response, open): (Response, bool)) -> Response {
+    if open {
+        KEPT.with(|k| *k.borrow_mut() = Some((addr, stream)));
+    }
+    response
+}
+
+/// Sends `message` and reads one response: the head in chunks, then
+/// exactly `Content-Length` bytes, or everything up to EOF when the
+/// length is missing. Also returns whether the connection stays open.
+/// On an error, `buf` is empty only if no response byte arrived.
+fn exchange(
+    stream: &mut TcpStream,
+    message: &[u8],
+    buf: &mut Vec<u8>,
+) -> io::Result<(Response, bool)> {
+    stream.write_all(message)?;
+    let head_len = read_head(stream, buf, "response")?.ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed before the response",
+        )
+    })?;
+    let head_text = std::str::from_utf8(&buf[..head_len])
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF8 response head"))?;
     let mut lines = head_text.lines();
     let status_line = lines.next().unwrap_or("");
@@ -85,17 +145,39 @@ pub fn request(
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    let mut resp_headers = Vec::new();
+    let mut headers = Vec::new();
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
-            resp_headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
         }
     }
-    Ok(Response {
-        status,
-        headers: resp_headers,
-        body: raw[split + 4..].to_vec(),
-    })
+    let content_length = headers
+        .iter()
+        .find(|(name, _)| name == "content-length")
+        .and_then(|(_, v)| v.parse::<usize>().ok());
+    let mut body = buf.split_off(head_len);
+    let mut open = keeps_alive(&headers);
+    match content_length {
+        Some(len) => {
+            // Bytes past the body would be misread as the next reply.
+            open &= body.len() <= len;
+            let have = body.len().min(len);
+            body.resize(len, 0);
+            stream.read_exact(&mut body[have..])?;
+        }
+        None => {
+            open = false;
+            stream.read_to_end(&mut body)?;
+        }
+    }
+    Ok((
+        Response {
+            status,
+            headers,
+            body,
+        },
+        open,
+    ))
 }
 
 /// `GET path`.
@@ -265,5 +347,33 @@ mod tests {
         assert!(!transient_status(200));
         assert!(!transient_status(400));
         assert!(!transient_status(408));
+    }
+
+    /// A server that answers the first request on a connection in full
+    /// and the second with half a body before closing: the second request
+    /// fails on the kept connection and is not sent again. The listener is
+    /// gone by then, so a resend would fail to connect instead.
+    #[test]
+    fn reply_cut_short_on_a_kept_connection_is_an_error_not_a_resend() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            drop(listener);
+            let mut buf = Vec::new();
+            for reply in [&b"12345"[..], b"12"] {
+                crate::http::read_next(&mut stream, &mut buf)
+                    .unwrap()
+                    .unwrap();
+                let head = "HTTP/1.1 200 OK\r\ncontent-length: 5\r\nconnection: keep-alive\r\n\r\n";
+                stream
+                    .write_all(&[head.as_bytes(), reply].concat())
+                    .unwrap();
+            }
+        });
+        assert_eq!(get(addr, "/").unwrap().body, b"12345");
+        let err = get(addr, "/").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        server.join().unwrap();
     }
 }

@@ -1,14 +1,18 @@
 //! Minimal HTTP/1.1 plumbing over `std::net` — just enough protocol for
-//! the service API: one request per connection, `Content-Length` bodies,
-//! `Connection: close` responses. No keep-alive, no chunked encoding, no
-//! TLS; the server sits behind trusted transport (localhost or a fronting
-//! proxy) by design.
+//! the service API: `Content-Length` bodies and opt-in persistent
+//! connections. A request whose `Connection` header carries
+//! `keep-alive` may get a `connection: keep-alive` reply and the next
+//! request on the same stream; every other reply carries
+//! `connection: close`. No chunked encoding, no TLS; the server sits
+//! behind trusted transport (localhost or a fronting proxy) by design.
 //!
 //! Request heads are read in chunks, so a typical request costs one
-//! `read`; each response leaves in one `write_all`.
+//! `read`; each response leaves in one `write_all`. Bytes read past one
+//! request stay in the caller's buffer as the start of the next, so
+//! framing must be unambiguous: a request with conflicting
+//! `Content-Length` values or any `Transfer-Encoding` is refused.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 
 /// Largest request head (request line + headers + blank line) accepted.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -56,58 +60,95 @@ impl Request {
             .find(|(k, _)| *k == name)
             .map(|(_, v)| v.as_str())
     }
+
+    /// Whether the peer asked to keep the connection open.
+    pub fn keep_alive(&self) -> bool {
+        keeps_alive(&self.headers)
+    }
 }
 
-/// Reads one request from the stream. `Ok(None)` means the peer closed
-/// before sending anything (a health-checker poking the port).
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
-    // Read chunks until the blank line. Whatever arrived after it is the
-    // start of the body; the buffer never holds more than the head limit
-    // plus one chunk.
-    let mut buf = Vec::with_capacity(READ_CHUNK);
-    let head_len = loop {
-        let start = buf.len();
-        buf.resize(start + READ_CHUNK, 0);
-        let n = stream.read(&mut buf[start..])?;
-        buf.truncate(start + n);
-        if n == 0 {
-            if buf.is_empty() {
-                return Ok(None);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-request",
-            ));
-        }
+/// Whether a `Connection` header among `headers` (names lower-cased)
+/// carries the `keep-alive` token.
+pub(crate) fn keeps_alive(headers: &[(String, String)]) -> bool {
+    headers
+        .iter()
+        .filter(|(name, _)| name == "connection")
+        .flat_map(|(_, value)| value.split(','))
+        .any(|token| token.trim().eq_ignore_ascii_case("keep-alive"))
+}
+
+fn invalid(message: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+/// Reads chunks into `buf` until it holds a whole message head (ending in
+/// the first `\r\n\r\n`) and returns the head's length; what follows it
+/// stays in `buf`. `Ok(None)` means the peer closed with `buf` empty.
+/// `buf` never holds more than [`MAX_HEAD_BYTES`] plus one chunk, and on
+/// any error it holds exactly the bytes received, so an empty `buf` tells
+/// the caller that nothing of this message arrived. `what` names the
+/// message in errors.
+pub(crate) fn read_head(
+    stream: &mut impl Read,
+    buf: &mut Vec<u8>,
+    what: &str,
+) -> io::Result<Option<usize>> {
+    let mut searched = 0usize;
+    loop {
         // The terminator may straddle the previous chunk's last 3 bytes.
-        let from = start.saturating_sub(3);
+        let from = searched.saturating_sub(3);
         let end = buf[from..]
             .windows(4)
             .position(|w| w == b"\r\n\r\n")
             .map(|at| from + at + 4);
         match end {
-            Some(end) if end <= MAX_HEAD_BYTES => break end,
+            Some(end) if end <= MAX_HEAD_BYTES => return Ok(Some(end)),
             None if buf.len() < MAX_HEAD_BYTES => {}
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "request head too large",
-                ))
-            }
+            _ => return Err(invalid(&format!("{what} head too large"))),
         }
+        searched = buf.len();
+        buf.resize(searched + READ_CHUNK, 0);
+        let read = stream.read(&mut buf[searched..]);
+        buf.truncate(searched + *read.as_ref().unwrap_or(&0));
+        if read? == 0 {
+            if buf.is_empty() {
+                return Ok(None);
+            }
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("connection closed mid-{what}"),
+            ));
+        }
+    }
+}
+
+/// Reads one request from a fresh connection. `Ok(None)` means the peer
+/// closed before sending anything (a health-checker poking the port).
+/// Bytes past `Content-Length` are ignored.
+pub fn read_request(stream: &mut impl Read) -> io::Result<Option<Request>> {
+    read_next(stream, &mut Vec::new())
+}
+
+/// Reads the next request on a connection. `buf` carries the bytes read
+/// past one request into the next call, so pipelined requests parse in
+/// order; start each connection with an empty one. `Ok(None)` means a
+/// clean close between requests. On an error `buf` is empty only if none
+/// of the failed request had arrived — how the server tells an idle
+/// keep-alive timeout from a stalled request.
+pub fn read_next(stream: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<Option<Request>> {
+    let Some(head_len) = read_head(stream, buf, "request")? else {
+        return Ok(None);
     };
-    let text = std::str::from_utf8(&buf[..head_len])
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF8 request head"))?;
+    let text =
+        std::str::from_utf8(&buf[..head_len]).map_err(|_| invalid("non-UTF8 request head"))?;
     let mut lines = text.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
     let method = parts
         .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing method"))?
+        .ok_or_else(|| invalid("missing method"))?
         .to_string();
-    let target = parts
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing path"))?;
+    let target = parts.next().ok_or_else(|| invalid("missing path"))?;
     let (path, query_str) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q),
         None => (target.to_string(), ""),
@@ -121,7 +162,7 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
         })
         .collect();
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         if line.is_empty() {
             continue;
@@ -130,24 +171,32 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
             let name = name.trim().to_ascii_lowercase();
             let value = value.trim().to_string();
             if name == "content-length" {
-                content_length = value.parse().map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                })?;
+                let n = value.parse().map_err(|_| invalid("bad content-length"))?;
+                if content_length.is_some_and(|m| m != n) {
+                    return Err(invalid("conflicting content-length"));
+                }
+                content_length = Some(n);
+            }
+            if name == "transfer-encoding" {
+                return Err(invalid("transfer-encoding is not supported"));
             }
             headers.push((name, value));
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "request body too large",
-        ));
+        return Err(invalid("request body too large"));
     }
-    // Bytes past `Content-Length` are ignored: one request per connection.
-    let mut body = buf.split_off(head_len);
-    let have = body.len().min(content_length);
-    body.resize(content_length, 0);
-    stream.read_exact(&mut body[have..])?;
+    // The head stays in `buf` until the body is complete, so a stall
+    // mid-body still leaves it non-empty.
+    let end = head_len + content_length;
+    let have = buf.len();
+    if have < end {
+        buf.resize(end, 0);
+        stream.read_exact(&mut buf[have..])?;
+    }
+    let body = buf[head_len..end].to_vec();
+    buf.drain(..end);
     Ok(Some(Request {
         method,
         path,
@@ -157,36 +206,27 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     }))
 }
 
-/// Writes a complete response in one `write_all`. Always closes: the
-/// reply carries `Connection: close` and the caller drops the stream.
+/// Writes a complete JSON response in one `write_all`: status,
+/// `extra_headers` (how the server attaches `Retry-After` to 429/503
+/// refusals), and `connection: keep-alive` or `connection: close`. After
+/// a `close` reply the caller drops the stream.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-) -> io::Result<()> {
-    write_response_with(stream, status, reason, content_type, &[], body)
-}
-
-/// [`write_response`] plus extra `(name, value)` headers — how the
-/// server attaches `Retry-After` to 429/503 refusals.
-pub fn write_response_with(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
     extra_headers: &[(String, String)],
     body: &[u8],
+    keep_alive: bool,
 ) -> io::Result<()> {
     let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\n",
+        "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
+        reason(status),
         body.len()
     );
     for (name, value) in extra_headers {
         head.push_str(&format!("{name}: {value}\r\n"));
     }
-    head.push_str("connection: close\r\n\r\n");
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    head.push_str(&format!("connection: {connection}\r\n\r\n"));
     let mut message = head.into_bytes();
     message.extend_from_slice(body);
     stream.write_all(&message)
@@ -212,7 +252,8 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::collections::VecDeque;
+    use std::net::{TcpListener, TcpStream};
 
     /// Head and body in one write.
     #[test]
@@ -338,5 +379,138 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(req.body, b"body");
+    }
+
+    /// A reader that hands out one scripted chunk per `read` (less if the
+    /// caller's buffer is smaller), then EOF: exact control over where
+    /// each read ends.
+    struct Script(VecDeque<Vec<u8>>);
+
+    impl Read for Script {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let Some(chunk) = self.0.front_mut() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(out.len());
+            out[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.0.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    fn script(chunks: &[&[u8]]) -> Script {
+        Script(chunks.iter().map(|c| c.to_vec()).collect())
+    }
+
+    #[test]
+    fn pipelined_requests_parse_in_order() {
+        let wire = [post(b"first", 5), post(b"second!", 7)].concat();
+        let mut stream = script(&[&wire]);
+        let mut buf = Vec::new();
+        let a = read_next(&mut stream, &mut buf).unwrap().unwrap();
+        assert_eq!(a.body, b"first");
+        assert_eq!(buf, post(b"second!", 7), "the second request is carried");
+        let b = read_next(&mut stream, &mut buf).unwrap().unwrap();
+        assert_eq!(
+            (b.path.as_str(), b.body.as_slice()),
+            ("/v1/runs", &b"second!"[..])
+        );
+        assert!(buf.is_empty());
+        assert!(read_next(&mut stream, &mut buf).unwrap().is_none());
+    }
+
+    #[test]
+    fn second_head_straddling_the_first_chunk_is_parsed() {
+        // The second head's blank line spans bytes READ_CHUNK - 2 .. + 2.
+        let first = post(b"x", 1);
+        let second = head_of_len(READ_CHUNK + 2 - first.len());
+        let wire = [&first[..], &second].concat();
+        let mut stream = script(&[&wire]);
+        let mut buf = Vec::new();
+        assert_eq!(
+            read_next(&mut stream, &mut buf).unwrap().unwrap().body,
+            b"x"
+        );
+        assert_eq!(buf.len(), READ_CHUNK - first.len(), "one chunk was read");
+        let req = read_next(&mut stream, &mut buf).unwrap().unwrap();
+        assert_eq!(req.path, "/big");
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn carried_partial_head_is_completed_by_the_next_read() {
+        let second = post(b"tail", 4);
+        let split = 10;
+        let first_write = [&post(b"a", 1)[..], &second[..split]].concat();
+        let mut stream = script(&[&first_write, &second[split..]]);
+        let mut buf = Vec::new();
+        assert_eq!(
+            read_next(&mut stream, &mut buf).unwrap().unwrap().body,
+            b"a"
+        );
+        assert_eq!(buf, &second[..split]);
+        let req = read_next(&mut stream, &mut buf).unwrap().unwrap();
+        assert_eq!(req.body, b"tail");
+    }
+
+    #[test]
+    fn head_limit_applies_to_the_second_request() {
+        let first = post(b"a", 1);
+        let mut buf = Vec::new();
+        let wire = [&first[..], &head_of_len(MAX_HEAD_BYTES)].concat();
+        let mut stream = script(&[&wire]);
+        read_next(&mut stream, &mut buf).unwrap().unwrap();
+        let req = read_next(&mut stream, &mut buf).unwrap().unwrap();
+        assert_eq!(req.path, "/big", "a head of exactly the limit is accepted");
+
+        buf.clear();
+        let wire = [&first[..], &head_of_len(MAX_HEAD_BYTES + 1)].concat();
+        let mut stream = script(&[&wire]);
+        read_next(&mut stream, &mut buf).unwrap().unwrap();
+        let err = read_next(&mut stream, &mut buf).unwrap_err();
+        assert_eq!(err.to_string(), "request head too large");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_refused() {
+        let head = b"POST /v1/runs HTTP/1.1\r\ncontent-length: 4\r\ncontent-length: 5\r\n\r\nbodyX";
+        let err = read_next(&mut script(&[head]), &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "conflicting content-length");
+        // Repeating the same value frames the body one way only.
+        let head = b"POST /v1/runs HTTP/1.1\r\ncontent-length: 4\r\nContent-Length: 4\r\n\r\nbody";
+        let req = read_next(&mut script(&[head]), &mut Vec::new())
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, b"body");
+    }
+
+    #[test]
+    fn transfer_encoding_is_refused() {
+        let head =
+            b"POST /v1/runs HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n4\r\nbody\r\n0\r\n\r\n";
+        let err = read_next(&mut script(&[head]), &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "transfer-encoding is not supported");
+    }
+
+    #[test]
+    fn keep_alive_is_a_connection_token() {
+        let req = |connection: &str| {
+            let head = format!("GET / HTTP/1.1\r\nconnection: {connection}\r\n\r\n");
+            read_request(&mut script(&[head.as_bytes()]))
+                .unwrap()
+                .unwrap()
+        };
+        assert!(req("keep-alive").keep_alive());
+        assert!(req("Upgrade, Keep-Alive").keep_alive());
+        assert!(!req("close").keep_alive());
+        assert!(!read_from(vec![post(b"", 0)], true)
+            .unwrap()
+            .unwrap()
+            .keep_alive());
     }
 }

@@ -6,7 +6,7 @@
 //! |---|---|
 //! | `GET /healthz` | liveness probe |
 //! | `GET /v1/health` | readiness: 200 while serving, 503 once draining |
-//! | `GET /v1/stats` | cache + store + queue counters, handlers spawned, degradation flags |
+//! | `GET /v1/stats` | cache + store + queue counters, handlers spawned, connections accepted, degradation flags |
 //! | `GET /v1/recovery` | the startup recovery report (requires `--store`) |
 //! | `POST /v1/runs` | submit a scenario spec; `?wait=1` blocks for the result, `?verify=1` re-runs cache hits and demands byte-identity |
 //! | `GET /v1/runs/<id>` | job status, progress, spec echo, result/error |
@@ -21,6 +21,8 @@
 //! Refusals carry structured bodies and, when a retry can help, a
 //! `Retry-After` header; accepted sockets get read/write timeouts so a
 //! slowloris peer holds one connection handler for a bounded time (408).
+//! A keep-alive connection that sits idle past the same timeout is closed
+//! without a reply.
 //!
 //! # Connections
 //!
@@ -31,9 +33,18 @@
 //! running or queued (each may hold a `?wait=1` handler), plus two so a
 //! full queue can still be refused and polled. Handlers live until
 //! [`Server::shutdown`], which joins them all.
+//!
+//! A handler answers requests on its connection until the peer closes,
+//! the connection idles past `io_timeout`, or a reply goes out with
+//! `connection: close`. A reply keeps the connection only if the request
+//! asked for `keep-alive`, the server is not stopping, and another
+//! handler is idle in `accept` — so a kept connection never holds the
+//! last handler that could take a new one. Shutdown shuts the read half
+//! of every open connection, so idle keep-alive peers release their
+//! handlers at once.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -42,7 +53,7 @@ use std::time::Duration;
 
 use crate::cache::{CacheConfig, ResultCache};
 use crate::hostio::RealIo;
-use crate::http::{read_request, reason, write_response_with, Request};
+use crate::http::{read_next, write_response, Request};
 use crate::json::{obj, parse, Json};
 use crate::queue::{JobStatus, JobView, Quota, ServiceState};
 use crate::scenario;
@@ -65,7 +76,8 @@ pub struct ServeConfig {
     /// How long `?wait=1` blocks before giving up on a job.
     pub wait_timeout: Duration,
     /// Read/write timeout on accepted sockets (slowloris bound). A peer
-    /// that stalls past it gets 408 and the connection is closed.
+    /// that stalls past it mid-request gets 408 and the connection is
+    /// closed; a keep-alive connection idle past it is closed silently.
     pub io_timeout: Duration,
     /// Memory-tier cache byte budget.
     pub cache_max_bytes: u64,
@@ -118,6 +130,11 @@ struct Pool {
     idle: usize,
     /// Every handler spawned; none exits before `stop`.
     threads: Vec<JoinHandle<()>>,
+    /// Per handler, a handle on the connection it serves, so `shutdown`
+    /// can end a read that would otherwise wait out `io_timeout`.
+    open: Vec<Option<TcpStream>>,
+    /// Connections accepted, pokes from `shutdown` excluded.
+    accepted: u64,
 }
 
 impl Handlers {
@@ -125,19 +142,32 @@ impl Handlers {
         self.pool.lock().expect("handler pool lock")
     }
 
+    /// Whether handler `id` may keep its connection open after a reply:
+    /// the server is not stopping, `shutdown` can reach the connection,
+    /// and another handler is idle in `accept`. Below the cap one always
+    /// is, since the handler that takes the last idle slot spawns a
+    /// successor; at the cap, the last idle handler serves one request
+    /// per connection.
+    fn may_keep(&self, id: usize) -> bool {
+        let pool = self.pool();
+        !pool.stop && pool.open[id].is_some() && pool.idle > 0
+    }
+
     /// Spawns one more idle handler.
     fn spawn(self: &Arc<Self>, pool: &mut Pool) -> io::Result<()> {
         let handlers = self.clone();
+        let id = pool.threads.len();
         let thread = std::thread::Builder::new()
-            .name(format!("duet-serve-conn{}", pool.threads.len()))
-            .spawn(move || handlers.run())?;
+            .name(format!("duet-serve-conn{id}"))
+            .spawn(move || handlers.run(id))?;
         pool.threads.push(thread);
+        pool.open.push(None);
         pool.idle += 1;
         Ok(())
     }
 
     /// A handler's life: accept, hand the leader role on, serve, repeat.
-    fn run(self: &Arc<Self>) {
+    fn run(self: &Arc<Self>, id: usize) {
         loop {
             let accepted = self.listener.accept();
             let mut stream = {
@@ -147,6 +177,8 @@ impl Handlers {
                 }
                 let Ok((stream, _)) = accepted else { continue };
                 pool.idle -= 1;
+                pool.accepted += 1;
+                pool.open[id] = stream.try_clone().ok();
                 if pool.idle == 0 && pool.threads.len() < self.cap {
                     // Without a successor the next connection would wait
                     // for this one to finish; a failed spawn only means it
@@ -155,10 +187,15 @@ impl Handlers {
                 }
                 stream
             };
-            let _ = handle_connection(self, &mut stream);
+            let _ = handle_connection(self, id, &mut stream);
             // Idle again before the close lets the peer send its next
             // request, so sequential traffic never spawns a third handler.
-            self.pool().idle += 1;
+            // The handle goes first: the close happens when both are gone.
+            {
+                let mut pool = self.pool();
+                pool.idle += 1;
+                pool.open[id] = None;
+            }
             drop(stream);
         }
     }
@@ -228,6 +265,11 @@ impl Server {
         let handlers = {
             let mut pool = self.handlers.pool();
             pool.stop = true;
+            // A handler waiting for a kept connection's next request reads
+            // EOF and returns to `accept`; one mid-request still replies.
+            for conn in pool.open.iter().flatten() {
+                let _ = conn.shutdown(Shutdown::Read);
+            }
             std::mem::take(&mut pool.threads)
         };
         // Any handler may be the one blocked in `accept`, and each leaves
@@ -266,37 +308,44 @@ fn reply(status: u16, body: Vec<u8>) -> Reply {
     (status, body, Vec::new())
 }
 
-fn handle_connection(handlers: &Handlers, stream: &mut TcpStream) -> io::Result<()> {
+fn handle_connection(handlers: &Handlers, id: usize, stream: &mut TcpStream) -> io::Result<()> {
     // Slowloris bound: a peer that trickles its request head (or stalls
     // reading our response) gets cut off at the timeout, not never.
     let _ = stream.set_read_timeout(Some(handlers.io_timeout));
     let _ = stream.set_write_timeout(Some(handlers.io_timeout));
-    let req = match read_request(stream) {
-        Ok(Some(req)) => req,
-        Ok(None) => return Ok(()),
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            let body = error_body("timeout", "request not completed within the io timeout");
-            return write_response_with(stream, 408, reason(408), "application/json", &[], &body);
+    let _ = stream.set_nodelay(true);
+    let mut buf = Vec::new();
+    let mut served = false;
+    loop {
+        let req = match read_next(stream, &mut buf) {
+            Ok(Some(req)) => req,
+            Ok(None) => return Ok(()),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                if served && buf.is_empty() {
+                    // An idle keep-alive connection, not a stalled request.
+                    return Ok(());
+                }
+                let body = error_body("timeout", "request not completed within the io timeout");
+                return write_response(stream, 408, &[], &body, false);
+            }
+            Err(e) => {
+                let body = error_body("bad_request", &e.to_string());
+                return write_response(stream, 400, &[], &body, false);
+            }
+        };
+        let (status, body, headers) = route(handlers, &req);
+        let keep = req.keep_alive() && handlers.may_keep(id);
+        write_response(stream, status, &headers, &body, keep)?;
+        if !keep {
+            return Ok(());
         }
-        Err(e) => {
-            let body = error_body("bad_request", &e.to_string());
-            return write_response_with(stream, 400, reason(400), "application/json", &[], &body);
-        }
-    };
-    let (status, body, headers) = route(handlers, &req);
-    write_response_with(
-        stream,
-        status,
-        reason(status),
-        "application/json",
-        &headers,
-        &body,
-    )
+        served = true;
+    }
 }
 
 fn error_body(kind: &str, message: &str) -> Vec<u8> {
@@ -334,8 +383,11 @@ fn route(handlers: &Handlers, req: &Request) -> Reply {
         ("GET", "/healthz") => reply(200, obj([("ok", Json::Bool(true))]).to_bytes()),
         ("GET", "/v1/health") => health(state),
         ("GET", "/v1/stats") => {
-            let handlers_spawned = handlers.pool().threads.len() as u64;
-            reply(200, stats_body(state, handlers_spawned))
+            let (spawned, accepted) = {
+                let pool = handlers.pool();
+                (pool.threads.len() as u64, pool.accepted)
+            };
+            reply(200, stats_body(state, spawned, accepted))
         }
         ("GET", "/v1/recovery") => recovery(state),
         ("POST", "/v1/runs") => post_run(state, req, handlers.wait_timeout),
@@ -396,7 +448,11 @@ fn recovery(state: &Arc<ServiceState>) -> Reply {
     }
 }
 
-fn stats_body(state: &Arc<ServiceState>, handlers_spawned: u64) -> Vec<u8> {
+fn stats_body(
+    state: &Arc<ServiceState>,
+    handlers_spawned: u64,
+    connections_accepted: u64,
+) -> Vec<u8> {
     let c = state.cache.stats();
     let (queued, running, done, failed) = state.job_counts();
     let store_section = match state.cache.store() {
@@ -447,6 +503,7 @@ fn stats_body(state: &Arc<ServiceState>, handlers_spawned: u64) -> Vec<u8> {
             ]),
         ),
         ("handlers_spawned", Json::U64(handlers_spawned)),
+        ("connections_accepted", Json::U64(connections_accepted)),
         ("draining", Json::Bool(state.is_draining())),
         ("degraded_storage", Json::Bool(degraded)),
     ])

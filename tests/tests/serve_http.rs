@@ -1,5 +1,6 @@
 //! The `duet-serve` connection path over real TCP: the bounded pool of
-//! connection handlers and the HTTP reader's limits, seen from a client.
+//! connection handlers, keep-alive connections and the HTTP reader's
+//! limits, seen from a client.
 //!
 //! The pool starts with one handler blocked in `accept`; the handler that
 //! takes the last idle slot spawns a successor, up to
@@ -8,11 +9,18 @@
 //! work at once, that a stalled peer holds one handler and nothing more,
 //! and that shutdown joins every handler, even one waiting on a job that
 //! will never run.
+//!
+//! A connection stays open only when the request asks for `keep-alive`
+//! and another handler is left to accept. The keep-alive tests pin down
+//! that one client thread rides one connection, that other peers still
+//! get `connection: close`, that a kept connection never holds the last
+//! acceptor, that idling out is silent while a stall is a 408, and that
+//! shutdown does not wait for idle kept connections.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use duet_serve::client;
 use duet_serve::http::MAX_HEAD_BYTES;
@@ -20,14 +28,43 @@ use duet_serve::json::Json;
 use duet_serve::server::{ServeConfig, Server};
 
 fn handlers_spawned(server: &Server) -> u64 {
+    stat(server, "handlers_spawned")
+}
+
+fn stat(server: &Server, name: &str) -> u64 {
     let stats = client::get(server.addr(), "/v1/stats").unwrap();
     assert_eq!(stats.status, 200);
     stats
         .json()
         .unwrap()
-        .get("handlers_spawned")
+        .get(name)
         .and_then(Json::as_u64)
-        .expect("stats report handlers_spawned")
+        .unwrap_or_else(|| panic!("stats report {name}"))
+}
+
+const KEEP_ALIVE_GET: &[u8] = b"GET /healthz HTTP/1.1\r\nconnection: keep-alive\r\n\r\n";
+
+/// Reads one reply off a connection that may stay open: the head, then
+/// `content-length` bytes.
+fn read_one_reply(stream: &mut TcpStream) -> String {
+    let mut raw = Vec::new();
+    let mut chunk = [0u8; 1024];
+    loop {
+        let text = String::from_utf8_lossy(&raw).into_owned();
+        if let Some(end) = text.find("\r\n\r\n") {
+            let len: usize = text[..end]
+                .lines()
+                .find_map(|l| l.strip_prefix("content-length: "))
+                .and_then(|v| v.parse().ok())
+                .expect("reply has a content-length");
+            if raw.len() >= end + 4 + len {
+                return text;
+            }
+        }
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "closed mid-reply: {}", String::from_utf8_lossy(&raw));
+        raw.extend_from_slice(&chunk[..n]);
+    }
 }
 
 /// Reads whatever the server sent before closing. A reset after the
@@ -228,4 +265,128 @@ fn shutdown_releases_a_client_waiting_on_a_queued_job() {
     assert_eq!(reply.status, 200);
     let j = reply.json().unwrap();
     assert_eq!(j.get("status").and_then(Json::as_str), Some("timeout"));
+}
+
+#[test]
+fn keep_alive_client_rides_one_connection() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    for _ in 0..200 {
+        let r = client::get(server.addr(), "/healthz").unwrap();
+        assert_eq!(r.status, 200);
+        assert_eq!(r.header("connection"), Some("keep-alive"));
+    }
+    assert_eq!(stat(&server, "connections_accepted"), 1);
+    let spawned = handlers_spawned(&server);
+    assert!((1..=2).contains(&spawned), "{spawned} handlers");
+    server.shutdown();
+}
+
+#[test]
+fn requests_without_keep_alive_get_close_and_eof() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    for _ in 0..200 {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        // `read_to_end` returns only at EOF.
+        let text = read_reply(&mut stream);
+        assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+        assert!(text.contains("connection: close\r\n"), "{text}");
+    }
+    let spawned = handlers_spawned(&server);
+    assert!((1..=2).contains(&spawned), "{spawned} handlers");
+    server.shutdown();
+}
+
+/// With a cap of two handlers, the first kept connection leaves one
+/// handler to accept; the second client is served on it with
+/// `connection: close`, so a third connection is still served.
+#[test]
+fn keep_alive_never_holds_the_last_acceptor() {
+    let server = Server::start(ServeConfig {
+        workers: 0,
+        queue_cap: 0,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let kept = client::get(addr, "/healthz").unwrap();
+    assert_eq!(kept.header("connection"), Some("keep-alive"));
+    for other in 0..2 {
+        let reply = std::thread::spawn(move || client::get(addr, "/healthz").unwrap())
+            .join()
+            .unwrap();
+        assert_eq!(reply.status, 200, "client {other}");
+        assert_eq!(reply.header("connection"), Some("close"), "client {other}");
+    }
+    // This thread's connection is still the first one.
+    assert_eq!(handlers_spawned(&server), 2);
+    assert_eq!(stat(&server, "connections_accepted"), 3);
+    server.shutdown();
+}
+
+#[test]
+fn idle_keep_alive_closes_silently_but_a_stall_gets_408() {
+    let server = Server::start(ServeConfig {
+        io_timeout: Duration::from_millis(300),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut idle = TcpStream::connect(server.addr()).unwrap();
+    idle.write_all(KEEP_ALIVE_GET).unwrap();
+    let text = read_one_reply(&mut idle);
+    assert!(text.contains("connection: keep-alive\r\n"), "{text}");
+    assert_eq!(read_reply(&mut idle), "", "an idle close sends nothing");
+
+    let mut stalled = TcpStream::connect(server.addr()).unwrap();
+    stalled.write_all(KEEP_ALIVE_GET).unwrap();
+    read_one_reply(&mut stalled);
+    stalled.write_all(b"GET /v1/st").unwrap();
+    let text = read_reply(&mut stalled);
+    assert!(
+        text.starts_with("HTTP/1.1 408"),
+        "expected 408, got: {text}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_releases_idle_keep_alive_connections() {
+    let io_timeout = Duration::from_secs(10);
+    let server = Server::start(ServeConfig {
+        io_timeout,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut held: Vec<_> = (0..8)
+        .map(|_| {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.write_all(KEEP_ALIVE_GET).unwrap();
+            let text = read_one_reply(&mut stream);
+            assert!(text.contains("connection: keep-alive\r\n"), "{text}");
+            stream
+        })
+        .collect();
+    let start = Instant::now();
+    server.shutdown();
+    let took = start.elapsed();
+    assert!(took < io_timeout / 5, "shutdown took {took:?}");
+    for stream in &mut held {
+        assert_eq!(read_reply(stream), "");
+    }
+}
+
+/// The server idles the client's connection out between two requests;
+/// the second request goes out again on a fresh connection.
+#[test]
+fn client_reconnects_once_after_an_idle_close() {
+    let server = Server::start(ServeConfig {
+        io_timeout: Duration::from_millis(200),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    assert_eq!(client::get(server.addr(), "/healthz").unwrap().status, 200);
+    std::thread::sleep(Duration::from_millis(400));
+    assert_eq!(client::get(server.addr(), "/healthz").unwrap().status, 200);
+    assert_eq!(stat(&server, "connections_accepted"), 2);
+    server.shutdown();
 }
