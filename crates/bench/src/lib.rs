@@ -84,68 +84,6 @@ where
         .collect()
 }
 
-/// [`parallel_map`] for warm-state sweeps: boot (and warm) **once**, then
-/// fork per sweep point instead of re-running warmup in every worker.
-///
-/// `snapshot` is a [`System::snapshot`] taken at the warm point and
-/// `rebuild` reconstructs the matching structure (same config, programs,
-/// accelerator design) — `System` is `!Send`, so each worker rebuilds
-/// locally and restores the shared bytes exactly once, no matter how many
-/// sweep points it processes. `f` receives the warm base system per item
-/// and forks it itself (`base.fork()`, or `base.fork_with(..)` to carry an
-/// accelerator), which keeps the per-point cost at O(dirty pages).
-/// Results come back in input order; one configured thread degrades to a
-/// sequential loop over a single restored base.
-///
-/// [`System::snapshot`]: duet_system::System::snapshot
-pub fn parallel_map_forked<T, R>(
-    snapshot: &[u8],
-    rebuild: impl Fn() -> duet_system::System + Sync,
-    items: Vec<T>,
-    f: impl Fn(&duet_system::System, T) -> R + Sync,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-{
-    let restore_base = || {
-        let mut base = rebuild();
-        base.restore(snapshot)
-            .expect("snapshot must match the structure `rebuild` produces");
-        base
-    };
-    let n = items.len();
-    let threads = configured_threads().min(n.max(1));
-    if threads <= 1 {
-        let base = restore_base();
-        return items.into_iter().map(|t| f(&base, t)).collect();
-    }
-    let jobs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut base: Option<duet_system::System> = None;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let base = base.get_or_insert_with(restore_base);
-                    let item = jobs[i].lock().unwrap().take().expect("job claimed once");
-                    let r = f(base, item);
-                    *results[i].lock().unwrap() = Some(r);
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("worker filled its slot"))
-        .collect()
-}
-
 /// The trace output path, if the user asked for one: `--trace <path>` (or
 /// `--trace=<path>`) from the command line, else the `DUET_TRACE`
 /// environment variable. `None` means tracing stays disabled (the

@@ -305,11 +305,6 @@ impl MemoryHub {
         self.req_fifo.stats().pushes + self.resp_fifo.stats().pops
     }
 
-    /// Proxy-cache statistics.
-    pub fn proxy_stats(&self) -> duet_mem::priv_cache::CacheStats {
-        self.proxy.stats()
-    }
-
     /// Reads a line resident in the Proxy Cache (coherent peek support).
     pub fn peek_proxy_line(&self, line: LineAddr) -> Option<duet_mem::types::LineData> {
         self.proxy.peek_line(line)

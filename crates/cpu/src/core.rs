@@ -226,21 +226,6 @@ impl Core {
         self.pc
     }
 
-    /// Whether the L1 holds `line` (debug aid).
-    pub fn l1_contains(&self, line: LineAddr) -> bool {
-        self.l1.contains(line)
-    }
-
-    /// A short description of why the core is not issuing (debug aid).
-    pub fn wait_state(&self) -> String {
-        format!(
-            "{:?} store_buf={} inflight={:?}",
-            self.wait,
-            self.store_buf.len(),
-            self.store_inflight
-        )
-    }
-
     /// Reads a register (x0 reads as zero).
     pub fn reg(&self, r: Reg) -> u64 {
         if r.0 == 0 {

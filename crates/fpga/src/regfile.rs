@@ -92,11 +92,6 @@ impl FabricRegFile {
         self.outbox[reg].push_back(value);
     }
 
-    /// Whether a processor is currently blocked on a barrier read of `reg`.
-    pub fn barrier_waiting(&self, reg: usize) -> bool {
-        self.pending_reads.iter().any(|(_, r)| *r as usize == reg)
-    }
-
     /// Whether results are pushed (shadow mode).
     pub fn push_mode(&self) -> bool {
         self.push_mode

@@ -109,11 +109,6 @@ impl SoftCache {
         self.stats
     }
 
-    /// Whether this response id belongs to the soft cache.
-    pub fn owns_id(&self, id: u64) -> bool {
-        self.pending_fills.iter().any(|(i, _)| *i == id) || self.wbuf.iter().any(|s| s.id == id)
-    }
-
     /// Number of buffered (not yet acknowledged) stores.
     pub fn pending_stores(&self) -> usize {
         self.wbuf.len()
@@ -183,10 +178,9 @@ impl SoftCache {
         true
     }
 
-    /// Processes hub responses addressed to this cache and pumps the write
-    /// buffer. The accelerator should pass every response whose id
-    /// [`owns_id`](SoftCache::owns_id) (and every `Inv`) to
-    /// [`handle_resp`](SoftCache::handle_resp); `tick` only pumps writes.
+    /// Pumps the write buffer. The accelerator passes hub responses to
+    /// [`handle_resp`](SoftCache::handle_resp), which ignores ids this
+    /// cache did not issue; `tick` only pumps writes.
     pub fn tick(&mut self, now: Time, hub: &mut HubPort<'_>) {
         if let Some(s) = self.wbuf.iter_mut().find(|s| !s.sent) {
             if hub.can_issue(now) {

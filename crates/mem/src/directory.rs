@@ -232,18 +232,6 @@ impl L3Shard {
         }
     }
 
-    /// Pre-simulation warm-up: records `node` as the owner of `line` (the
-    /// caller must install the matching E/M copy in that node's cache).
-    pub fn warm_owner(&mut self, line: LineAddr, node: NodeId) {
-        self.warm_l3(line);
-        let e = self.dir.get_or_default(line.0);
-        assert!(
-            matches!(e.state, DirState::I),
-            "warm_owner on a non-idle line"
-        );
-        e.state = DirState::EorM { owner: node };
-    }
-
     /// Current owner per the directory, if the line is in E/M.
     pub fn owner_of(&self, line: LineAddr) -> Option<NodeId> {
         match self.dir.get(line.0).map(|d| &d.state) {

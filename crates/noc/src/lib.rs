@@ -191,12 +191,6 @@ impl MeshConfig {
         self
     }
 
-    /// Sets the per-hop latency in cycles.
-    pub fn with_hop_cycles(mut self, cycles: u32) -> Self {
-        self.hop_cycles = cycles;
-        self
-    }
-
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
         self.width * self.height
@@ -329,8 +323,8 @@ pub struct Mesh<P> {
     hop_latency: Time,
     routers: Vec<Router>,
     slots: Vec<Slot>,
-    /// Per-queue counters, reported through `visit_links` as those of a
-    /// synchronous `Link`.
+    /// Per-queue counters, reported through `visit_links` with the same
+    /// meaning as a `Link`'s.
     link_stats: Vec<LinkStats>,
     /// Message slab and its free handles.
     msgs: Vec<Option<Message<P>>>,
@@ -591,11 +585,6 @@ impl<P> Mesh<P> {
         self.eject[node][vnet.index()].front().map(|&h| self.msg(h))
     }
 
-    /// Messages waiting in `node`'s ejection queue on `vnet`.
-    pub fn eject_len(&self, node: NodeId, vnet: VNet) -> usize {
-        self.eject[node][vnet.index()].len()
-    }
-
     /// True when no message is buffered anywhere in the network (ejection
     /// queues included). O(1): the active worklist tracks exactly the routers
     /// with buffered inputs, and `eject_pending` counts ejection-queue
@@ -811,7 +800,6 @@ impl<P> Component for Mesh<P> {
                         VNET_LABELS[q % VNET_COUNT]
                     ),
                     LinkReport {
-                        kind: "sync",
                         capacity: Some(self.cfg.buf_depth),
                         occupancy: usize::from(router.len[q]),
                         stats: self.link_stats[node * QUEUES + q],

@@ -9,8 +9,8 @@
 //! fresh one and the request sent once more. A failure after the first
 //! response byte is returned as is.
 //!
-//! The retrying entry points ([`get_retry`], [`post_json_retry`]) wrap
-//! the one-shot [`request`] with **bounded retries**: connect/transport
+//! The retrying entry point, [`post_json_retry`], wraps the one-shot
+//! [`request`] with **bounded retries**: connect/transport
 //! errors and 429/503 responses back off exponentially with
 //! deterministic jitter (a pure function of the policy seed and the
 //! attempt number — two clients with different seeds desynchronize, the
@@ -292,11 +292,6 @@ pub fn request_retry(
     }
     // Unreachable: the loop always returns on its final attempt.
     Err(last_err.unwrap_or_else(|| io::Error::other("retries exhausted")))
-}
-
-/// `GET path` with bounded retries.
-pub fn get_retry(addr: SocketAddr, path: &str, policy: &RetryPolicy) -> io::Result<Response> {
-    request_retry(addr, "GET", path, &[], b"", policy)
 }
 
 /// `POST path` (JSON body, optional tenant) with bounded retries.

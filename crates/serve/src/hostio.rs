@@ -340,11 +340,6 @@ impl<I: HostIo> FaultyIo<I> {
         }
     }
 
-    /// The wrapped implementation (test inspection).
-    pub fn inner_mut(&mut self) -> &mut I {
-        &mut self.inner
-    }
-
     /// SplitMix-style mix of the seed and an operation counter.
     fn mix(&self, op: u64) -> u64 {
         let mut z = self

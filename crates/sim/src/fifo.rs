@@ -1,4 +1,6 @@
-//! Same-domain and dual-clock (CDC) FIFOs.
+//! The dual-clock FIFO behind every clock-domain crossing. Same-domain
+//! staging needs no clocked queue: it is a
+//! [`Link::pipe`](crate::link::Link::pipe) with explicit ready times.
 
 use std::collections::VecDeque;
 
@@ -21,116 +23,6 @@ impl std::error::Error for PushError {}
 struct Slot<T> {
     ready_at: Time,
     item: T,
-}
-
-/// A bounded, same-clock-domain FIFO with next-cycle visibility.
-///
-/// An entry pushed at time *t* becomes poppable at `t + latency`. With
-/// `latency` equal to one clock period this models a standard synchronous
-/// FIFO: a value written on one edge is readable on the next.
-///
-/// # Example
-///
-/// ```
-/// use duet_sim::{Fifo, Time};
-/// let mut f = Fifo::new(2, Time::from_ps(1000));
-/// let t = Time::from_ps(1000);
-/// f.push(t, 7u32).unwrap();
-/// assert!(f.pop(t).is_none());                     // same cycle: not visible
-/// assert_eq!(f.pop(t + Time::from_ps(1000)), Some(7));
-/// ```
-#[derive(Clone, Debug)]
-pub struct Fifo<T> {
-    capacity: usize,
-    latency: Time,
-    slots: VecDeque<Slot<T>>,
-}
-
-impl<T> Fifo<T> {
-    /// Creates a FIFO holding up to `capacity` entries, each becoming visible
-    /// `latency` after its push.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, latency: Time) -> Self {
-        assert!(capacity > 0, "fifo capacity must be non-zero");
-        Fifo {
-            capacity,
-            latency,
-            slots: VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// Number of entries currently buffered (visible or not).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the FIFO holds no entries at all.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Whether a push would currently succeed.
-    pub fn can_push(&self) -> bool {
-        self.slots.len() < self.capacity
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Pushes `item` at time `now`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PushError`] if the FIFO is full.
-    pub fn push(&mut self, now: Time, item: T) -> Result<(), PushError> {
-        if !self.can_push() {
-            return Err(PushError);
-        }
-        self.slots.push_back(Slot {
-            ready_at: now + self.latency,
-            item,
-        });
-        Ok(())
-    }
-
-    /// Peeks at the front entry if it is visible at `now`.
-    pub fn front(&self, now: Time) -> Option<&T> {
-        self.slots
-            .front()
-            .filter(|s| s.ready_at <= now)
-            .map(|s| &s.item)
-    }
-
-    /// Pops the front entry if it is visible at `now`.
-    pub fn pop(&mut self, now: Time) -> Option<T> {
-        if self.slots.front().is_some_and(|s| s.ready_at <= now) {
-            self.slots.pop_front().map(|s| s.item)
-        } else {
-            None
-        }
-    }
-
-    /// The time at which the front entry becomes visible to `pop`, if any
-    /// entry is buffered. Used by event-horizon scheduling to bound the next
-    /// time this FIFO can make progress.
-    pub fn front_ready_at(&self) -> Option<Time> {
-        self.slots.front().map(|s| s.ready_at)
-    }
-
-    /// Drains every entry regardless of visibility (used on reset/flush).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-    }
-
-    /// Iterates over all buffered items front-to-back, ignoring visibility.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().map(|s| &s.item)
-    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -303,7 +195,6 @@ impl<T> AsyncFifo<T> {
 
 crate::pack_struct!(Slot<T> { ready_at, item });
 crate::pack_struct!(PopRecord { producer_sees_at });
-crate::snap_fields!(Fifo<T> { const capacity, latency, slots });
 // Clocks are mutable state: the Control Hub can reprogram the eFPGA clock
 // mid-run.
 crate::snap_fields!(AsyncFifo<T> {
@@ -316,44 +207,6 @@ mod tests {
 
     fn ps(v: u64) -> Time {
         Time::from_ps(v)
-    }
-
-    #[test]
-    fn fifo_next_cycle_visibility() {
-        let mut f = Fifo::new(4, ps(1000));
-        f.push(ps(1000), 1u32).unwrap();
-        f.push(ps(1000), 2u32).unwrap();
-        assert_eq!(f.pop(ps(1000)), None);
-        assert_eq!(f.front(ps(2000)), Some(&1));
-        assert_eq!(f.pop(ps(2000)), Some(1));
-        assert_eq!(f.pop(ps(2000)), Some(2));
-        assert_eq!(f.pop(ps(2000)), None);
-    }
-
-    #[test]
-    fn fifo_capacity() {
-        let mut f = Fifo::new(2, ps(0));
-        assert!(f.can_push());
-        f.push(ps(0), 1u8).unwrap();
-        f.push(ps(0), 2u8).unwrap();
-        assert!(!f.can_push());
-        assert_eq!(f.push(ps(0), 3u8), Err(PushError));
-        assert_eq!(f.len(), 2);
-        f.clear();
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn fifo_preserves_order() {
-        let mut f = Fifo::new(16, ps(1000));
-        for i in 0..10u32 {
-            f.push(ps(1000 + u64::from(i) * 1000), i).unwrap();
-        }
-        let mut out = Vec::new();
-        while let Some(v) = f.pop(ps(100_000)) {
-            out.push(v);
-        }
-        assert_eq!(out, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

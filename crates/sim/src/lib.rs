@@ -11,23 +11,19 @@
 //! [`DualClock`] iterator yields the interleaved edge sequence of the fast
 //! (processor) and slow (eFPGA) domains.
 //!
-//! Communication between components in the *same* domain uses [`Fifo`], which
-//! enforces next-cycle visibility (a value written on edge *k* is readable on
-//! edge *k+1* at the earliest, like a hardware FIFO). Communication *across*
-//! domains uses [`AsyncFifo`], which models a Gray-coded, multi-stage
-//! synchronizer: an entry pushed at time *t* becomes visible to the consumer
-//! only after `sync_stages` consumer-clock edges strictly after *t*, and the
-//! space freed by a pop becomes visible to the producer only after
-//! `sync_stages` producer-clock edges. This single type is the source of all
-//! clock-domain-crossing (CDC) cost in the Duet model.
+//! Communication across clock domains uses [`AsyncFifo`], which models a
+//! Gray-coded, multi-stage synchronizer: an entry pushed at time *t* becomes
+//! visible to the consumer only after `sync_stages` consumer-clock edges
+//! strictly after *t*, and the space freed by a pop becomes visible to the
+//! producer only after `sync_stages` producer-clock edges. This single type
+//! is the source of all clock-domain-crossing (CDC) cost in the Duet model.
 //!
-//! On top of the raw queues sits the **component graph** layer: ticking
+//! On top of the raw queue sits the **component graph** layer: ticking
 //! structures implement [`Component`] (tick / `next_event_time` / `is_active`
 //! / clock domain), and every edge between them is a typed, instrumented
-//! [`Link`] — synchronous FIFO, CDC crossing, or explicitly-timed pipe — that
-//! counts occupancy and backpressure stalls. The shared [`Horizon`]
-//! accumulator merges per-component event times for the event-horizon
-//! scheduler.
+//! [`Link`] — a CDC crossing or an explicitly-timed pipe — that counts
+//! occupancy and backpressure stalls. The shared [`Horizon`] accumulator
+//! merges per-component event times for the event-horizon scheduler.
 //!
 //! # Example
 //!
@@ -62,12 +58,12 @@ pub mod time;
 pub use bitset::BitSet;
 pub use clock::{Clock, DualClock, EdgeDomain};
 pub use component::{ClockDomain, Component};
-pub use fifo::{AsyncFifo, Fifo, PushError};
+pub use fifo::{AsyncFifo, PushError};
 pub use horizon::{merge_min, Horizon};
 pub use link::{Link, LinkReport, LinkStats};
 pub use rng::SimRng;
 pub use shard::EpochBarrier;
 pub use snapshot::{Pack, Snap, SnapError, SnapHasher, SnapReader, SnapWriter};
-pub use stats::{Counter, LatencyBreakdown, RunningStats};
+pub use stats::LatencyBreakdown;
 pub use storage::{IdSlab, LineMap, PagedMem, ShardMem};
 pub use time::Time;

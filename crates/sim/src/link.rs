@@ -1,16 +1,17 @@
 //! Typed, instrumented links: the edges of the component graph.
 //!
-//! A [`Link`] subsumes the three ad-hoc edge kinds the system grew
-//! organically:
+//! A [`Link`] has one of two transports:
 //!
-//! * **Sync** — a same-domain [`Fifo`] with next-cycle visibility (mesh
-//!   router input buffers, paper Sec. IV's NoC ports).
 //! * **Cdc** — an [`AsyncFifo`] clock-domain crossing with Gray-coded
 //!   synchronizer cost (adapter fabric FIFOs, the FPSoC `SlowHubCdc` pair;
 //!   paper Sec. IV-B).
 //! * **Pipe** — an unbounded staging queue whose entries each carry an
 //!   explicit ready time (cache/directory output queues whose per-message
-//!   delay varies, and the mesh `inject_pending` backpressure buffers).
+//!   delay varies, and the per-node NoC injection buffers).
+//!
+//! The mesh's router input buffers are not links: they live in flat
+//! per-router rings, which report the same [`LinkStats`] through
+//! [`Component::visit_links`](crate::component::Component::visit_links).
 //!
 //! Every link counts successful pushes/pops, rejected pushes (backpressure
 //! stalls), peak occupancy, and a log₂ occupancy histogram — free
@@ -28,7 +29,7 @@
 use std::collections::VecDeque;
 
 use crate::clock::Clock;
-use crate::fifo::{AsyncFifo, Fifo, PushError};
+use crate::fifo::{AsyncFifo, PushError};
 use crate::time::Time;
 
 /// Number of log₂ buckets in the occupancy histogram: bucket *k* counts
@@ -74,8 +75,6 @@ impl LinkStats {
 /// [`Component::visit_links`](crate::component::Component::visit_links).
 #[derive(Clone, Debug)]
 pub struct LinkReport {
-    /// Transport kind: `"sync"`, `"cdc"`, or `"pipe"`.
-    pub kind: &'static str,
     /// Bounded capacity, or `None` for unbounded pipes.
     pub capacity: Option<usize>,
     /// Entries currently buffered (visible or in flight).
@@ -92,15 +91,14 @@ struct PipeSlot<T> {
 
 #[derive(Clone, Debug)]
 enum Transport<T> {
-    Sync(Fifo<T>),
     Cdc(AsyncFifo<T>),
     Pipe(VecDeque<PipeSlot<T>>),
 }
 
 /// A typed, instrumented point-to-point edge of the component graph.
 ///
-/// All timing behaviour delegates to the proven [`Fifo`]/[`AsyncFifo`]
-/// models (or, for pipes, to an explicit per-entry ready time); `Link` adds
+/// All timing behaviour delegates to the proven [`AsyncFifo`] model (or,
+/// for pipes, to an explicit per-entry ready time); `Link` adds
 /// only a uniform API and traffic counters on top, so converting a raw queue
 /// to a link is behaviour-preserving by construction.
 #[derive(Clone, Debug)]
@@ -114,16 +112,6 @@ pub struct Link<T> {
 }
 
 impl<T> Link<T> {
-    /// A same-domain synchronous link: `capacity` entries, each visible
-    /// `latency` after its push (one clock period for next-cycle FIFOs).
-    pub fn sync(capacity: usize, latency: Time) -> Self {
-        Link {
-            transport: Transport::Sync(Fifo::new(capacity, latency)),
-            stats: LinkStats::default(),
-            frozen: false,
-        }
-    }
-
     /// A clock-domain-crossing link over a Gray-coded `sync_stages`-deep
     /// synchronizer (see [`AsyncFifo`]).
     pub fn cdc(capacity: usize, sync_stages: u32, producer: Clock, consumer: Clock) -> Self {
@@ -147,7 +135,6 @@ impl<T> Link<T> {
     /// Entries currently buffered, visible to the consumer or not.
     pub fn len(&self) -> usize {
         match &self.transport {
-            Transport::Sync(f) => f.len(),
             Transport::Cdc(f) => f.len(),
             Transport::Pipe(q) => q.len(),
         }
@@ -161,7 +148,6 @@ impl<T> Link<T> {
     /// Bounded capacity, or `None` for unbounded pipes.
     pub fn capacity(&self) -> Option<usize> {
         match &self.transport {
-            Transport::Sync(f) => Some(f.capacity()),
             Transport::Cdc(f) => Some(f.capacity()),
             Transport::Pipe(_) => None,
         }
@@ -174,7 +160,6 @@ impl<T> Link<T> {
             return false;
         }
         match &self.transport {
-            Transport::Sync(f) => f.can_push(),
             Transport::Cdc(f) => f.can_push(now),
             Transport::Pipe(_) => true,
         }
@@ -193,7 +178,6 @@ impl<T> Link<T> {
             return Err(PushError);
         }
         let res = match &mut self.transport {
-            Transport::Sync(f) => f.push(now, item),
             Transport::Cdc(f) => f.push(now, item),
             Transport::Pipe(q) => {
                 q.push_back(PipeSlot {
@@ -218,15 +202,15 @@ impl<T> Link<T> {
     ///
     /// # Panics
     ///
-    /// Panics on a sync or CDC link — an explicit ready time would bypass
-    /// the transport's timing model.
+    /// Panics on a CDC link — an explicit ready time would bypass the
+    /// synchronizer's timing model.
     pub fn push_at(&mut self, ready_at: Time, item: T) {
         match &mut self.transport {
             Transport::Pipe(q) => {
                 q.push_back(PipeSlot { ready_at, item });
                 self.stats.record_push(self.len());
             }
-            _ => panic!("push_at is only valid on pipe links"),
+            Transport::Cdc(_) => panic!("push_at is only valid on pipe links"),
         }
     }
 
@@ -236,7 +220,6 @@ impl<T> Link<T> {
             return None;
         }
         match &self.transport {
-            Transport::Sync(f) => f.front(now),
             Transport::Cdc(f) => f.front(now),
             Transport::Pipe(q) => q.front().filter(|s| s.ready_at <= now).map(|s| &s.item),
         }
@@ -248,7 +231,6 @@ impl<T> Link<T> {
             return None;
         }
         let popped = match &mut self.transport {
-            Transport::Sync(f) => f.pop(now),
             Transport::Cdc(f) => f.pop(now),
             Transport::Pipe(q) => {
                 if q.front().is_some_and(|s| s.ready_at <= now) {
@@ -271,7 +253,6 @@ impl<T> Link<T> {
             return None;
         }
         match &self.transport {
-            Transport::Sync(f) => f.front_ready_at(),
             Transport::Cdc(f) => f.front_ready_at(),
             Transport::Pipe(q) => q.front().map(|s| s.ready_at),
         }
@@ -281,7 +262,6 @@ impl<T> Link<T> {
     /// counters are preserved.
     pub fn clear(&mut self) {
         match &mut self.transport {
-            Transport::Sync(f) => f.clear(),
             Transport::Cdc(f) => f.clear(),
             Transport::Pipe(q) => q.clear(),
         }
@@ -290,7 +270,6 @@ impl<T> Link<T> {
     /// Iterates over all buffered items front-to-back, ignoring visibility.
     pub fn iter(&self) -> Box<dyn Iterator<Item = &T> + '_> {
         match &self.transport {
-            Transport::Sync(f) => Box::new(f.iter()),
             Transport::Cdc(f) => Box::new(f.iter()),
             Transport::Pipe(q) => Box::new(q.iter().map(|s| &s.item)),
         }
@@ -319,11 +298,6 @@ impl<T> Link<T> {
     /// Snapshot for registries and experiment harnesses.
     pub fn report(&self) -> LinkReport {
         LinkReport {
-            kind: match &self.transport {
-                Transport::Sync(_) => "sync",
-                Transport::Cdc(_) => "cdc",
-                Transport::Pipe(_) => "pipe",
-            },
             capacity: self.capacity(),
             occupancy: self.len(),
             stats: self.stats,
@@ -331,11 +305,11 @@ impl<T> Link<T> {
     }
 
     /// Occupancy as seen by the producer at `now` (CDC links count
-    /// freed-but-unsynchronized slots; others equal [`Link::len`]).
+    /// freed-but-unsynchronized slots; pipes equal [`Link::len`]).
     pub fn producer_occupancy(&self, now: Time) -> usize {
         match &self.transport {
             Transport::Cdc(f) => f.producer_occupancy(now),
-            _ => self.len(),
+            Transport::Pipe(q) => q.len(),
         }
     }
 
@@ -388,11 +362,12 @@ crate::pack_struct!(PipeSlot<T> { ready_at, item });
 crate::snap_fields!(Link<T> { transport, stats, frozen });
 
 /// Hand-written: the transport kind is wiring, not state — the tag is
-/// cross-checked and the body loaded into the already-built variant.
+/// cross-checked and the body loaded into the already-built variant. Tag 0
+/// belonged to a deleted same-domain transport; the others keep their
+/// values so snapshot bytes do not move.
 impl<T: crate::snapshot::Pack> crate::snapshot::Snap for Transport<T> {
     fn save(&self, w: &mut crate::snapshot::SnapWriter) {
         let (kind, body): (u8, &dyn crate::snapshot::Snap) = match self {
-            Transport::Sync(f) => (0, f),
             Transport::Cdc(f) => (1, f),
             Transport::Pipe(q) => (2, q),
         };
@@ -404,7 +379,6 @@ impl<T: crate::snapshot::Pack> crate::snapshot::Snap for Transport<T> {
         r: &mut crate::snapshot::SnapReader<'_>,
     ) -> Result<(), crate::snapshot::SnapError> {
         match (r.u8()?, self) {
-            (0, Transport::Sync(f)) => f.load(r),
             (1, Transport::Cdc(f)) => f.load(r),
             (2, Transport::Pipe(q)) => q.load(r),
             _ => Err(crate::snapshot::SnapError::Corrupt(
@@ -423,20 +397,10 @@ mod tests {
     }
 
     #[test]
-    fn sync_link_matches_fifo_timing() {
-        let mut l = Link::sync(2, ps(1000));
-        l.push(ps(1000), 7u32).unwrap();
-        assert!(l.front(ps(1000)).is_none(), "next-cycle visibility");
-        assert_eq!(l.pop(ps(2000)), Some(7));
-        assert_eq!(l.stats().pushes, 1);
-        assert_eq!(l.stats().pops, 1);
-    }
-
-    #[test]
-    fn sync_link_counts_rejected_pushes() {
-        let mut l = Link::sync(1, ps(0));
-        l.push(ps(0), 1u8).unwrap();
-        assert!(l.push(ps(0), 2u8).is_err());
+    fn cdc_link_counts_rejected_pushes() {
+        let mut l = Link::cdc(1, 2, Clock::ghz1(), Clock::from_mhz(100.0));
+        l.push(ps(1000), 1u8).unwrap();
+        assert!(l.push(ps(1000), 2u8).is_err());
         assert_eq!(l.stats().rejected_pushes, 1);
         assert_eq!(l.stats().pushes, 1);
         assert_eq!(l.len(), 1);
@@ -489,28 +453,32 @@ mod tests {
 
     #[test]
     fn frozen_link_rejects_and_hides_then_recovers() {
-        let mut l = Link::sync(4, ps(0));
+        // Same clock on both sides: an entry pushed at 0 is visible at the
+        // second edge after it, 2000.
+        let mut l = Link::cdc(4, 2, Clock::ghz1(), Clock::ghz1());
         l.push(ps(0), 1u8).unwrap();
         l.set_frozen(true);
         assert!(l.is_frozen());
-        assert!(!l.can_push(ps(1000)));
-        assert!(l.push(ps(1000), 2u8).is_err());
+        assert!(!l.can_push(ps(2000)));
+        assert!(l.push(ps(2000), 2u8).is_err());
         assert_eq!(l.stats().rejected_pushes, 1);
-        assert!(l.front(ps(1000)).is_none());
-        assert!(l.pop(ps(1000)).is_none());
+        assert!(l.front(ps(2000)).is_none());
+        assert!(l.pop(ps(2000)).is_none());
         assert!(l.front_ready_at().is_none());
         assert_eq!(l.len(), 1, "contents preserved while frozen");
         l.set_frozen(false);
-        assert_eq!(l.pop(ps(1000)), Some(1), "entry reappears after thaw");
-        assert!(l.can_push(ps(1000)));
+        assert_eq!(l.front_ready_at(), Some(ps(2000)), "original timing");
+        assert_eq!(l.pop(ps(2000)), Some(1), "entry reappears after thaw");
+        assert!(l.can_push(ps(2000)));
     }
 
     #[test]
     fn clear_preserves_counters() {
-        let mut l = Link::sync(4, ps(0));
-        l.push(ps(0), 1u8).unwrap();
+        let mut l = Link::pipe();
+        l.push_at(ps(5000), 1u8);
         l.clear();
         assert!(l.is_empty());
+        assert_eq!(l.front_ready_at(), None);
         assert_eq!(l.stats().pushes, 1);
     }
 }

@@ -632,7 +632,7 @@ impl System {
                     now.as_ps(),
                     EventKind::FaultInject,
                     i as u64,
-                    fault_kind_code(&spec.kind),
+                    spec.kind.canonical_code().0,
                 );
             }
             if let FaultKind::CdcFreeze { hub } = spec.kind {
@@ -1030,19 +1030,5 @@ impl System {
                 .adapter
                 .as_ref()
                 .is_none_or(|a| a.control.is_idle() && a.hubs.iter().all(|h| h.proxy_is_quiet()))
-    }
-}
-
-/// Stable per-kind code for `FaultInject` trace events (declaration order
-/// of [`FaultKind`]).
-fn fault_kind_code(kind: &FaultKind) -> u64 {
-    match kind {
-        FaultKind::AccelHang => 0,
-        FaultKind::CdcFreeze { .. } => 1,
-        FaultKind::NocDelay { .. } => 2,
-        FaultKind::NocReorder { .. } => 3,
-        FaultKind::NocDrop { .. } => 4,
-        FaultKind::L3RespStall { .. } => 5,
-        FaultKind::L3RespDrop { .. } => 6,
     }
 }

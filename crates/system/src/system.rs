@@ -187,11 +187,6 @@ impl System {
         self.trace = Some(session);
     }
 
-    /// Whether a trace session is active.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// The active trace session (event inspection), if any.
     pub fn trace_session(&self) -> Option<&TraceSession> {
         self.trace.as_ref()
@@ -262,11 +257,6 @@ impl System {
         }
     }
 
-    /// The kernel's page table (the OS stub consults it on page faults).
-    pub fn page_table_mut(&mut self) -> &mut PageTable {
-        &mut self.page_table
-    }
-
     /// Attaches the soft accelerator (the programmed fabric design).
     pub fn attach_accelerator(&mut self, accel: Box<dyn SoftAccelerator>) {
         assert!(self.cfg.has_fpga, "no eFPGA in this configuration");
@@ -276,14 +266,6 @@ impl System {
     /// The attached accelerator, for post-run inspection.
     pub fn accelerator(&self) -> Option<&dyn SoftAccelerator> {
         self.accel.as_deref()
-    }
-
-    /// Mutable accelerator access.
-    pub fn accelerator_mut(&mut self) -> Option<&mut (dyn SoftAccelerator + '_)> {
-        match self.accel.as_mut() {
-            Some(b) => Some(b.as_mut()),
-            None => None,
-        }
     }
 
     /// Configures a soft register's mode, honoring the variant: the
@@ -346,16 +328,6 @@ impl System {
             .collect()
     }
 
-    /// Directory inspection (debug aid): `(owner, sharers)` of a line at
-    /// its home shard.
-    pub fn dir_state(&self, line: LineAddr) -> (Option<NodeId>, Vec<NodeId>) {
-        let home = self.home.home_of(line);
-        (
-            self.shards[home].owner_of(line),
-            self.shards[home].sharers_of(line),
-        )
-    }
-
     /// Reads the globally visible line value: the owner's cached copy if
     /// one exists, else the memory image.
     pub fn peek_line(&self, line: LineAddr) -> [u8; LINE_BYTES] {
@@ -409,20 +381,6 @@ impl System {
             let data = self.shards[home].peek_line(line);
             self.shards[home].warm_sharer(line, node);
             self.l2s[core].warm_insert(line, data, LineState::S);
-        }
-    }
-
-    /// Warms lines into core `i`'s L2 in exclusive state.
-    pub fn warm_exclusive(&mut self, base: u64, len: u64, core: usize) {
-        let node = self.cfg.core_node(core);
-        let first = LineAddr::containing(base);
-        let last = LineAddr::containing(base + len.max(1) - 1);
-        for l in first.0..=last.0 {
-            let line = LineAddr(l);
-            let home = self.home.home_of(line);
-            let data = self.shards[home].peek_line(line);
-            self.shards[home].warm_owner(line, node);
-            self.l2s[core].warm_insert(line, data, LineState::E);
         }
     }
 

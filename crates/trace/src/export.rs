@@ -8,9 +8,6 @@
 //! transaction id stamped at injection) so a coherence message can be
 //! followed hop by hop across router tracks.
 
-use std::io;
-use std::path::Path;
-
 use crate::{mesi, unpack_hop, unpack_mesi, unpack_noc, EventKind, TraceEvent};
 
 /// Duration given to slice events, in microseconds. Most traced actions
@@ -171,175 +168,6 @@ pub fn text_log(events: &[TraceEvent], names: &[String], dropped: u64) -> String
     out
 }
 
-/// Writes [`chrome_trace`] JSON to `path`.
-///
-/// # Errors
-///
-/// Any underlying I/O error, annotated with the path.
-pub fn write_chrome_trace<P: AsRef<Path>>(
-    path: P,
-    events: &[TraceEvent],
-    names: &[String],
-    dropped: u64,
-) -> io::Result<()> {
-    write_annotated(path.as_ref(), &chrome_trace(events, names, dropped))
-}
-
-/// Writes the [`text_log`] rendering to `path`.
-///
-/// # Errors
-///
-/// Any underlying I/O error, annotated with the path.
-pub fn write_text_log<P: AsRef<Path>>(
-    path: P,
-    events: &[TraceEvent],
-    names: &[String],
-    dropped: u64,
-) -> io::Result<()> {
-    write_annotated(path.as_ref(), &text_log(events, names, dropped))
-}
-
-fn write_annotated(path: &Path, body: &str) -> io::Result<()> {
-    std::fs::write(path, body).map_err(|e| {
-        io::Error::new(
-            e.kind(),
-            format!("writing trace to {}: {e}", path.display()),
-        )
-    })
-}
-
-/// Checks that `s` is structurally well-formed JSON (objects, arrays,
-/// strings, numbers, literals). Dependency-free — used by the trace smoke
-/// tests to validate exported files without pulling in a JSON crate.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let Some(&c) = b.get(*pos) else {
-        return Err("unexpected end of input".to_string());
-    };
-    match c {
-        b'{' => parse_object(b, pos),
-        b'[' => parse_array(b, pos),
-        b'"' => parse_string(b, pos),
-        b't' => parse_lit(b, pos, "true"),
-        b'f' => parse_lit(b, pos, "false"),
-        b'n' => parse_lit(b, pos, "null"),
-        b'-' | b'0'..=b'9' => parse_number(b, pos),
-        other => Err(format!("unexpected byte {:?} at {}", other as char, *pos)),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(&b',') => *pos += 1,
-            Some(&b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(&b',') => *pos += 1,
-            Some(&b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '"'
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => *pos += 2,
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while b
-        .get(*pos)
-        .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    if *pos == start {
-        return Err(format!("malformed number at byte {start}"));
-    }
-    Ok(())
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("malformed literal at byte {}", *pos))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,8 +192,9 @@ mod tests {
             ev(2000, 1, EventKind::NocRoute, 42, crate::pack_hop(0, 2, 0)),
             ev(3000, 1, EventKind::NocEject, 42, pack_noc(0, 3, 0, 2)),
         ];
+        // JSON validity is checked in `tests/trace_differential.rs`, which
+        // parses the output with the service's JSON parser.
         let json = chrome_trace(&events, &names, 0);
-        validate_json(&json).expect("exporter must emit valid JSON");
         // Named per-component tracks.
         assert!(json.contains("\"thread_name\",\"args\":{\"name\":\"mesh\"}"));
         assert!(json.contains("\"thread_name\",\"args\":{\"name\":\"runloop\"}"));
@@ -393,17 +222,10 @@ mod tests {
     }
 
     #[test]
-    fn validate_json_accepts_and_rejects() {
-        validate_json("{\"a\":[1,2.5,-3e4],\"b\":\"x\\\"y\",\"c\":null}").unwrap();
-        assert!(validate_json("{\"a\":}").is_err());
-        assert!(validate_json("[1,2").is_err());
-        assert!(validate_json("{} trailing").is_err());
-    }
-
-    #[test]
     fn names_are_escaped() {
-        let names = vec!["weird\"name\\".to_string()];
+        let names = vec!["weird\"name\\".to_string(), "ctl\u{1}".to_string()];
         let json = chrome_trace(&[], &names, 0);
-        validate_json(&json).unwrap();
+        assert!(json.contains(r#""args":{"name":"weird\"name\\"}"#));
+        assert!(json.contains(r#""args":{"name":"ctl\u0001"}"#));
     }
 }

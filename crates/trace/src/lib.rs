@@ -30,7 +30,8 @@
 //! picosecond `u64`s) so every layer of the stack can instrument itself
 //! without dependency cycles.
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 pub mod export;
 pub mod registry;
@@ -38,13 +39,6 @@ pub mod scoreboard;
 
 pub use registry::MetricsRegistry;
 pub use scoreboard::{LatencyHistogram, Scoreboard};
-
-/// Locks a trace ring, recovering from poisoning: a panic in some other
-/// thread mid-`push` can at worst lose that one event — instrumentation
-/// must never turn one panic into a cascade.
-fn lock_ring(ring: &Mutex<TraceBuffer>) -> MutexGuard<'_, TraceBuffer> {
-    ring.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A byte that is not a valid [`EventKind`] discriminant, found while
 /// decoding a persisted or replayed event stream.
@@ -121,7 +115,7 @@ pub enum EventKind {
     /// Free-form user marker (`a`/`b` caller-defined).
     Marker = 19,
     /// Fault injected by a `duet-verify` `FaultPlan` (`a` = spec index,
-    /// `b` = fault-kind discriminant as rendered by the plan).
+    /// `b` = the kind's code, `FaultKind::canonical_code().0`).
     FaultInject = 20,
     /// Adapter watchdog fenced a non-progressing accelerator (`a` = hub
     /// count deactivated, `b` = busy duration in picoseconds).
@@ -437,11 +431,11 @@ impl TraceBuffer {
 }
 
 /// A component's handle on the trace: shared ring + cached mask + bound
-/// component id. Cloneable and `Send`/`Sync` (systems are built inside
-/// sweep worker threads). The disabled handle is the `Default`.
+/// component id. Cloneable; a system and its tracers live on one thread.
+/// The disabled handle is the `Default`.
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
-    shared: Option<Arc<Mutex<TraceBuffer>>>,
+    shared: Option<Rc<RefCell<TraceBuffer>>>,
     mask: u32,
     comp: u16,
 }
@@ -471,7 +465,7 @@ impl Tracer {
         if self.mask & kind.bit() == 0 {
             return;
         }
-        lock_ring(shared).push(TraceEvent {
+        shared.borrow_mut().push(TraceEvent {
             ts_ps,
             comp: self.comp,
             kind: kind as u8,
@@ -488,7 +482,7 @@ impl Tracer {
 /// track order in exports), and reads results back after the run.
 #[derive(Debug)]
 pub struct TraceSession {
-    shared: Arc<Mutex<TraceBuffer>>,
+    shared: Rc<RefCell<TraceBuffer>>,
     names: Vec<String>,
     mask: u32,
 }
@@ -497,7 +491,7 @@ impl TraceSession {
     /// Starts a session, preallocating the ring.
     pub fn new(cfg: &TraceConfig) -> Self {
         TraceSession {
-            shared: Arc::new(Mutex::new(TraceBuffer::new(cfg.capacity))),
+            shared: Rc::new(RefCell::new(TraceBuffer::new(cfg.capacity))),
             names: Vec::new(),
             mask: cfg.mask,
         }
@@ -512,7 +506,7 @@ impl TraceSession {
         let comp = u16::try_from(self.names.len()).unwrap_or(u16::MAX);
         self.names.push(name.to_string());
         Tracer {
-            shared: Some(Arc::clone(&self.shared)),
+            shared: Some(Rc::clone(&self.shared)),
             mask: self.mask,
             comp,
         }
@@ -530,17 +524,17 @@ impl TraceSession {
 
     /// Snapshot of the retained events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        lock_ring(&self.shared).events()
+        self.shared.borrow().events()
     }
 
     /// Events lost to ring wraparound.
     pub fn dropped(&self) -> u64 {
-        lock_ring(&self.shared).dropped()
+        self.shared.borrow().dropped()
     }
 
     /// Total events captured (retained + dropped).
     pub fn total(&self) -> u64 {
-        lock_ring(&self.shared).total()
+        self.shared.borrow().total()
     }
 
     /// Renders the Chrome trace-event JSON for this session.

@@ -3,8 +3,6 @@
 //! counts.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write};
-use std::path::Path;
 
 use crate::{mesi, unpack_mesi, unpack_noc, EventKind, TraceEvent, UnknownEventKind};
 
@@ -167,23 +165,6 @@ impl Scoreboard {
             ));
         }
         out
-    }
-
-    /// Writes [`report`](Scoreboard::report) to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Any underlying I/O error, annotated with the path.
-    pub fn write_report<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        let path = path.as_ref();
-        let annotate = |e: io::Error| {
-            io::Error::new(
-                e.kind(),
-                format!("writing scoreboard to {}: {e}", path.display()),
-            )
-        };
-        let mut f = std::fs::File::create(path).map_err(annotate)?;
-        f.write_all(self.report().as_bytes()).map_err(annotate)
     }
 }
 

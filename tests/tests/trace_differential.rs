@@ -13,9 +13,10 @@ use std::sync::Arc;
 use duet_core::RegMode;
 use duet_cpu::asm::Asm;
 use duet_cpu::isa::regs;
+use duet_serve::json::{parse as parse_json, Json};
 use duet_sim::Time;
 use duet_system::{System, SystemConfig};
-use duet_trace::{export::validate_json, masks, EventKind, TraceConfig};
+use duet_trace::{export, masks, pack_hop, pack_noc, EventKind, TraceConfig, TraceEvent};
 use duet_workloads::popcount::PopcountAccel;
 
 /// Everything observable about a finished run, as one comparable string.
@@ -257,6 +258,52 @@ fn differential_trace_onoff_skip_onoff_popcount_accel() {
     assert_trace_invisible(popcount_system, Time::from_us(1_000), &[(0x2_0000, 1)]);
 }
 
+/// The exporter's string escaping survives a real JSON parser: component
+/// names with quotes, backslashes and control characters come back
+/// unchanged as track names, next to slices and flow arrows.
+#[test]
+fn chrome_json_escapes_component_names() {
+    let names = vec![
+        "runloop".to_string(),
+        "weird\"name\\".to_string(),
+        "tab\tand\u{1}ctl".to_string(),
+    ];
+    let ev = |ts_ps, comp, kind: EventKind, a, b| TraceEvent {
+        ts_ps,
+        comp,
+        kind: kind as u8,
+        a,
+        b,
+    };
+    let events = [
+        ev(1000, 0, EventKind::EdgeFast, 1, 0),
+        ev(1000, 1, EventKind::NocInject, 42, pack_noc(0, 3, 0, 2)),
+        ev(2000, 1, EventKind::NocRoute, 42, pack_hop(0, 2, 0)),
+        ev(3000, 2, EventKind::NocEject, 42, pack_noc(0, 3, 0, 2)),
+    ];
+    for evs in [&events[..], &[]] {
+        let out = export::chrome_trace(evs, &names, 0);
+        let doc = parse_json(out.as_bytes()).expect("chrome trace must be valid JSON");
+        let records = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("traceEvents array");
+        let tracks: Vec<&str> = records
+            .iter()
+            .filter(|r| r.get("name").and_then(Json::as_str) == Some("thread_name"))
+            .filter_map(|r| r.get("args")?.get("name")?.as_str())
+            .collect();
+        assert_eq!(tracks, names.iter().map(String::as_str).collect::<Vec<_>>());
+        // The process name and one record per track, then one slice per
+        // event plus one flow record per NoC event.
+        let flows = evs
+            .iter()
+            .filter(|e| e.kind != EventKind::EdgeFast as u8)
+            .count();
+        assert_eq!(records.len(), 1 + names.len() + evs.len() + flows);
+    }
+}
+
 /// Golden structural checks on the Chrome JSON from a tiny two-node run:
 /// parses, names its per-component tracks, and carries at least one full
 /// inject→eject flow arrow across the NoC.
@@ -270,7 +317,7 @@ fn chrome_json_golden_tiny_two_node_run() {
         .unwrap_or_else(|e| panic!("{e}"));
 
     let json = sys.trace_chrome_json().expect("tracing enabled");
-    validate_json(&json).expect("chrome trace must be valid JSON");
+    parse_json(json.as_bytes()).expect("chrome trace must be valid JSON");
 
     // Golden header: exact process-metadata record (nothing dropped on a
     // run this small, the ring holds 1 Mi events).
