@@ -168,6 +168,19 @@ struct Mshr {
     breakdown: LatencyBreakdown,
 }
 
+/// What one edge does with the head CPU request (see `PrivCache::head_step`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum HeadStep {
+    /// Folds into the outstanding MSHR on the same line.
+    Merge,
+    /// Hits on a line resident in this state.
+    Hit(LineState),
+    /// Misses, or upgrades an S copy to M, allocating a free MSHR.
+    Miss { upgrade: bool },
+    /// Would miss with every MSHR in use: waits until a fill frees one.
+    Blocked,
+}
+
 /// Event counters for a private cache.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheStats {
@@ -324,8 +337,18 @@ impl PrivCache {
     /// The earliest time this cache can next do observable work, or `None`
     /// when it can only be woken externally (empty queues, or only passive
     /// MSHR/writeback state waiting on the NoC).
+    ///
+    /// A head request that misses while every MSHR is in use (and has
+    /// none to merge into) is passive too: only a fill frees an MSHR, and
+    /// a fill arrives through `noc_in`. Such a cache stays
+    /// [`is_active`](PrivCache::is_active) — its queue is not drained —
+    /// but pins no edge.
     pub fn next_event_time(&self, now: Time) -> Option<Time> {
-        if !self.req_in.is_empty() || !self.noc_in.is_empty() || !self.back_inval.is_empty() {
+        let head_due = self
+            .req_in
+            .front()
+            .is_some_and(|req| self.head_step(req) != HeadStep::Blocked);
+        if head_due || !self.noc_in.is_empty() || !self.back_inval.is_empty() {
             return Some(now);
         }
         merge_min(
@@ -738,6 +761,26 @@ impl PrivCache {
         wrote
     }
 
+    /// What [`tick`](PrivCache::tick) does with the head CPU request `req`
+    /// — the one decision both `tick` and
+    /// [`next_event_time`](PrivCache::next_event_time) read, so what the
+    /// horizon calls blocked is exactly what `tick` leaves queued.
+    fn head_step(&self, req: &MemReq) -> HeadStep {
+        let line = LineAddr::containing(req.addr);
+        if self.mshrs.get(line.0).is_some() {
+            return HeadStep::Merge;
+        }
+        let needs_m = !matches!(req.op, MemOp::Load(_) | MemOp::LoadLine | MemOp::IFetch);
+        match self.array.peek(line).map(|(m, _)| *m) {
+            Some(state @ (LineState::M | LineState::E)) => HeadStep::Hit(state),
+            Some(LineState::S) if !needs_m => HeadStep::Hit(LineState::S),
+            _ if self.mshrs.len() >= self.cfg.mshrs => HeadStep::Blocked,
+            state => HeadStep::Miss {
+                upgrade: state.is_some(),
+            },
+        }
+    }
+
     /// Advances the cache by one clock edge: processes at most one queued
     /// coherence message and at most one CPU-side request.
     pub fn tick(&mut self, now: Time) {
@@ -752,34 +795,21 @@ impl PrivCache {
             return;
         };
         let line = LineAddr::containing(req.addr);
-
-        // Fold into an existing outstanding miss on the same line.
-        if let Some(mshr) = self.mshrs.get_mut(line.0) {
-            self.req_in.pop_front();
-            self.stats.mshr_merges += 1;
-            mshr.pending.push_back(req);
-            return;
-        }
-
         let needs_m = !matches!(req.op, MemOp::Load(_) | MemOp::LoadLine | MemOp::IFetch);
-        let state = self.array.peek(line).map(|(m, _)| *m);
-        match state {
-            Some(LineState::M) => {
+        match self.head_step(&req) {
+            // Head-of-line block until an MSHR frees.
+            HeadStep::Blocked => {}
+            HeadStep::Merge => {
+                // Fold into the outstanding miss on the same line.
                 self.req_in.pop_front();
-                self.stats.hits += 1;
-                let mut data = *self.array.get(line).map(|(_, d)| d).unwrap();
-                let wrote =
-                    self.finish_access(now, &req, &mut data, &LatencyBreakdown::new(), false);
-                if wrote {
-                    if let Some((_, d)) = self.array.get_mut(line) {
-                        *d = data;
-                    }
-                }
+                self.stats.mshr_merges += 1;
+                let mshr = self.mshrs.get_mut(line.0).expect("merge without MSHR");
+                mshr.pending.push_back(req);
             }
-            Some(LineState::E) => {
+            HeadStep::Hit(state) => {
                 self.req_in.pop_front();
                 self.stats.hits += 1;
-                if needs_m {
+                if state == LineState::E && needs_m {
                     // Silent E -> M upgrade.
                     *self.array.meta_mut(line).unwrap() = LineState::M;
                 }
@@ -792,53 +822,7 @@ impl PrivCache {
                     }
                 }
             }
-            Some(LineState::S) if !needs_m => {
-                self.req_in.pop_front();
-                self.stats.hits += 1;
-                let mut data = *self.array.get(line).map(|(_, d)| d).unwrap();
-                self.finish_access(now, &req, &mut data, &LatencyBreakdown::new(), false);
-            }
-            Some(LineState::S) => {
-                // Upgrade miss.
-                if self.mshrs.len() >= self.cfg.mshrs {
-                    return; // head-of-line block until an MSHR frees
-                }
-                self.req_in.pop_front();
-                self.stats.misses += 1;
-                let mut breakdown = LatencyBreakdown::new();
-                *self.local_bucket(&mut breakdown) += self.delay(self.cfg.proc_cycles);
-                let mut pending = VecDeque::new();
-                pending.push_back(req);
-                self.mshrs.insert(
-                    line.0,
-                    Mshr {
-                        want_m: true,
-                        was_s: true,
-                        data: None,
-                        acks_needed: None,
-                        acks_got: 0,
-                        fill_invalidated: false,
-                        pending,
-                        breakdown,
-                    },
-                );
-                self.tracer.emit(
-                    now.as_ps(),
-                    EventKind::MshrAlloc,
-                    line.0,
-                    self.mshrs.len() as u64,
-                );
-                // Drop the S copy locally; the directory's Data response
-                // will re-supply it. (Keeping it would be legal MESI but the
-                // epoch argument in handle_msg relies on request-time state.)
-                self.array.remove(line);
-                let home = self.home.home_of(line);
-                self.send(now, home, CoherenceMsg::GetM { line }, self.cfg.proc_cycles);
-            }
-            None => {
-                if self.mshrs.len() >= self.cfg.mshrs {
-                    return;
-                }
+            HeadStep::Miss { upgrade } => {
                 self.req_in.pop_front();
                 self.stats.misses += 1;
                 let mut breakdown = LatencyBreakdown::new();
@@ -849,7 +833,7 @@ impl PrivCache {
                     line.0,
                     Mshr {
                         want_m: needs_m,
-                        was_s: false,
+                        was_s: upgrade,
                         data: None,
                         acks_needed: None,
                         acks_got: 0,
@@ -864,6 +848,13 @@ impl PrivCache {
                     line.0,
                     self.mshrs.len() as u64,
                 );
+                if upgrade {
+                    // Drop the S copy locally; the directory's Data
+                    // response will re-supply it. (Keeping it would be
+                    // legal MESI but the epoch argument in handle_msg
+                    // relies on request-time state.)
+                    self.array.remove(line);
+                }
                 let home = self.home.home_of(line);
                 let msg = if needs_m {
                     CoherenceMsg::GetM { line }
@@ -1421,6 +1412,80 @@ mod tests {
         c.tick(t(3));
         assert_eq!(c.stats().misses, 1, "second miss blocked by MSHR limit");
         assert_eq!(c.mshrs_in_use(), 1);
+    }
+
+    /// A one-MSHR cache with that MSHR taken by a load miss on line 0x10,
+    /// its GetS already sent.
+    fn cache_with_mshrs_full() -> PrivCache {
+        let cfg = CacheConfig::dolly_l2(Clock::ghz1()).with_mshrs(1);
+        let mut c = PrivCache::new(cfg, 0, HomeMap::new(vec![1]));
+        c.cpu_request(MemReq::load(1, 0x100, Width::B8));
+        c.tick(t(1));
+        assert!(c.pop_outgoing(t(10)).is_some(), "GetS sent");
+        assert_eq!(c.mshrs_in_use(), 1);
+        c
+    }
+
+    fn fill(line: u64) -> CoherenceMsg {
+        CoherenceMsg::Data {
+            line: LineAddr(line),
+            data: [0u8; 16],
+            grant: Grant::S,
+            acks: 0,
+            breakdown: LatencyBreakdown::new(),
+        }
+    }
+
+    #[test]
+    fn miss_waiting_for_an_mshr_is_not_due() {
+        let mut c = cache_with_mshrs_full();
+        c.cpu_request(MemReq::load(2, 0x200, Width::B8));
+        assert_eq!(c.next_event_time(t(10)), None, "blocked head pins nothing");
+        assert!(c.is_active(), "its queue is still undrained");
+        // Ticking the waiting edges would change nothing.
+        c.tick(t(11));
+        assert_eq!((c.stats().misses, c.mshrs_in_use()), (1, 1));
+
+        // The fill is what frees the MSHR, and it makes the cache due.
+        c.handle_msg(t(20), 1, fill(0x10), Time::ZERO);
+        assert_eq!(c.next_event_time(t(20)), Some(t(20)));
+        let (cycle, resp, _) = run_until_resp(&mut c, 19);
+        assert_eq!(resp.id, 1);
+        c.tick(t(cycle + 1));
+        assert_eq!(c.stats().misses, 2, "the waiting miss took the freed MSHR");
+    }
+
+    #[test]
+    fn upgrade_waiting_for_an_mshr_is_not_due() {
+        let mut c = cache_with_mshrs_full();
+        c.warm_insert(LineAddr(0x40), [0u8; 16], LineState::S);
+        c.cpu_request(MemReq::store(2, 0x400, Width::B8, 1));
+        assert_eq!(c.next_event_time(t(10)), None);
+        assert!(c.is_active());
+    }
+
+    #[test]
+    fn hit_or_merge_at_the_head_is_due_with_mshrs_full() {
+        let mut c = cache_with_mshrs_full();
+        for (state, req) in [
+            (LineState::E, MemReq::store(2, 0x300, Width::B8, 1)),
+            (LineState::S, MemReq::load(3, 0x500, Width::B8)),
+            (LineState::M, MemReq::load(4, 0x600, Width::B8)),
+        ] {
+            c.warm_insert(LineAddr::containing(req.addr), [0u8; 16], state);
+            c.cpu_request(req);
+            assert_eq!(c.next_event_time(t(10)), Some(t(10)), "{state:?} hit");
+            let hits = c.stats().hits;
+            c.tick(t(10));
+            assert_eq!(c.stats().hits, hits + 1);
+            assert!(c.pop_cpu_resp(t(100)).is_some());
+        }
+        // Same line as the outstanding miss: folds into its MSHR.
+        c.cpu_request(MemReq::load(5, 0x108, Width::B8));
+        assert_eq!(c.next_event_time(t(100)), Some(t(100)), "merge");
+        c.tick(t(100));
+        assert_eq!(c.stats().mshr_merges, 1);
+        assert_eq!(c.next_event_time(t(100)), None);
     }
 
     #[test]

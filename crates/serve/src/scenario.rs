@@ -108,13 +108,12 @@ pub struct RunOutcome {
 /// across trace and edge-skip modes.
 fn cacheable_metrics(sys: &System) -> Vec<(String, u64)> {
     sys.metrics_registry()
-        .iter()
+        .into_iter()
         .filter(|(k, _)| {
             !(k.starts_with("process.")
-                || *k == "run.executed_edges"
+                || k == "run.executed_edges"
                 || (k.starts_with("link.") && k.ends_with(".rejected_pushes")))
         })
-        .map(|(k, v)| (k.to_string(), v))
         .collect()
 }
 

@@ -423,8 +423,9 @@ impl<V: Copy + Default> PagedMem<V> {
         direct + high
     }
 
+    /// A page of `V::default()`, built in place: one allocation, no copy.
     fn blank_page() -> std::sync::Arc<[V]> {
-        std::sync::Arc::from(vec![V::default(); PAGE_ENTRIES].into_boxed_slice())
+        std::iter::repeat_n(V::default(), PAGE_ENTRIES).collect()
     }
 }
 
@@ -575,11 +576,10 @@ impl<V: crate::snapshot::Pack + Copy + Default> crate::snapshot::Snap for PagedM
         let mut fresh = PagedMem::new();
         for _ in 0..n {
             let page_no = r.u64()?;
-            let mut page = vec![V::default(); PAGE_ENTRIES];
-            for v in page.iter_mut() {
+            let mut page = Self::blank_page();
+            for v in Self::page_mut(&mut page) {
                 *v = V::unpack(r)?;
             }
-            let page: std::sync::Arc<[V]> = std::sync::Arc::from(page.into_boxed_slice());
             if page_no < DIRECT_PAGES as u64 {
                 let idx = page_no as usize;
                 if fresh.direct.len() <= idx {

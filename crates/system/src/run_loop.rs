@@ -739,15 +739,25 @@ impl System {
                 return horizon.earliest();
             }
         }
-        // Merging the adapter's hubs uniformly is equivalent to split
-        // fast/slow-domain handling: a hub with a queued interrupt already
-        // reports `Some(now)`.
+        // FPSoC hubs and their inbound CDC FIFOs are ticked and popped
+        // only on slow edges, so their events wait for the next one. A
+        // hub's queued interrupt is the exception: it drains on the fast
+        // side, so that hub reports `Some(now)` unrounded.
+        let fpsoc = self.cfg.variant == Variant::Fpsoc;
+        let slow_edge_from = |t: Time| {
+            let slow = self.dual.slow();
+            slow.edge_at_or_after(t.max(self.dual.next_slow_edge()))
+        };
         if let Some(a) = &self.adapter {
             if horizon.merge_opt(Component::next_event_time(&a.control, now)) {
                 return horizon.earliest();
             }
             for hub in &a.hubs {
-                if horizon.merge_opt(Component::next_event_time(hub, now)) {
+                let mut t = Component::next_event_time(hub, now);
+                if fpsoc && !hub.has_pending_irq() {
+                    t = t.map(slow_edge_from);
+                }
+                if horizon.merge_opt(t) {
                     return horizon.earliest();
                 }
             }
@@ -759,7 +769,7 @@ impl System {
         }
         for cdc in &self.slow_cdc {
             if horizon.merge_opt(cdc.from_hub.front_ready_at())
-                || horizon.merge_opt(cdc.into_hub.front_ready_at())
+                || horizon.merge_opt(cdc.into_hub.front_ready_at().map(slow_edge_from))
             {
                 return horizon.earliest();
             }

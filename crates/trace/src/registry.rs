@@ -63,6 +63,17 @@ impl MetricsRegistry {
     }
 }
 
+/// Consumes the registry, yielding owned `(name, value)` pairs in sorted
+/// name order.
+impl IntoIterator for MetricsRegistry {
+    type Item = (String, u64);
+    type IntoIter = std::collections::btree_map::IntoIter<String, u64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.map.into_iter()
+    }
+}
+
 impl fmt::Display for MetricsRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (k, v) in self.iter() {
@@ -96,6 +107,17 @@ mod tests {
         assert_eq!(r.get("link.a.pushes"), Some(5));
         let under: Vec<&str> = r.with_prefix("link").map(|(k, _)| k).collect();
         assert_eq!(under, vec!["link.a.pushes", "link.b.pops"]);
+    }
+
+    #[test]
+    fn into_iter_moves_names_out_in_sorted_order() {
+        let mut r = MetricsRegistry::new();
+        r.set("z.last", 1);
+        r.set("a.first", 2);
+        let borrowed: Vec<(String, u64)> = r.iter().map(|(k, v)| (k.to_string(), v)).collect();
+        let owned: Vec<(String, u64)> = r.into_iter().collect();
+        assert_eq!(owned, borrowed);
+        assert_eq!(owned[0], ("a.first".to_string(), 2));
     }
 
     #[test]

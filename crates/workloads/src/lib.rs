@@ -21,7 +21,7 @@ pub mod tangent;
 pub use common::{AppResult, BenchVariant};
 pub use popcount::POPCOUNT_MHZ;
 pub use synthetic::{
-    measure_bandwidth, measure_contention, measure_latency, measure_latency_traced, BandwidthPoint,
-    ContentionPoint, LatencyPoint, Mechanism, Scratchpad,
+    bandwidth_system, measure_bandwidth, measure_contention, measure_latency,
+    measure_latency_traced, BandwidthPoint, ContentionPoint, LatencyPoint, Mechanism, Scratchpad,
 };
 pub use tangent::TANGENT_MHZ;

@@ -657,21 +657,21 @@ impl BandwidthPoint {
     }
 }
 
-/// Measures one Fig. 10 point. `nwords` quad-words are passed CPU→FPGA and
-/// back (512 in the paper).
-pub fn measure_bandwidth(mechanism: Mechanism, fpga_mhz: f64, nwords: u64) -> BandwidthPoint {
+/// Builds one Fig. 10 point's system with its program loaded, ready to
+/// run to halt: `nwords` quad-words are passed CPU→FPGA and back. The
+/// events record the fabric's bulk phases.
+pub fn bandwidth_system(
+    mechanism: Mechanism,
+    fpga_mhz: f64,
+    nwords: u64,
+) -> (System, Rc<RefCell<SpEvents>>) {
     let (mut sys, events) = build_system(mechanism, 1, fpga_mhz);
     let base = sys.config().mmio_base;
-    let clock = sys.config().clock;
-    let deadline = Time::from_us(60_000);
-    let t0_addr = 0x9000u64;
-    let t1_addr = 0x9008u64;
-
+    let mut a = Asm::new();
     match mechanism {
         Mechanism::NormalReg | Mechanism::ShadowReg => {
             // Write nwords integers one MMIO store at a time, then read
             // them all back (the paper's register-mechanism protocol).
-            let mut a = Asm::new();
             a.label("main");
             a.li(regs::T[0], reg_addr(base, sp_reg::DATA));
             a.li(regs::T[6], reg_addr(base, sp_reg::RESULT));
@@ -687,32 +687,12 @@ pub fn measure_bandwidth(mechanism: Mechanism, fpga_mhz: f64, nwords: u64) -> Ba
             a.ld(regs::T[1], regs::T[6], 0);
             a.addi(regs::S[2], regs::S[2], 1);
             a.blt(regs::S[2], regs::S[3], "rd");
-            a.rdcycle(regs::S[1]);
-            a.li(regs::T[5], t0_addr as i64);
-            a.sd(regs::S[0], regs::T[5], 0);
-            a.li(regs::T[5], t1_addr as i64);
-            a.sd(regs::S[1], regs::T[5], 0);
-            a.fence();
-            a.halt();
-            sys.load_program(0, Arc::new(a.assemble().unwrap()), "main");
-            sys.run_until_halt(deadline)
-                .unwrap_or_else(|e| panic!("{e}"));
-            sys.quiesce(deadline + Time::from_us(100))
-                .unwrap_or_else(|e| panic!("{e}"));
-            let cycles = sys.peek_u64(t1_addr) - sys.peek_u64(t0_addr);
-            BandwidthPoint {
-                mechanism,
-                fpga_mhz,
-                bytes: nwords * 8 * 2, // both directions traverse MMIO
-                elapsed: clock.period().mul(cycles),
-            }
         }
         _ => {
             // Shared-memory protocol (Fig. 10): store nwords into buffer A,
             // signal via the barrier; the eFPGA copies A→B; CPU loads B.
             let buf_a = 0x10000u64;
             let buf_b = 0x20000u64;
-            let mut a = Asm::new();
             a.label("main");
             a.li(regs::T[0], reg_addr(base, sp_reg::BUF_A));
             a.li(regs::T[1], buf_a as i64);
@@ -748,47 +728,64 @@ pub fn measure_bandwidth(mechanism: Mechanism, fpga_mhz: f64, nwords: u64) -> Ba
             a.addi(regs::T[2], regs::T[2], 8);
             a.addi(regs::S[2], regs::S[2], 1);
             a.blt(regs::S[2], regs::S[3], "lda");
-            a.rdcycle(regs::S[1]);
-            a.li(regs::T[5], t0_addr as i64);
-            a.sd(regs::S[0], regs::T[5], 0);
-            a.li(regs::T[5], t1_addr as i64);
-            a.sd(regs::S[1], regs::T[5], 0);
-            a.fence();
-            a.halt();
-            sys.load_program(0, Arc::new(a.assemble().unwrap()), "main");
-            sys.run_until_halt(deadline)
-                .unwrap_or_else(|e| panic!("{e}"));
-            sys.quiesce(deadline + Time::from_us(100))
-                .unwrap_or_else(|e| panic!("{e}"));
-            let ev = events.borrow();
-            let bytes = nwords * 8;
-            let elapsed = match mechanism {
-                Mechanism::EfpgaPullSlow | Mechanism::EfpgaPullProxy => {
-                    ev.bulk_pull_end.expect("pull phase ran")
-                        - ev.bulk_pull_start.expect("pull phase ran")
-                }
-                _ => {
-                    // CPU pull: the FPGA's store phase plus the CPU's load
-                    // phase (sequential in this protocol).
-                    let push = ev.bulk_push_end.expect("push phase ran")
-                        - ev.bulk_push_start.expect("push phase ran");
-                    let t1 = sys.peek_u64(t1_addr);
-                    let load_cycles = {
-                        // Approximate CPU load-phase time: from barrier
-                        // release (push end) to the final rdcycle.
-                        let end = clock.period().mul(t1);
-                        end.saturating_sub(ev.bulk_push_end.unwrap())
-                    };
-                    push + load_cycles
-                }
-            };
-            BandwidthPoint {
-                mechanism,
-                fpga_mhz,
-                bytes,
-                elapsed,
-            }
         }
+    }
+    a.rdcycle(regs::S[1]);
+    a.li(regs::T[5], BW_T0_ADDR as i64);
+    a.sd(regs::S[0], regs::T[5], 0);
+    a.li(regs::T[5], BW_T1_ADDR as i64);
+    a.sd(regs::S[1], regs::T[5], 0);
+    a.fence();
+    a.halt();
+    sys.load_program(0, Arc::new(a.assemble().unwrap()), "main");
+    (sys, events)
+}
+
+/// Where a Fig. 10 program stores its start and end `rdcycle` values.
+const BW_T0_ADDR: u64 = 0x9000;
+const BW_T1_ADDR: u64 = 0x9008;
+
+/// Measures one Fig. 10 point. `nwords` quad-words are passed CPU→FPGA and
+/// back (512 in the paper).
+pub fn measure_bandwidth(mechanism: Mechanism, fpga_mhz: f64, nwords: u64) -> BandwidthPoint {
+    let (mut sys, events) = bandwidth_system(mechanism, fpga_mhz, nwords);
+    let clock = sys.config().clock;
+    let deadline = Time::from_us(60_000);
+    sys.run_until_halt(deadline)
+        .unwrap_or_else(|e| panic!("{e}"));
+    sys.quiesce(deadline + Time::from_us(100))
+        .unwrap_or_else(|e| panic!("{e}"));
+    let ev = events.borrow();
+    let (bytes, elapsed) = match mechanism {
+        Mechanism::NormalReg | Mechanism::ShadowReg => {
+            let cycles = sys.peek_u64(BW_T1_ADDR) - sys.peek_u64(BW_T0_ADDR);
+            // Both directions traverse MMIO.
+            (nwords * 8 * 2, clock.period().mul(cycles))
+        }
+        Mechanism::EfpgaPullSlow | Mechanism::EfpgaPullProxy => (
+            nwords * 8,
+            ev.bulk_pull_end.expect("pull phase ran") - ev.bulk_pull_start.expect("pull phase ran"),
+        ),
+        Mechanism::CpuPullSlow | Mechanism::CpuPullProxy => {
+            // CPU pull: the FPGA's store phase plus the CPU's load
+            // phase (sequential in this protocol).
+            let push = ev.bulk_push_end.expect("push phase ran")
+                - ev.bulk_push_start.expect("push phase ran");
+            let t1 = sys.peek_u64(BW_T1_ADDR);
+            let load_cycles = {
+                // Approximate CPU load-phase time: from barrier
+                // release (push end) to the final rdcycle.
+                let end = clock.period().mul(t1);
+                end.saturating_sub(ev.bulk_push_end.unwrap())
+            };
+            (nwords * 8, push + load_cycles)
+        }
+    };
+    BandwidthPoint {
+        mechanism,
+        fpga_mhz,
+        bytes,
+        elapsed,
     }
 }
 

@@ -12,8 +12,9 @@ use std::sync::Arc;
 use duet_cpu::asm::Asm;
 use duet_cpu::isa::regs;
 use duet_sim::{DualClock, SimRng, Time};
-use duet_system::{System, SystemConfig};
-use duet_workloads::popcount::PopcountAccel;
+use duet_system::{FaultPlan, System, SystemConfig};
+use duet_workloads::popcount::{self, PopcountAccel};
+use duet_workloads::{bandwidth_system, BenchVariant, Mechanism};
 
 /// Everything observable about a finished run, as one comparable string.
 fn fingerprint(sys: &System, halt: Time, quiesced: Time, mem: &[(u64, usize)]) -> String {
@@ -575,6 +576,76 @@ fn differential_fpsoc_slow_hubs() {
         Time::from_us(2_000),
         &[(0x4000, 1)],
     );
+}
+
+/// FPSoC hubs raising interrupts: with hub 0's TLB on, each page the
+/// accelerator first touches faults in the slow-domain hub, and the
+/// page-fault interrupt must leave on the next fast edge even though the
+/// hub's other work waits for a slow edge.
+#[test]
+fn differential_fpsoc_hub_page_faults() {
+    let build = || {
+        let (mut sys, _check) = popcount::prepare(BenchVariant::Fpsoc, 8, 3, FaultPlan::default());
+        let a = sys.adapter_mut();
+        let mut sw = a.hubs[0].switches();
+        sw.tlb_enabled = true;
+        a.hubs[0].set_switches(sw);
+        sys.map_identity(0x1_0000, 0x4_0000);
+        sys
+    };
+    assert_differential(
+        build,
+        Time::from_us(1_000),
+        Time::from_us(2_000),
+        &[(0x3_0000, 8)],
+    );
+    let mut sys = build();
+    sys.run_until_halt(Time::from_us(1_000))
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert!(sys.stats().page_faults > 0, "the hub faulted");
+}
+
+/// Waiting components release the horizon: a Proxy Cache whose head
+/// request waits for one of its two MSHRs (the fabric's bulk pull and
+/// push), and FPSoC slow hubs whose events wait for a slow edge. Skipping
+/// must give identical results on strictly fewer executed edges.
+#[test]
+fn differential_waiting_proxies_and_slow_hubs() {
+    let nwords = 128;
+    for (mechanism, mhz) in [
+        (Mechanism::EfpgaPullProxy, 100.0),
+        (Mechanism::CpuPullProxy, 100.0),
+        (Mechanism::EfpgaPullSlow, 20.0),
+    ] {
+        let run = |skip: bool| {
+            let (mut sys, _events) = bandwidth_system(mechanism, mhz, nwords);
+            sys.set_edge_skipping(skip);
+            let halt = sys
+                .run_until_halt(Time::from_us(60_000))
+                .unwrap_or_else(|e| panic!("{e}"));
+            let quiesced = sys
+                .quiesce(Time::from_us(60_100))
+                .unwrap_or_else(|e| panic!("{e}"));
+            let mem = [(0x1_0000, nwords as usize), (0x2_0000, nwords as usize)];
+            (
+                fingerprint(&sys, halt, quiesced, &mem),
+                sys.executed_edges(),
+            )
+        };
+        let (baseline, every_edge) = run(false);
+        let (skipping, executed) = run(true);
+        assert_eq!(
+            baseline,
+            skipping,
+            "{} at {mhz} MHz: skipping diverged from exhaustive ticking",
+            mechanism.label()
+        );
+        assert!(
+            executed < every_edge,
+            "{} at {mhz} MHz: {executed} executed edges, {every_edge} without skipping",
+            mechanism.label()
+        );
+    }
 }
 
 /// Property test for `DualClock::advance_to`: for random clock pairs and
