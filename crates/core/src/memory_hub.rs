@@ -640,8 +640,12 @@ impl Component for MemoryHub {
     fn visit_links(&self, visit: &mut dyn FnMut(&str, LinkReport)) {
         visit("fabric_req", self.req_fifo.report());
         visit("fabric_resp", self.resp_fifo.report());
-        self.proxy
-            .visit_links(&mut |name, report| visit(&format!("proxy.{name}"), report));
+        let mut full = String::from("proxy.");
+        self.proxy.visit_links(&mut |name, report| {
+            full.truncate("proxy.".len());
+            full.push_str(name);
+            visit(&full, report);
+        });
     }
 }
 

@@ -38,6 +38,7 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::fmt::Write;
 
 use duet_sim::snapshot::ensure;
 use duet_sim::{
@@ -791,14 +792,18 @@ impl<P> Component for Mesh<P> {
     }
 
     fn visit_links(&self, visit: &mut dyn FnMut(&str, LinkReport)) {
+        let mut name = String::new();
         for (node, router) in self.routers.iter().enumerate() {
             for q in 0..QUEUES {
+                name.clear();
+                let _ = write!(
+                    name,
+                    "n{node}.{}.{}",
+                    PORTS[q / VNET_COUNT].label(),
+                    VNET_LABELS[q % VNET_COUNT]
+                );
                 visit(
-                    &format!(
-                        "n{node}.{}.{}",
-                        PORTS[q / VNET_COUNT].label(),
-                        VNET_LABELS[q % VNET_COUNT]
-                    ),
+                    &name,
                     LinkReport {
                         capacity: Some(self.cfg.buf_depth),
                         occupancy: usize::from(router.len[q]),

@@ -6,7 +6,7 @@
 //! content-addressed result cache leans on: cached payloads are compared
 //! and returned byte-for-byte.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Maximum nesting depth the parser accepts (arrays + objects combined).
 /// Scenario specs are ~3 levels deep; the bound exists so hostile input
@@ -108,13 +108,15 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     )
 }
 
-fn write_value(out: &mut String, v: &Json) {
+pub(crate) fn write_value(out: &mut String, v: &Json) {
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
-        Json::U64(n) => out.push_str(&n.to_string()),
-        Json::I64(n) => out.push_str(&n.to_string()),
+        Json::U64(n) => write_u64(out, *n),
+        Json::I64(n) => {
+            let _ = write!(out, "{n}");
+        }
         Json::F64(n) => {
             if n.is_finite() {
                 // `{}` is Rust's shortest round-trip float formatting —
@@ -154,21 +156,47 @@ fn write_value(out: &mut String, v: &Json) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Appends `n` in decimal.
+pub(crate) fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `s` as a JSON string literal. Runs of characters that need no
+/// escape are copied whole, so an escape-free string is one `push_str`.
+/// Scanning bytes is safe for UTF-8: every byte that needs an escape is
+/// ASCII and never part of a multi-byte sequence.
+pub(crate) fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        clean = i + 1;
+    }
+    out.push_str(&s[clean..]);
     out.push('"');
 }
 
@@ -481,6 +509,40 @@ mod tests {
         // Depth bomb stops at the bound instead of overflowing the stack.
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(deep.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn writers_match_the_char_by_char_and_fmt_encodings() {
+        for s in [
+            "",
+            "plain.metric_name",
+            "quote\" and \\ backslash",
+            "line\nbreak\r\ttab\n",
+            "\u{0}\u{1}\u{8}\u{c}\u{1f} \u{7f}",
+            "h\u{e9}llo\u{1f600}\n\u{1f600}",
+        ] {
+            let mut want = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => want.push_str("\\\""),
+                    '\\' => want.push_str("\\\\"),
+                    '\n' => want.push_str("\\n"),
+                    '\r' => want.push_str("\\r"),
+                    '\t' => want.push_str("\\t"),
+                    c if (c as u32) < 0x20 => want.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => want.push(c),
+                }
+            }
+            want.push('"');
+            let mut got = String::new();
+            write_string(&mut got, s);
+            assert_eq!(got, want);
+        }
+        for n in [0, 7, 9, 10, 99, 100, 1_234_567_890, 1 << 63, u64::MAX] {
+            let mut got = String::new();
+            write_u64(&mut got, n);
+            assert_eq!(got, n.to_string());
+        }
     }
 
     #[test]

@@ -6,11 +6,11 @@ use std::sync::Arc;
 use duet_cpu::asm::Asm;
 use duet_cpu::isa::regs;
 use duet_sim::Time;
-use duet_system::{RunError, RunStats, System};
-use duet_trace::TraceConfig;
+use duet_system::{is_simulated_metric, RunError, RunStats, System};
+use duet_trace::{MetricsRegistry, TraceConfig};
 use duet_workloads::{popcount, tangent, BenchVariant};
 
-use crate::json::{obj, Json};
+use crate::json::{self, obj, Json};
 use crate::spec::{ScenarioSpec, WorkloadSpec};
 
 /// Shared window the stream-stores cores hammer.
@@ -94,27 +94,13 @@ pub struct RunOutcome {
     pub correct: bool,
     /// Aggregate run statistics.
     pub stats: RunStats,
-    /// Deterministic metrics (sorted; host-dependent counters filtered).
-    pub metrics: Vec<(String, u64)>,
+    /// Deterministic metrics: the run's registry with every entry that
+    /// [`is_simulated_metric`] rejects dropped. The trace-differential
+    /// suite asserts everything kept is bit-identical across trace and
+    /// edge-skip modes, so a payload is a function of the spec alone.
+    pub metrics: MetricsRegistry,
     /// Scoreboard report when the spec asked for a trace.
     pub scoreboard: Option<String>,
-}
-
-/// Metrics that are a function of the spec alone: drops the process-wide
-/// throughput atomics (shared across concurrent runs in this process),
-/// `run.executed_edges` (host edge-skip accounting), and
-/// `link.*.rejected_pushes` (counts *attempts*, not data movement). The
-/// trace-differential suite asserts everything kept here is bit-identical
-/// across trace and edge-skip modes.
-fn cacheable_metrics(sys: &System) -> Vec<(String, u64)> {
-    sys.metrics_registry()
-        .into_iter()
-        .filter(|(k, _)| {
-            !(k.starts_with("process.")
-                || k == "run.executed_edges"
-                || (k.starts_with("link.") && k.ends_with(".rejected_pushes")))
-        })
-        .collect()
 }
 
 /// Runs a spec to completion, reporting simulated progress (picoseconds)
@@ -146,11 +132,13 @@ pub fn execute(spec: &ScenarioSpec, mut progress: impl FnMut(u64)) -> Result<Run
     let quiesce_deadline = Time::from_ps(deadline.as_ps().saturating_mul(2));
     let end = sys.quiesce(quiesce_deadline)?;
     progress(end.as_ps());
+    let mut metrics = sys.metrics_registry();
+    metrics.retain(|name, _| is_simulated_metric(name));
     Ok(RunOutcome {
         sim_ps: end.as_ps(),
         correct: check.check(&sys),
         stats: sys.stats(),
-        metrics: cacheable_metrics(&sys),
+        metrics,
         scoreboard: sys.trace_scoreboard().map(|s| s.report()),
     })
 }
@@ -160,34 +148,49 @@ pub fn execute(spec: &ScenarioSpec, mut progress: impl FnMut(u64)) -> Result<Run
 /// fixed and the metrics section is sorted (the registry iterates in
 /// order), so two deterministic runs of the same spec produce identical
 /// bytes; `?verify=1` re-runs and compares against these.
+///
+/// The bytes are written straight from the outcome instead of through a
+/// [`Json`] tree, and equal what `Json::Obj` of the same fields in the
+/// same order encodes to.
 pub fn result_payload(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<u8> {
-    let mut fields: Vec<(String, Json)> = vec![
-        ("spec".to_string(), spec.to_json()),
-        ("correct".to_string(), Json::Bool(out.correct)),
-        ("sim_ps".to_string(), Json::U64(out.sim_ps)),
-        (
-            "stats".to_string(),
-            obj([
-                ("fast_edges", Json::U64(out.stats.fast_edges)),
-                ("slow_edges", Json::U64(out.stats.slow_edges)),
-                ("exceptions", Json::U64(out.stats.exceptions)),
-                ("page_faults", Json::U64(out.stats.page_faults)),
-            ]),
-        ),
-        (
-            "metrics".to_string(),
-            Json::Obj(
-                out.metrics
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::U64(*v)))
-                    .collect(),
-            ),
-        ),
-    ];
-    if let Some(report) = &out.scoreboard {
-        fields.push(("scoreboard".to_string(), Json::Str(report.clone())));
+    let scoreboard = out.scoreboard.as_deref();
+    let mut p = String::with_capacity(
+        256 + 32 * out.metrics.len() + scoreboard.map_or(0, |s| s.len() + s.len() / 8),
+    );
+    p.push_str("{\"spec\":");
+    json::write_value(&mut p, &spec.to_json());
+    p.push_str(if out.correct {
+        ",\"correct\":true"
+    } else {
+        ",\"correct\":false"
+    });
+    let stats = &out.stats;
+    for (key, value) in [
+        (",\"sim_ps\":", out.sim_ps),
+        (",\"stats\":{\"fast_edges\":", stats.fast_edges),
+        (",\"slow_edges\":", stats.slow_edges),
+        (",\"exceptions\":", stats.exceptions),
+        (",\"page_faults\":", stats.page_faults),
+    ] {
+        p.push_str(key);
+        json::write_u64(&mut p, value);
     }
-    Json::Obj(fields).to_bytes()
+    p.push_str("},\"metrics\":{");
+    for (i, (name, value)) in out.metrics.iter().enumerate() {
+        if i > 0 {
+            p.push(',');
+        }
+        json::write_string(&mut p, name);
+        p.push(':');
+        json::write_u64(&mut p, value);
+    }
+    p.push('}');
+    if let Some(report) = scoreboard {
+        p.push_str(",\"scoreboard\":");
+        json::write_string(&mut p, report);
+    }
+    p.push('}');
+    p.into_bytes()
 }
 
 /// Maps a [`RunError`] to the structured error object the API returns.

@@ -59,7 +59,7 @@ pub mod system;
 mod wiring;
 
 pub use config::{ConfigError, SystemConfig, Variant};
-pub use stats::RunStats;
+pub use stats::{is_simulated_metric, RunStats};
 pub use system::System;
 
 // Re-export the `duet-verify` surface a system user needs: fault plans are

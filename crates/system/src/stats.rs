@@ -1,7 +1,9 @@
 //! Run statistics and link-occupancy reporting.
 
+use std::fmt::Write;
+
 use duet_sim::LinkReport;
-use duet_trace::MetricsRegistry;
+use duet_trace::{MetricsBuilder, MetricsRegistry};
 
 use crate::system::System;
 
@@ -16,6 +18,29 @@ pub struct RunStats {
     pub exceptions: u64,
     /// Page faults handled.
     pub page_faults: u64,
+}
+
+/// Whether a [`System::metrics_registry`] entry is a function of the
+/// simulated run alone. Dropped: the process-wide throughput atomics
+/// (`process.*`, shared by every run in the process), `run.executed_edges`
+/// (host edge-skip accounting) and `link.*.rejected_pushes` (counts
+/// attempts, which differ across edge-skip modes). Service payloads and
+/// determinism fingerprints keep exactly the metrics this accepts.
+pub fn is_simulated_metric(name: &str) -> bool {
+    !(name.starts_with("process.")
+        || name == "run.executed_edges"
+        || (name.starts_with("link.") && name.ends_with(".rejected_pushes")))
+}
+
+/// Pushes `key` + suffix for each `(suffix, value)`, leaving `key` as it
+/// was.
+fn push_group(r: &mut MetricsBuilder, key: &mut String, fields: &[(&str, u64)]) {
+    let prefix = key.len();
+    for &(suffix, value) in fields {
+        key.push_str(suffix);
+        r.push(key, value);
+        key.truncate(prefix);
+    }
 }
 
 impl System {
@@ -41,19 +66,47 @@ impl System {
     /// out of determinism fingerprints.
     pub fn link_reports(&self) -> Vec<(String, LinkReport)> {
         let mut out = Vec::new();
+        let mut name = String::new();
+        self.visit_link_reports(&mut name, &mut |name, report| {
+            out.push((name.to_string(), report));
+        });
+        out
+    }
+
+    /// Walks every link in [`link_reports`](System::link_reports) order,
+    /// composing each full name after whatever `name` already holds (the
+    /// prefix is restored between links) and handing it to `visit`.
+    fn visit_link_reports(
+        &self,
+        name: &mut String,
+        visit: &mut dyn FnMut(&mut String, LinkReport),
+    ) {
+        let prefix = name.len();
         self.visit_components(&mut |c| {
-            let base = c.name();
-            c.visit_links(&mut |name, report| out.push((format!("{base}.{name}"), report)));
+            name.push_str(&c.name());
+            name.push('.');
+            let base = name.len();
+            c.visit_links(&mut |link, report| {
+                name.push_str(link);
+                visit(name, report);
+                name.truncate(base);
+            });
+            name.truncate(prefix);
             true
         });
         for (n, link) in self.inject_pending.iter().enumerate() {
-            out.push((format!("inject@n{n}"), link.report()));
+            let _ = write!(name, "inject@n{n}");
+            visit(name, link.report());
+            name.truncate(prefix);
         }
         for (h, cdc) in self.slow_cdc.iter().enumerate() {
-            out.push((format!("slowcdc{h}.into_hub"), cdc.into_hub.report()));
-            out.push((format!("slowcdc{h}.from_hub"), cdc.from_hub.report()));
+            let _ = write!(name, "slowcdc{h}.into_hub");
+            visit(name, cdc.into_hub.report());
+            name.truncate(prefix);
+            let _ = write!(name, "slowcdc{h}.from_hub");
+            visit(name, cdc.from_hub.report());
+            name.truncate(prefix);
         }
-        out
     }
 
     /// One unified, deterministically-ordered metrics namespace subsuming
@@ -67,84 +120,111 @@ impl System {
     /// edge-skip modes (see [`link_reports`](System::link_reports)); every
     /// other metric here is skip-invariant.
     pub fn metrics_registry(&self) -> MetricsRegistry {
-        let mut r = MetricsRegistry::new();
-        r.set("run.fast_edges", self.stats.fast_edges);
-        r.set("run.slow_edges", self.stats.slow_edges);
-        r.set("run.exceptions", self.stats.exceptions);
-        r.set("run.page_faults", self.stats.page_faults);
-        r.set("run.executed_edges", self.executed_edges);
-        r.set("run.sim_ps", self.now.as_ps());
+        let mut r = MetricsBuilder::new();
+        r.push("run.fast_edges", self.stats.fast_edges);
+        r.push("run.slow_edges", self.stats.slow_edges);
+        r.push("run.exceptions", self.stats.exceptions);
+        r.push("run.page_faults", self.stats.page_faults);
+        r.push("run.executed_edges", self.executed_edges);
+        r.push("run.sim_ps", self.now.as_ps());
 
         let m = self.mesh.stats();
-        r.set("mesh.injected", m.injected);
-        r.set("mesh.delivered", m.delivered);
-        r.set("mesh.delivered_flits", m.delivered_flits);
-        r.set("mesh.total_latency_ps", m.total_latency.as_ps());
+        r.push("mesh.injected", m.injected);
+        r.push("mesh.delivered", m.delivered);
+        r.push("mesh.delivered_flits", m.delivered_flits);
+        r.push("mesh.total_latency_ps", m.total_latency.as_ps());
 
+        let mut key = String::new();
         for (i, l2) in self.l2s.iter().enumerate() {
             let s = l2.stats();
-            let p = format!("l2.n{}", self.cfg.core_node(i));
-            r.set(format!("{p}.hits"), s.hits);
-            r.set(format!("{p}.misses"), s.misses);
-            r.set(format!("{p}.mshr_merges"), s.mshr_merges);
-            r.set(format!("{p}.writebacks"), s.writebacks);
-            r.set(format!("{p}.invs"), s.invs);
-            r.set(format!("{p}.downgrades"), s.downgrades);
-            r.set(format!("{p}.fwd_getm"), s.fwd_getm);
+            key.clear();
+            let _ = write!(key, "l2.n{}.", self.cfg.core_node(i));
+            push_group(
+                &mut r,
+                &mut key,
+                &[
+                    ("hits", s.hits),
+                    ("misses", s.misses),
+                    ("mshr_merges", s.mshr_merges),
+                    ("writebacks", s.writebacks),
+                    ("invs", s.invs),
+                    ("downgrades", s.downgrades),
+                    ("fwd_getm", s.fwd_getm),
+                ],
+            );
         }
         for shard in &self.shards {
             let s = shard.stats();
-            let p = format!("l3.n{}", shard.node());
-            r.set(format!("{p}.gets"), s.gets);
-            r.set(format!("{p}.getm"), s.getm);
-            r.set(format!("{p}.putm"), s.putm);
-            r.set(format!("{p}.invs_sent"), s.invs_sent);
-            r.set(format!("{p}.fwds_sent"), s.fwds_sent);
-            r.set(format!("{p}.l3_hits"), s.l3_hits);
-            r.set(format!("{p}.l3_misses"), s.l3_misses);
+            key.clear();
+            let _ = write!(key, "l3.n{}.", shard.node());
+            push_group(
+                &mut r,
+                &mut key,
+                &[
+                    ("gets", s.gets),
+                    ("getm", s.getm),
+                    ("putm", s.putm),
+                    ("invs_sent", s.invs_sent),
+                    ("fwds_sent", s.fwds_sent),
+                    ("l3_hits", s.l3_hits),
+                    ("l3_misses", s.l3_misses),
+                ],
+            );
         }
         if let Some(a) = &self.adapter {
             let c = a.control.stats();
-            r.set("ctrl.mmio_ops", c.mmio_ops);
-            r.set("ctrl.shadow_fast", c.shadow_fast);
-            r.set("ctrl.normal_crossings", c.normal_crossings);
-            r.set("ctrl.timeouts", c.timeouts);
+            r.push("ctrl.mmio_ops", c.mmio_ops);
+            r.push("ctrl.shadow_fast", c.shadow_fast);
+            r.push("ctrl.normal_crossings", c.normal_crossings);
+            r.push("ctrl.timeouts", c.timeouts);
             for (h, hub) in a.hubs.iter().enumerate() {
                 let s = hub.stats();
-                let p = format!("hub{h}");
-                r.set(format!("{p}.requests"), s.requests);
-                r.set(format!("{p}.loads"), s.loads);
-                r.set(format!("{p}.stores"), s.stores);
-                r.set(format!("{p}.amos"), s.amos);
-                r.set(format!("{p}.invs_forwarded"), s.invs_forwarded);
-                r.set(format!("{p}.page_faults"), s.page_faults);
-                r.set(format!("{p}.exceptions"), s.exceptions);
+                key.clear();
+                let _ = write!(key, "hub{h}.");
+                push_group(
+                    &mut r,
+                    &mut key,
+                    &[
+                        ("requests", s.requests),
+                        ("loads", s.loads),
+                        ("stores", s.stores),
+                        ("amos", s.amos),
+                        ("invs_forwarded", s.invs_forwarded),
+                        ("page_faults", s.page_faults),
+                        ("exceptions", s.exceptions),
+                    ],
+                );
             }
         }
-        for (name, report) in self.link_reports() {
-            let p = format!("link.{name}");
-            r.set(format!("{p}.pushes"), report.stats.pushes);
-            r.set(format!("{p}.pops"), report.stats.pops);
-            r.set(format!("{p}.rejected_pushes"), report.stats.rejected_pushes);
-            r.set(
-                format!("{p}.peak_occupancy"),
-                report.stats.peak_occupancy as u64,
+        key.clear();
+        key.push_str("link.");
+        self.visit_link_reports(&mut key, &mut |key, report| {
+            key.push('.');
+            push_group(
+                &mut r,
+                key,
+                &[
+                    ("pushes", report.stats.pushes),
+                    ("pops", report.stats.pops),
+                    ("rejected_pushes", report.stats.rejected_pushes),
+                    ("peak_occupancy", report.stats.peak_occupancy as u64),
+                ],
             );
-        }
-        r.set("verify.faults_injected", self.faults_injected);
-        r.set("verify.fences", self.fences);
-        r.set("verify.fenced", u64::from(self.accel_fenced));
-        r.set("verify.mesi_checked", self.mesi_checker.checked());
-        r.set("verify.mesi_violations", self.mesi_checker.violations());
-        r.set("verify.noc_checked", self.noc_checker.checked());
-        r.set("verify.noc_violations", self.noc_checker.violations());
-        r.set("verify.adapter_violations", self.adapter_violations);
-        r.set("verify.violations", self.checker_violations());
+        });
+        r.push("verify.faults_injected", self.faults_injected);
+        r.push("verify.fences", self.fences);
+        r.push("verify.fenced", u64::from(self.accel_fenced));
+        r.push("verify.mesi_checked", self.mesi_checker.checked());
+        r.push("verify.mesi_violations", self.mesi_checker.violations());
+        r.push("verify.noc_checked", self.noc_checker.checked());
+        r.push("verify.noc_violations", self.noc_checker.violations());
+        r.push("verify.adapter_violations", self.adapter_violations);
+        r.push("verify.violations", self.checker_violations());
 
         let (edges, sim_ps) = crate::metrics::snapshot();
-        r.set("process.edges", edges);
-        r.set("process.sim_ps", sim_ps);
-        r
+        r.push("process.edges", edges);
+        r.push("process.sim_ps", sim_ps);
+        r.finish()
     }
 
     /// Snapshot of (edges retired, sim time) at run-loop entry.

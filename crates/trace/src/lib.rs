@@ -37,7 +37,7 @@ pub mod export;
 pub mod registry;
 pub mod scoreboard;
 
-pub use registry::MetricsRegistry;
+pub use registry::{MetricsBuilder, MetricsRegistry};
 pub use scoreboard::{LatencyHistogram, Scoreboard};
 
 /// A byte that is not a valid [`EventKind`] discriminant, found while

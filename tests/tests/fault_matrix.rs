@@ -27,7 +27,10 @@ use duet_core::{control_hub::error_codes, RegMode, BOGUS};
 use duet_cpu::asm::Asm;
 use duet_cpu::isa::regs;
 use duet_sim::Time;
-use duet_system::{DegradeConfig, FaultKind, FaultPlan, FaultSpec, RunError, System, SystemConfig};
+use duet_system::{
+    is_simulated_metric, DegradeConfig, FaultKind, FaultPlan, FaultSpec, RunError, System,
+    SystemConfig,
+};
 use duet_trace::TraceConfig;
 use duet_workloads::popcount::PopcountAccel;
 
@@ -86,18 +89,14 @@ fn run_cell(
             }
         }
     };
+    // Rejected pushes count *attempts* (retries differ while a frozen link
+    // is polled), process-wide atomics accumulate across runs in one test
+    // binary, and executed_edges counts only non-skipped edges — all vary
+    // by design across modes.
     for (name, value) in sys.metrics_registry().iter() {
-        // Rejected pushes count *attempts* (retries differ while a frozen
-        // link is polled), process-wide atomics accumulate across runs in
-        // one test binary, and executed_edges counts only non-skipped
-        // edges — all vary by design across modes.
-        if name.starts_with("link.") && name.ends_with(".rejected_pushes") {
-            continue;
+        if is_simulated_metric(name) {
+            fp.push_str(&format!("{name}={value}\n"));
         }
-        if name.starts_with("process.") || name == "run.executed_edges" {
-            continue;
-        }
-        fp.push_str(&format!("{name}={value}\n"));
     }
     for &(addr, words) in mem {
         for k in 0..words as u64 {

@@ -2,14 +2,17 @@
 //! cache, the `?verify=1` determinism check, graceful degradation under
 //! faulted specs, per-tenant quotas, and the fault-plan echo round-trip.
 //!
-//! Every test boots a real server on an ephemeral port and talks to it
-//! over TCP through the crate's own client — the same path `curl` takes.
+//! Every test but one boots a real server on an ephemeral port and talks
+//! to it over TCP through the crate's own client — the same path `curl`
+//! takes. The result payload golden calls the scenario layer directly:
+//! the bytes it pins are the ones the cache stores.
 
 use std::time::Duration;
 
 use duet_serve::client;
-use duet_serve::json::{parse, Json};
+use duet_serve::json::{obj, parse, Json};
 use duet_serve::queue::Quota;
+use duet_serve::scenario::{self, RunOutcome};
 use duet_serve::server::{ServeConfig, Server};
 use duet_serve::spec::ScenarioSpec;
 
@@ -265,4 +268,106 @@ fn malformed_requests_get_structured_errors() {
     assert_eq!(r.status, 200);
 
     server.shutdown();
+}
+
+const PAYLOAD_GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/serve_payloads_v1.txt");
+
+/// The specs whose result payloads the golden records: popcount at every
+/// size from 2 to 6 on all three variants, tangent, stream stores, and a
+/// traced popcount whose scoreboard section carries `\n` escapes.
+fn golden_specs() -> Vec<String> {
+    let mut specs = Vec::new();
+    for variant in ["proc-only", "duet", "fpsoc"] {
+        for n in 2..=6 {
+            specs.push(format!(
+                r#"{{"workload":"popcount","variant":"{variant}","n":{n},"seed":42}}"#
+            ));
+        }
+    }
+    specs.push(r#"{"workload":"tangent","n":6,"seed":42}"#.to_string());
+    specs.push(
+        r#"{"workload":"stream_stores","variant":"proc-only","processors":4,"stores":64}"#
+            .to_string(),
+    );
+    specs.push(r#"{"workload":"popcount","n":3,"seed":1,"trace":true}"#.to_string());
+    specs
+}
+
+/// The payload as a `Json` tree encodes it: the oracle for the bytes
+/// `scenario::result_payload` writes directly.
+fn tree_payload(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<u8> {
+    let mut fields: Vec<(String, Json)> = vec![
+        ("spec".to_string(), spec.to_json()),
+        ("correct".to_string(), Json::Bool(out.correct)),
+        ("sim_ps".to_string(), Json::U64(out.sim_ps)),
+        (
+            "stats".to_string(),
+            obj([
+                ("fast_edges", Json::U64(out.stats.fast_edges)),
+                ("slow_edges", Json::U64(out.stats.slow_edges)),
+                ("exceptions", Json::U64(out.stats.exceptions)),
+                ("page_faults", Json::U64(out.stats.page_faults)),
+            ]),
+        ),
+        (
+            "metrics".to_string(),
+            Json::Obj(
+                out.metrics
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), Json::U64(v)))
+                    .collect(),
+            ),
+        ),
+    ];
+    if let Some(report) = &out.scoreboard {
+        fields.push(("scoreboard".to_string(), Json::Str(report.clone())));
+    }
+    Json::Obj(fields).to_bytes()
+}
+
+/// Result payloads are what the cache stores and every hit returns, and a
+/// `?verify=1` re-run compares against stored ones, so their bytes must
+/// not move: `(len, SnapHasher)` of each spec's payload must equal the
+/// committed golden, and equal the `Json` tree encoding of the same
+/// outcome. Re-bless only for an intended payload format change:
+/// `DUET_BLESS_GOLDEN=1 cargo test -p duet-tests --test serve_cache
+/// result_payloads` — and say so in the commit message.
+#[test]
+fn result_payloads_match_golden() {
+    use duet_sim::SnapHasher;
+
+    let mut all = String::new();
+    for body in golden_specs() {
+        let spec = ScenarioSpec::from_json(&parse(body.as_bytes()).unwrap()).unwrap();
+        let out = scenario::execute(&spec, |_| {}).expect("golden spec runs");
+        let payload = scenario::result_payload(&spec, &out);
+        assert!(
+            payload == tree_payload(&spec, &out),
+            "{body}: streamed payload differs from the tree encoding"
+        );
+        if spec.trace {
+            let text = std::str::from_utf8(&payload).unwrap();
+            assert!(text.contains(r"\n"), "{body}: scoreboard has no escapes");
+        }
+        let mut h = SnapHasher::new();
+        h.bytes(&payload);
+        all.push_str(&format!(
+            "{body}: len={} hash={:016x}\n",
+            payload.len(),
+            h.finish()
+        ));
+    }
+    if std::env::var("DUET_BLESS_GOLDEN").is_ok_and(|v| v == "1") {
+        std::fs::write(PAYLOAD_GOLDEN, &all).unwrap();
+        eprintln!("blessed result payload goldens to {PAYLOAD_GOLDEN}");
+    }
+    let golden = std::fs::read_to_string(PAYLOAD_GOLDEN)
+        .expect("golden file missing; bless with DUET_BLESS_GOLDEN=1");
+    for (want, got) in golden.lines().zip(all.lines()) {
+        assert_eq!(got, want, "result payload bytes moved");
+    }
+    assert_eq!(
+        all, golden,
+        "result payload golden has a different spec list"
+    );
 }

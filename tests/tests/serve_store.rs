@@ -155,6 +155,58 @@ fn recovery_treats_empty_file_as_fresh_segment() {
     assert_eq!(s.get(1).unwrap(), b"first");
 }
 
+/// Payload of `key` in the committed segment fixture: keys 0..=72 hold
+/// `key` bytes (every length through nine CRC words), key 100 holds
+/// 6000 (the size of a result record).
+fn fixture_payload(key: u64) -> Vec<u8> {
+    let len = if key <= 72 { key as usize } else { 6000 };
+    (0..len).map(|i| (i as u64 * 31 + key * 7) as u8).collect()
+}
+
+/// `golden/store_segment_v1.dlog` was written by the byte-at-a-time CRC
+/// implementation: keys 0..=72 and 100 appended with [`fixture_payload`],
+/// then a tombstone for key 5. A CRC or framing change that stops such
+/// segments from recovering whole would quarantine every record a running
+/// service has already stored, so the fixture is never regenerated.
+#[test]
+fn segment_written_by_the_bytewise_crc_recovers_whole() {
+    let fs = SharedMemIo::new();
+    let seg = Path::new("/store").join("seg-000001.dlog");
+    let fixture = include_bytes!("../golden/store_segment_v1.dlog");
+    fs.with(|m| m.put_file(&seg, fixture.to_vec()));
+    let s = mem_store(&fs);
+    let report = s.recovery_report();
+    assert_eq!(report.quarantined_records, 0, "{}", report.summary());
+    assert_eq!(report.truncated_bytes, 0);
+    assert_eq!(report.skipped_segments, 0);
+    assert_eq!(report.recovered_records, 75, "74 puts and one tombstone");
+    assert_eq!(report.live_entries, 73);
+    for key in (0..=72).chain([100]) {
+        if key == 5 {
+            assert!(s.get(key).is_none(), "tombstoned key stays dead");
+        } else {
+            assert_eq!(s.get(key), Some(fixture_payload(key)), "key {key}");
+        }
+    }
+    // The store keeps appending to the recovered segment, and a reopen
+    // verifies old and new records alike.
+    s.append(200, &fixture_payload(100));
+    s.append(201, &fixture_payload(71));
+    drop(s);
+    let bytes = fs.with(|m| m.file(&seg).expect("segment").clone());
+    assert_eq!(
+        &bytes[..fixture.len()],
+        &fixture[..],
+        "recovered prefix untouched"
+    );
+    let s = mem_store(&fs);
+    assert_eq!(s.recovery_report().quarantined_records, 0);
+    assert_eq!(s.recovery_report().recovered_records, 77);
+    assert_eq!(s.get(100), Some(fixture_payload(100)));
+    assert_eq!(s.get(200), Some(fixture_payload(100)));
+    assert_eq!(s.get(201), Some(fixture_payload(71)));
+}
+
 // ---------------------------------------------------------------------------
 // HostIo fault matrix
 // ---------------------------------------------------------------------------

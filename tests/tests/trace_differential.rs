@@ -15,27 +15,23 @@ use duet_cpu::asm::Asm;
 use duet_cpu::isa::regs;
 use duet_serve::json::{parse as parse_json, Json};
 use duet_sim::Time;
-use duet_system::{System, SystemConfig};
+use duet_system::{is_simulated_metric, FaultPlan, System, SystemConfig};
 use duet_trace::{export, masks, pack_hop, pack_noc, EventKind, TraceConfig, TraceEvent};
 use duet_workloads::popcount::PopcountAccel;
+use duet_workloads::BenchVariant;
 
 /// Everything observable about a finished run, as one comparable string.
 /// Uses the unified metrics registry, so every counter in the simulator
-/// participates (minus `link.*.rejected_pushes`, which counts *attempts*
-/// and legitimately differs across edge-skip modes).
+/// participates except the host-side ones [`is_simulated_metric`] drops.
 fn fingerprint(sys: &System, halt: Time, quiesced: Time, mem: &[(u64, usize)]) -> String {
     let mut s = format!("halt={halt} quiesced={quiesced} now={}\n", sys.now());
+    // Process-wide atomics accumulate across runs in one test binary,
+    // executed_edges counts only non-skipped edges, and rejected pushes
+    // count attempts — all vary by design across runs/skip modes.
     for (name, value) in sys.metrics_registry().iter() {
-        if name.starts_with("link.") && name.ends_with(".rejected_pushes") {
-            continue;
+        if is_simulated_metric(name) {
+            s.push_str(&format!("{name}={value}\n"));
         }
-        // Process-wide atomics accumulate across runs in one test binary,
-        // and executed_edges counts only non-skipped edges — both vary by
-        // design across runs/skip modes.
-        if name.starts_with("process.") || name == "run.executed_edges" {
-            continue;
-        }
-        s.push_str(&format!("{name}={value}\n"));
     }
     for &(addr, words) in mem {
         for k in 0..words as u64 {
@@ -261,6 +257,44 @@ fn differential_trace_onoff_skip_onoff_popcount_accel() {
 /// The exporter's string escaping survives a real JSON parser: component
 /// names with quotes, backslashes and control characters come back
 /// unchanged as track names, next to slices and flow arrows.
+/// `System::metrics_registry` pushes names in visit order and sorts once;
+/// the sort's `debug_assert` (on in test builds) fails on a duplicate name.
+/// On a processor-only system, a Duet popcount mid-run and the 16x16 mesh
+/// the names must come out strictly increasing, with every link report
+/// under `link.<name>.*`.
+#[test]
+fn metrics_registry_names_are_unique_and_sorted() {
+    let mut duet =
+        duet_workloads::popcount::prepare(BenchVariant::Duet, 6, 42, FaultPlan::empty()).0;
+    duet.run_until_time(Time::from_us(2));
+    let systems = [
+        System::new(SystemConfig::proc_only(4)).expect("valid config"),
+        duet,
+        System::new(SystemConfig::mesh_16x16()).expect("valid config"),
+    ];
+    for sys in systems {
+        let reg = sys.metrics_registry();
+        let names: Vec<&str> = reg.iter().map(|(k, _)| k).collect();
+        assert!(
+            names.windows(2).all(|w| w[0] < w[1]),
+            "names not strictly sorted"
+        );
+        let links = sys.link_reports();
+        assert_eq!(reg.with_prefix("link").count(), 4 * links.len());
+        for (name, report) in links {
+            let get = |field: &str| reg.get(&format!("link.{name}.{field}"));
+            assert_eq!(get("pushes"), Some(report.stats.pushes), "{name}");
+            assert_eq!(get("pops"), Some(report.stats.pops), "{name}");
+            assert_eq!(get("rejected_pushes"), Some(report.stats.rejected_pushes));
+            assert_eq!(
+                get("peak_occupancy"),
+                Some(report.stats.peak_occupancy as u64)
+            );
+        }
+        assert_eq!(reg.get("run.sim_ps"), Some(sys.now().as_ps()));
+    }
+}
+
 #[test]
 fn chrome_json_escapes_component_names() {
     let names = vec![
