@@ -362,7 +362,7 @@ impl Core {
     /// counts a stall cycle until the store is acknowledged: registers, and
     /// hence the store's address, cannot change, and the pump has nothing
     /// to send.
-    pub fn store_blocked_at(&self, now: Time) -> bool {
+    fn store_blocked_at(&self, now: Time) -> bool {
         self.wait == Wait::None
             && now >= self.next_issue
             && self.store_inflight.is_some()
@@ -377,9 +377,9 @@ impl Core {
     /// The earliest time ticking this core can next do observable work, or
     /// `None` when only [`mem_response`](Core::mem_response) can change what
     /// a tick would do: halted, blocked on a memory response, draining with
-    /// a store in flight, or retrying a store against the full buffer
-    /// ([`store_blocked_at`](Core::store_blocked_at), which holds from the
-    /// first edge at or after `next_issue`) — and also while spinning, when
+    /// a store in flight, or retrying a cached store against the full
+    /// buffer with a store in flight (which holds from the first edge at or
+    /// after `next_issue`) — and also while spinning, when
     /// only [`catch_up`](Core::catch_up) may advance it.
     ///
     /// Mirrors [`tick`](Core::tick) exactly: the store-buffer pump can act

@@ -157,6 +157,9 @@ impl EdgeDomain {
 
 /// Generates the merged rising-edge sequence of a fast and a slow clock.
 ///
+/// The next edge of each domain is kept as derived state, so stepping
+/// adds a period instead of dividing and a jump divides once per domain.
+///
 /// # Example
 ///
 /// ```
@@ -172,17 +175,37 @@ pub struct DualClock {
     slow: Clock,
     now: Time,
     started: bool,
+    /// Derived from the four fields above: the next fast and slow edge
+    /// [`next_edge`](DualClock::next_edge) would return.
+    next_fast: Time,
+    next_slow: Time,
 }
 
 impl DualClock {
     /// Creates a sequencer over the two domains.
     pub fn new(fast: Clock, slow: Clock) -> Self {
-        DualClock {
+        let mut dc = DualClock {
             fast,
             slow,
             now: Time::ZERO,
             started: false,
-        }
+            next_fast: Time::ZERO,
+            next_slow: Time::ZERO,
+        };
+        dc.derive_next_edges();
+        dc
+    }
+
+    /// Recomputes the derived next edges from `now` and `started`.
+    fn derive_next_edges(&mut self) {
+        let next = |c: Clock| {
+            if self.started {
+                c.next_edge_after(self.now)
+            } else {
+                c.edge_at_or_after(self.now)
+            }
+        };
+        (self.next_fast, self.next_slow) = (next(self.fast), next(self.slow));
     }
 
     /// The fast-domain clock.
@@ -200,31 +223,23 @@ impl DualClock {
         self.now
     }
 
+    /// The time [`next_edge`](DualClock::next_edge) will return, without
+    /// advancing.
+    pub fn next_edge_time(&self) -> Time {
+        self.next_fast.min(self.next_slow)
+    }
+
     /// The next slow-domain edge [`next_edge`](DualClock::next_edge) could
     /// return, without advancing (used to cap dead-edge skipping when the
     /// slow domain has per-edge work).
     pub fn next_slow_edge(&self) -> Time {
-        if self.started {
-            self.slow.next_edge_after(self.now)
-        } else {
-            self.slow.edge_at_or_after(self.now)
-        }
+        self.next_slow
     }
 
     /// Advances to the next edge in either domain and reports which
     /// domain(s) tick there.
     pub fn next_edge(&mut self) -> (Time, EdgeDomain) {
-        let nf = if self.started {
-            self.fast.next_edge_after(self.now)
-        } else {
-            self.fast.edge_at_or_after(self.now)
-        };
-        let ns = if self.started {
-            self.slow.next_edge_after(self.now)
-        } else {
-            self.slow.edge_at_or_after(self.now)
-        };
-        self.started = true;
+        let (nf, ns) = (self.next_fast, self.next_slow);
         let (t, d) = if nf < ns {
             (nf, EdgeDomain::Fast)
         } else if ns < nf {
@@ -232,7 +247,14 @@ impl DualClock {
         } else {
             (nf, EdgeDomain::Both)
         };
+        if d.fast() {
+            self.next_fast = nf + self.fast.period();
+        }
+        if d.slow() {
+            self.next_slow = ns + self.slow.period();
+        }
         self.now = t;
+        self.started = true;
         (t, d)
     }
 
@@ -253,27 +275,19 @@ impl DualClock {
         if t <= self.now {
             return (0, 0);
         }
-        // Position just before `t` so the next merged edge is the first one
-        // at or after `t`. Edges in (now, t) are the skipped ones; counting
-        // with the inclusive cycle counter at `t - 1ps` captures exactly that
-        // half-open interval.
+        // The skipped edges of a domain are those from its next edge up to
+        // `t - 1ps`; the next edge moves past them.
         let upto = Time::from_ps(t.as_ps() - 1);
-        let fast = if self.started {
-            self.fast.cycles_at(upto) - self.fast.cycles_at(self.now)
-        } else {
-            // Before the first next_edge() the edge at `now` itself has not
-            // executed, so it too counts as skipped if it lies before `t`.
-            let base = self.fast.cycles_at(self.now);
-            let adj = if self.fast.is_edge(self.now) { 1 } else { 0 };
-            self.fast.cycles_at(upto) - (base - adj.min(base))
+        let skip = |next: &mut Time, period: Time| {
+            if *next > upto {
+                return 0;
+            }
+            let n = (upto.as_ps() - next.as_ps()) / period.as_ps() + 1;
+            *next += period.mul(n);
+            n
         };
-        let slow = if self.started {
-            self.slow.cycles_at(upto) - self.slow.cycles_at(self.now)
-        } else {
-            let base = self.slow.cycles_at(self.now);
-            let adj = if self.slow.is_edge(self.now) { 1 } else { 0 };
-            self.slow.cycles_at(upto) - (base - adj.min(base))
-        };
+        let fast = skip(&mut self.next_fast, self.fast.period());
+        let slow = skip(&mut self.next_slow, self.slow.period());
         self.now = upto;
         self.started = true;
         (fast, slow)
@@ -287,6 +301,12 @@ crate::snap_fields!(DualClock {
     slow,
     now,
     started
+} check |d| {
+    // Bounded so deriving the next edges cannot overflow.
+    let in_range = [d.now, d.fast.period(), d.fast.first_edge(), d.slow.period(), d.slow.first_edge()]
+        .iter()
+        .all(|t| t.as_ps() < 1 << 62);
+    crate::snapshot::ensure(in_range, "clock time out of range").map(|()| d.derive_next_edges())
 });
 
 #[cfg(test)]

@@ -70,6 +70,11 @@ pub trait Component {
     /// Conservative earliest time at or after `now` at which this component
     /// can make observable progress, or `None` if it is idle until some other
     /// component hands it new input.
+    ///
+    /// The run loop only compares the merged result against the next edge
+    /// it executes anyway, and stops merging at the first component at or
+    /// before that edge, so any time up to the next edge means the same:
+    /// "tick me on it".
     fn next_event_time(&self, now: Time) -> Option<Time>;
 
     /// Whether the component has work pending on the current edge. The

@@ -2,20 +2,26 @@
 //!
 //! Every layer of the simulator answers the same question — "when can this
 //! structure next make observable progress?" — by folding an `Option<Time>`
-//! minimum over its parts, clamped so that times at or before `now` mean
-//! "work on this very edge". Before this module, each crate hand-rolled that
-//! fold (and the `System` god-object did it once more with a macro). The
-//! [`Horizon`] accumulator captures the idiom once:
+//! minimum over its parts, clamped so that a time before `now` reads as
+//! `now`. Before this module, each crate hand-rolled that fold (and the
+//! `System` god-object did it once more with a macro). The [`Horizon`]
+//! accumulator captures the idiom once:
 //!
 //! ```
 //! use duet_sim::{Horizon, Time};
 //!
 //! let now = Time::from_ps(5_000);
-//! let mut h = Horizon::new(now);
-//! assert!(!h.merge(Time::from_ps(9_000)));   // future: keep folding
-//! assert!(h.merge(Time::from_ps(4_000)));    // due now: caller may stop
-//! assert_eq!(h.earliest(), Some(now));       // clamped up to `now`
+//! let next_edge = Time::from_ps(6_000);
+//! let mut h = Horizon::new(now, next_edge);
+//! assert!(!h.merge(Time::from_ps(9_000)));   // after the next edge: keep folding
+//! assert!(h.merge(Time::from_ps(6_000)));    // at the next edge: caller may stop
+//! assert_eq!(h.earliest(), Some(next_edge));
 //! ```
+//!
+//! The *floor* is the next edge the caller executes whatever the fold
+//! finds. Once the merged time is at or before it, no further merge can
+//! change what the caller does — a horizon at or before the next edge
+//! skips nothing — so the horizon is *due* and the fold may stop.
 //!
 //! The clamp matters: a component may report a time in the past (e.g. a
 //! queue entry that became ready while the component was gated); the merged
@@ -25,27 +31,31 @@ use crate::time::Time;
 
 /// Accumulates the minimum of per-component event times relative to `now`.
 ///
-/// `merge*` returns `true` when the merged time is due on the current edge
-/// (`<= now`) — the caller may early-exit the fold, since no other component
-/// can lower the horizon further.
+/// `merge*` returns `true` once the merged time is at or before the floor
+/// — the caller may early-exit the fold, since whatever else it would merge
+/// cannot change which edge executes next.
 #[derive(Clone, Copy, Debug)]
 pub struct Horizon {
     now: Time,
+    floor: Time,
     earliest: Option<Time>,
 }
 
 impl Horizon {
-    /// Starts an empty horizon fold at the current edge time `now`.
-    pub fn new(now: Time) -> Self {
+    /// Starts an empty horizon fold at the current time `now`. `floor`
+    /// (at or after `now`) is the next edge the caller executes anyway.
+    pub fn new(now: Time, floor: Time) -> Self {
+        debug_assert!(floor >= now, "the floor lies before now");
         Horizon {
             now,
+            floor,
             earliest: None,
         }
     }
 
-    /// Folds one event time in. Returns `true` if the horizon is now due
-    /// (i.e. some merged time was `<= now`, clamped up to `now`) — sticky,
-    /// so callers can early-exit a fold as soon as it fires.
+    /// Folds one event time in (clamped up to `now`). Returns `true` if the
+    /// horizon is due on the next edge — sticky, so callers can early-exit
+    /// a fold as soon as it fires.
     pub fn merge(&mut self, t: Time) -> bool {
         let t = t.max(self.now);
         match self.earliest {
@@ -56,7 +66,7 @@ impl Horizon {
     }
 
     /// Folds an optional event time in (`None` merges nothing). Returns
-    /// `true` if the horizon is now due.
+    /// `true` if the horizon is due on the next edge.
     pub fn merge_opt(&mut self, t: Option<Time>) -> bool {
         match t {
             Some(t) => self.merge(t),
@@ -64,13 +74,15 @@ impl Horizon {
         }
     }
 
-    /// Whether the merged horizon is due on the current edge.
+    /// Whether the merged horizon is due on the next edge: at or before
+    /// the floor, so no later merge can change which edge executes next.
     pub fn due(&self) -> bool {
-        self.earliest.is_some_and(|e| e <= self.now)
+        self.earliest.is_some_and(|e| e <= self.floor)
     }
 
     /// The merged horizon: earliest event time at or after `now`, or `None`
-    /// if nothing was merged (everything idle).
+    /// if nothing was merged (everything idle). Once due, it is the
+    /// minimum of what was merged so far, not of everything.
     pub fn earliest(&self) -> Option<Time> {
         self.earliest
     }
@@ -97,14 +109,14 @@ mod tests {
 
     #[test]
     fn empty_horizon_is_idle() {
-        let h = Horizon::new(ps(100));
+        let h = Horizon::new(ps(100), ps(100));
         assert_eq!(h.earliest(), None);
         assert!(!h.due());
     }
 
     #[test]
     fn merge_keeps_minimum_of_future_times() {
-        let mut h = Horizon::new(ps(100));
+        let mut h = Horizon::new(ps(100), ps(100));
         assert!(!h.merge(ps(500)));
         assert!(!h.merge(ps(300)));
         assert!(!h.merge(ps(900)));
@@ -114,22 +126,22 @@ mod tests {
 
     #[test]
     fn past_times_clamp_to_now_and_report_due() {
-        let mut h = Horizon::new(ps(100));
-        assert!(h.merge(ps(40)), "a past event is due on this edge");
+        let mut h = Horizon::new(ps(100), ps(100));
+        assert!(h.merge(ps(40)), "a past event is due on the next edge");
         assert_eq!(h.earliest(), Some(ps(100)), "clamped, never backwards");
         assert!(h.due());
     }
 
     #[test]
     fn exactly_now_is_due() {
-        let mut h = Horizon::new(ps(100));
+        let mut h = Horizon::new(ps(100), ps(100));
         assert!(h.merge(ps(100)));
         assert_eq!(h.earliest(), Some(ps(100)));
     }
 
     #[test]
     fn due_horizon_absorbs_later_merges() {
-        let mut h = Horizon::new(ps(100));
+        let mut h = Horizon::new(ps(100), ps(100));
         assert!(h.merge(ps(100)));
         assert!(h.merge(ps(700)), "stays due once due");
         assert_eq!(h.earliest(), Some(ps(100)));
@@ -137,12 +149,38 @@ mod tests {
 
     #[test]
     fn merge_opt_ignores_idle_components() {
-        let mut h = Horizon::new(ps(100));
+        let mut h = Horizon::new(ps(100), ps(100));
         assert!(!h.merge_opt(None));
         assert_eq!(h.earliest(), None);
         assert!(!h.merge_opt(Some(ps(250))));
         assert!(h.merge_opt(Some(ps(100))));
         assert_eq!(h.earliest(), Some(ps(100)));
+    }
+
+    #[test]
+    fn times_up_to_the_floor_are_due() {
+        // Now 100, next edge 400: anything at or before 400 is due.
+        for t in [40, 100, 250, 400] {
+            let mut h = Horizon::new(ps(100), ps(400));
+            assert!(h.merge(ps(t)), "{t} is at or before the floor");
+            assert_eq!(h.earliest(), Some(ps(t.max(100))));
+        }
+        let mut h = Horizon::new(ps(100), ps(400));
+        assert!(!h.merge(ps(401)), "one past the floor keeps folding");
+        assert!(!h.merge_opt(None));
+        assert!(h.merge(ps(399)));
+        assert!(h.merge(ps(401)), "due is sticky");
+        assert_eq!(h.earliest(), Some(ps(399)));
+    }
+
+    #[test]
+    fn a_later_source_only_lowers_a_horizon_not_yet_due() {
+        let mut h = Horizon::new(ps(100), ps(400));
+        assert!(!h.merge(ps(900)));
+        assert!(!h.merge(ps(500)));
+        assert_eq!(h.earliest(), Some(ps(500)));
+        assert!(h.merge(ps(200)));
+        assert_eq!(h.earliest(), Some(ps(200)));
     }
 
     #[test]

@@ -48,13 +48,6 @@ pub(crate) struct WakeSets {
     pub(crate) l3: BitSet,
     /// Cores whose `next_event_time` is not `None`.
     pub(crate) cores: BitSet,
-    /// Sleeping cores that would retry a store on every edge
-    /// ([`Core::store_blocked_at`]). They need no tick, but the run loop
-    /// keeps executing edges while there are any, as it did when they
-    /// ticked. Skipping those edges was measured slower: on
-    /// `coherence_stream` it executed 20 % fewer edges and took 7 % longer
-    /// (EXPERIMENTS.md, "The store-blocked horizon pin").
-    pub(crate) blocked: BitSet,
     /// Per core, meaningful while it is asleep: the fast-edge index up to
     /// which its `mem_stall_cycles` already account for the sleep.
     settled: Vec<u64>,
@@ -73,7 +66,6 @@ impl WakeSets {
             l2: BitSet::full(cores),
             l3: BitSet::full(nodes),
             cores: BitSet::full(cores),
-            blocked: BitSet::new(cores),
             settled: vec![0; cores],
             shadow: vec![0; cores],
         }
@@ -85,7 +77,6 @@ impl WakeSets {
     fn wake_core(&mut self, k: usize, core: &mut Core, now: Time, through: u64) {
         if self.cores.insert(k) {
             self.settle(k, core, now, through);
-            self.blocked.remove(k);
         }
         core.forget_spin();
     }
@@ -105,14 +96,11 @@ impl WakeSets {
         );
     }
 
-    /// Takes core `k`, whose stall count is exact through edge `edge` (at
-    /// `now`), out of the set.
-    fn sleep_core(&mut self, k: usize, core: &Core, now: Time, edge: u64) {
+    /// Takes core `k`, whose stall count is exact through edge `edge`, out
+    /// of the set.
+    fn sleep_core(&mut self, k: usize, core: &Core, edge: u64) {
         self.settled[k] = edge;
         self.shadow[k] = core.stats().mem_stall_cycles;
-        if core.store_blocked_at(now) {
-            self.blocked.insert(k);
-        }
     }
 }
 
@@ -182,12 +170,6 @@ impl System {
                 if wake.settled[i] + edges <= self.stats.fast_edges {
                     wake.shadow[i] += edges * u64::from(core.stalls_when_skipped(now));
                 }
-                // A spinner releases the horizon: it never pins it as a
-                // store-blocked sleeper does.
-                assert!(
-                    !(core.is_spinning() && wake.blocked.contains(i)),
-                    "spinning core {i} is marked store-blocked"
-                );
             }
             assert!(
                 wake.l2.contains(i) || !(self.l2s[i].is_active() || self.core_held[i].is_some()),
@@ -305,7 +287,7 @@ impl System {
             // until it comes, with this edge's stall already counted.
             let asleep = gate && self.cores[k].next_event_time(now).is_none();
             if asleep {
-                self.wake.sleep_core(k, &self.cores[k], now, edge);
+                self.wake.sleep_core(k, &self.cores[k], edge);
             }
             !asleep
         });

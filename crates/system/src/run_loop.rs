@@ -694,20 +694,20 @@ impl System {
     /// and stalled-core cycle statistics, both of which
     /// [`step_event`](System::run_until_halt) reconstructs arithmetically
     /// when it jumps, and the progress of spinning cores, which are caught
-    /// up before anything reads or wakes them. A result `<= now` means the
-    /// next edge must execute; when several components are already due,
-    /// the walk stops at the first one that pins the horizon (callers only
-    /// compare against `now`). Conservatively-early results are always sound (the edge
-    /// executes as a no-op, exactly as exhaustive ticking would).
+    /// up before anything reads or wakes them. A result at or before the
+    /// next edge ([`DualClock::next_edge_time`](duet_sim::DualClock::next_edge_time))
+    /// skips nothing, so the walk stops at the first source at or before
+    /// that edge: among several such sources, which one's time is returned
+    /// is unspecified (callers only compare the result against that edge).
+    /// Conservatively-early results are always sound (the edge executes as
+    /// a no-op, exactly as exhaustive ticking would).
     pub fn next_event_time(&self) -> Option<Time> {
         let now = self.now;
-        // Anything retrying every edge pins the horizon to `now` — cores
-        // asleep on a full store buffer included: skipping their edges
-        // measured slower (see `WakeSets::blocked`).
-        if self.inject_pending_total > 0 || !self.wake.blocked.is_empty() {
+        // A pending injection is retried every edge.
+        if self.inject_pending_total > 0 {
             return Some(now);
         }
-        let mut horizon = Horizon::new(now);
+        let mut horizon = Horizon::new(now, self.dual.next_edge_time());
         // Only awake components can have an event (a sleeping one reports
         // `None` by construction), so the wake sets are the whole walk.
         // Cheaper horizons (busy cores, the common case while simulated
@@ -715,11 +715,7 @@ impl System {
         // probe. Merge *order* never affects the result — a horizon is a
         // pure minimum.
         for i in self.wake.cores.iter() {
-            let core = &self.cores[i];
-            if core.store_blocked_at(now) {
-                return Some(now); // not yet asleep; pins like the sleepers
-            }
-            if horizon.merge_opt(core.next_event_time(now)) {
+            if horizon.merge_opt(self.cores[i].next_event_time(now)) {
                 return horizon.earliest();
             }
         }
@@ -812,25 +808,24 @@ impl System {
     fn step_event(&mut self, bound: Time) -> (Time, EdgeDomain) {
         if self.skip_enabled {
             if let Some(horizon) = self.next_event_time() {
-                // Edges strictly before the horizon are dead.
+                // Edges strictly before the horizon are dead; a target
+                // past the next edge skips at least that one.
                 let target = horizon.min(bound);
-                if target > self.now {
+                if target > self.dual.next_edge_time() {
                     let (fast, slow) = self.dual.advance_to(target);
-                    if fast > 0 || slow > 0 {
-                        // Sleeping cores catch up from the edge count when
-                        // they wake; awake ones are accounted here.
-                        let now = self.now;
-                        for i in self.wake.cores.iter() {
-                            self.cores[i].account_skipped_edges(now, fast);
-                        }
-                        self.stats.fast_edges += fast;
-                        self.stats.slow_edges += slow;
-                        if cfg!(debug_assertions) {
-                            self.check_wake_sets(fast);
-                        }
-                        self.sys_tracer
-                            .emit(self.now.as_ps(), EventKind::HorizonSkip, fast, slow);
+                    // Sleeping cores catch up from the edge count when
+                    // they wake; awake ones are accounted here.
+                    let now = self.now;
+                    for i in self.wake.cores.iter() {
+                        self.cores[i].account_skipped_edges(now, fast);
                     }
+                    self.stats.fast_edges += fast;
+                    self.stats.slow_edges += slow;
+                    if cfg!(debug_assertions) {
+                        self.check_wake_sets(fast);
+                    }
+                    self.sys_tracer
+                        .emit(self.now.as_ps(), EventKind::HorizonSkip, fast, slow);
                 }
             }
             // `None` (fully inert system) falls through to plain stepping,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use duet_cpu::asm::Asm;
 use duet_cpu::isa::regs;
-use duet_sim::{DualClock, SimRng, Time};
+use duet_sim::{Clock, DualClock, EdgeDomain, SimRng, Snap, SnapReader, SnapWriter, Time};
 use duet_system::{FaultPlan, System, SystemConfig};
 use duet_workloads::popcount::{self, PopcountAccel};
 use duet_workloads::{bandwidth_system, BenchVariant, Mechanism};
@@ -607,101 +607,217 @@ fn differential_fpsoc_hub_page_faults() {
 
 /// Waiting components release the horizon: a Proxy Cache whose head
 /// request waits for one of its two MSHRs (the fabric's bulk pull and
-/// push), and FPSoC slow hubs whose events wait for a slow edge. Skipping
-/// must give identical results on strictly fewer executed edges.
+/// push), FPSoC slow hubs whose events wait for a slow edge, and the core
+/// asleep on a full store buffer while line ownership waits on
+/// eFPGA-clocked coherence. On all four pull mechanisms at a slow and a
+/// fast eFPGA clock, every combination of edge skipping × a mid-run
+/// snapshot/restore must match exhaustive ticking — the fingerprint and
+/// the core's stall count — and skipping must execute strictly fewer
+/// edges.
 #[test]
 fn differential_waiting_proxies_and_slow_hubs() {
     let nwords = 128;
-    for (mechanism, mhz) in [
-        (Mechanism::EfpgaPullProxy, 100.0),
-        (Mechanism::CpuPullProxy, 100.0),
-        (Mechanism::EfpgaPullSlow, 20.0),
+    for mechanism in [
+        Mechanism::EfpgaPullSlow,
+        Mechanism::EfpgaPullProxy,
+        Mechanism::CpuPullSlow,
+        Mechanism::CpuPullProxy,
     ] {
-        let run = |skip: bool| {
-            let (mut sys, _events) = bandwidth_system(mechanism, mhz, nwords);
-            sys.set_edge_skipping(skip);
-            let halt = sys
-                .run_until_halt(Time::from_us(60_000))
-                .unwrap_or_else(|e| panic!("{e}"));
-            let quiesced = sys
-                .quiesce(Time::from_us(60_100))
-                .unwrap_or_else(|e| panic!("{e}"));
-            let mem = [(0x1_0000, nwords as usize), (0x2_0000, nwords as usize)];
-            (
-                fingerprint(&sys, halt, quiesced, &mem),
-                sys.executed_edges(),
-            )
-        };
-        let (baseline, every_edge) = run(false);
-        let (skipping, executed) = run(true);
-        assert_eq!(
-            baseline,
-            skipping,
-            "{} at {mhz} MHz: skipping diverged from exhaustive ticking",
-            mechanism.label()
-        );
-        assert!(
-            executed < every_edge,
-            "{} at {mhz} MHz: {executed} executed edges, {every_edge} without skipping",
-            mechanism.label()
-        );
+        for mhz in [20.0, 500.0] {
+            let build = |skip: bool| {
+                let (mut sys, _events) = bandwidth_system(mechanism, mhz, nwords);
+                sys.set_edge_skipping(skip);
+                sys
+            };
+            let finish = |mut sys: System| {
+                let halt = sys
+                    .run_until_halt(Time::from_us(60_000))
+                    .unwrap_or_else(|e| panic!("{e}"));
+                let quiesced = sys
+                    .quiesce(Time::from_us(60_100))
+                    .unwrap_or_else(|e| panic!("{e}"));
+                let mem = [(0x1_0000, nwords as usize), (0x2_0000, nwords as usize)];
+                (
+                    fingerprint(&sys, halt, quiesced, &mem),
+                    sys.core(0).stats().mem_stall_cycles,
+                    sys.executed_edges(),
+                    halt,
+                )
+            };
+            let cell = format!("{} at {mhz} MHz", mechanism.label());
+            let (baseline, stalls, every_edge, halt) = finish(build(false));
+            let (skipping, skip_stalls, executed, _) = finish(build(true));
+            assert_eq!(
+                baseline, skipping,
+                "{cell}: skipping diverged from exhaustive ticking"
+            );
+            assert_eq!(stalls, skip_stalls, "{cell}: mem_stall_cycles differ");
+            assert!(
+                executed < every_edge,
+                "{cell}: {executed} executed edges, {every_edge} without skipping"
+            );
+            let midpoint = Time::from_ps(halt.as_ps() / 2);
+            for skip in [false, true] {
+                let mut sys = build(skip);
+                sys.run_until_time(midpoint);
+                let bytes = sys.snapshot();
+                let mut sys = build(skip);
+                sys.restore(&bytes).expect("self-restore");
+                let (fp, s, _, _) = finish(sys);
+                assert_eq!(
+                    s, stalls,
+                    "{cell}, skip {skip}, restored: mem_stall_cycles differ"
+                );
+                assert_eq!(
+                    fp, baseline,
+                    "{cell}, skip {skip}, restored: fingerprint differs"
+                );
+            }
+        }
     }
 }
 
-/// Property test for `DualClock::advance_to`: for random clock pairs and
-/// random jump targets, one arithmetic jump must report exactly the edges
-/// that cloned edge-by-edge stepping would execute, and leave the clock in
-/// a state that generates the identical edge stream afterwards.
+/// The division-based sequencer `DualClock` replaced, kept as the
+/// reference: every call derives each domain's next edge from the
+/// current position, and a jump counts edges with the cycle counter.
+#[derive(Clone)]
+struct DividingDualClock {
+    fast: Clock,
+    slow: Clock,
+    now: Time,
+    started: bool,
+}
+
+impl DividingDualClock {
+    fn next_of(&self, c: Clock) -> Time {
+        if self.started {
+            c.next_edge_after(self.now)
+        } else {
+            c.edge_at_or_after(self.now)
+        }
+    }
+
+    fn next_edge(&mut self) -> (Time, EdgeDomain) {
+        let (nf, ns) = (self.next_of(self.fast), self.next_of(self.slow));
+        self.started = true;
+        let (t, d) = if nf < ns {
+            (nf, EdgeDomain::Fast)
+        } else if ns < nf {
+            (ns, EdgeDomain::Slow)
+        } else {
+            (nf, EdgeDomain::Both)
+        };
+        self.now = t;
+        (t, d)
+    }
+
+    fn advance_to(&mut self, t: Time) -> (u64, u64) {
+        if t <= self.now {
+            return (0, 0);
+        }
+        let upto = Time::from_ps(t.as_ps() - 1);
+        let count = |c: Clock| {
+            let base = c.cycles_at(self.now);
+            // Before the first edge the edge at `now` has not executed.
+            let unrun = u64::from(!self.started && c.is_edge(self.now));
+            c.cycles_at(upto) - (base - unrun.min(base))
+        };
+        let skipped = (count(self.fast), count(self.slow));
+        self.now = upto;
+        self.started = true;
+        skipped
+    }
+}
+
+/// A clock pair for case `case`: random frequencies, equal periods, one
+/// period a multiple of the other, and non-zero first-edge offsets.
+fn clock_pair(case: u64, rng: &mut SimRng) -> (Clock, Clock) {
+    let fast = 250 + rng.next_u64() % 4750;
+    let offset = |rng: &mut SimRng, period: u64| match rng.next_u64() % 3 {
+        0 => period,
+        1 => 0,
+        _ => rng.next_u64() % (3 * period),
+    };
+    let slow = match case % 4 {
+        0 => fast,
+        1 => fast * (2 + rng.next_u64() % 6),
+        _ => 2_000 + rng.next_u64() % 25_000,
+    };
+    let (fo, so) = (offset(rng, fast), offset(rng, slow));
+    let clock = |period: u64, offset: u64| Clock::new(Time::from_ps(period), Time::from_ps(offset));
+    (clock(fast, fo), clock(slow, so))
+}
+
+/// Property test for `DualClock`: over random clock pairs, random
+/// interleavings of single steps, jumps (onto an edge, between edges, and
+/// at or before the current position) and mid-sequence save/load, the
+/// edge stream and every jump's skip counts must equal the dividing
+/// reference's, and each jump must skip exactly the edges that cloned
+/// edge-by-edge stepping would execute before its target.
 #[test]
 fn advance_to_equals_stepping_randomized() {
     let mut rng = SimRng::new(0xE4E0);
-    for case in 0..200 {
-        let fast_mhz = 200.0 + (rng.next_u64() % 3800) as f64;
-        let slow_mhz = 37.0 + (rng.next_u64() % 400) as f64;
-        let mut dual = DualClock::new(
-            duet_sim::Clock::from_mhz(fast_mhz),
-            duet_sim::Clock::from_mhz(slow_mhz),
-        );
-        // Randomly pre-run a few edges so `started` state varies.
-        for _ in 0..(rng.next_u64() % 4) {
-            dual.next_edge();
+    for case in 0..400 {
+        let (fast, slow) = clock_pair(case, &mut rng);
+        let mut dual = DualClock::new(fast, slow);
+        let mut reference = DividingDualClock {
+            fast,
+            slow,
+            now: Time::ZERO,
+            started: false,
+        };
+        // Half the cases start with a jump on the unstarted clock.
+        let steps = if case % 2 == 0 { 0 } else { rng.next_u64() % 4 };
+        for _ in 0..steps {
+            assert_eq!(dual.next_edge(), reference.next_edge(), "case {case}");
         }
-        let mut target = dual.now();
-        for hop in 0..8 {
-            target += Time::from_ps(1 + rng.next_u64() % 300_000);
-            // Reference: step a clone edge by edge, counting edges
-            // strictly before the target.
-            let mut reference = dual.clone();
-            let (mut fast, mut slow) = (0u64, 0u64);
+        for hop in 0..12 {
+            let at = format!("case {case} hop {hop} (fast {fast:?}, slow {slow:?})");
+            assert_eq!(
+                dual.next_edge_time(),
+                reference.clone().next_edge().0,
+                "{at}"
+            );
+            let next = dual.next_edge_time();
+            let period = fast.period().min(slow.period()).as_ps();
+            let target = match rng.next_u64() % 5 {
+                // On an edge of either domain, some periods ahead.
+                0 => fast.edge_at_or_after(next + Time::from_ps(rng.next_u64() % (40 * period))),
+                1 => slow.edge_at_or_after(next + Time::from_ps(rng.next_u64() % (40 * period))),
+                // At or before the current position.
+                2 => Time::from_ps(dual.now().as_ps().saturating_sub(rng.next_u64() % 3)),
+                // Exactly the next edge, which skips nothing.
+                3 => next,
+                // Anywhere, between edges included.
+                _ => next + Time::from_ps(1 + rng.next_u64() % (50 * period)),
+            };
+            // Stepping: the edges strictly before the target.
+            let mut stepped = reference.clone();
+            let (mut sf, mut ss) = (0u64, 0u64);
             loop {
-                let mut probe = reference.clone();
+                let mut probe = stepped.clone();
                 let (t, d) = probe.next_edge();
                 if t >= target {
                     break;
                 }
-                reference = probe;
-                if d.fast() {
-                    fast += 1;
-                }
-                if d.slow() {
-                    slow += 1;
-                }
+                stepped = probe;
+                sf += u64::from(d.fast());
+                ss += u64::from(d.slow());
             }
-            let (jf, js) = dual.advance_to(target);
-            assert_eq!(
-                (jf, js),
-                (fast, slow),
-                "case {case} hop {hop}: skip counts diverged (fast {fast_mhz} MHz, slow {slow_mhz} MHz, target {target})"
-            );
-            // The edge streams must coincide from here on.
-            for _ in 0..6 {
-                assert_eq!(
-                    reference.next_edge(),
-                    dual.next_edge(),
-                    "case {case} hop {hop}"
-                );
+            let jumped = dual.advance_to(target);
+            assert_eq!(jumped, reference.advance_to(target), "{at}: skip counts");
+            assert_eq!(jumped, (sf, ss), "{at}: skip counts against stepping");
+            if hop == 6 {
+                // A restored clock resumes the same stream.
+                let mut w = SnapWriter::new();
+                dual.save(&mut w);
+                let bytes = w.finish();
+                dual = DualClock::new(fast, slow);
+                dual.load(&mut SnapReader::new(&bytes)).expect("self-load");
             }
-            target = dual.now();
+            for _ in 0..rng.next_u64() % 6 {
+                assert_eq!(dual.next_edge(), reference.next_edge(), "{at}: stream");
+            }
         }
     }
 }
