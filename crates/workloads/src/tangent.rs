@@ -306,7 +306,7 @@ pub fn prepare(
             // Steady state: read result k, write argument k+depth.
             a.li(i, 0);
             a.li(regs::S[5], (n - depth) as i64);
-            a.blt(regs::S[5], regs::T[2], "drain_setup");
+            a.beqz(regs::S[5], "drain_setup");
             a.label("loop");
             a.ld(regs::T[1], res, 0);
             a.sd(regs::T[1], obase, 0);
