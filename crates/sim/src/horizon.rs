@@ -174,16 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn a_later_source_only_lowers_a_horizon_not_yet_due() {
-        let mut h = Horizon::new(ps(100), ps(400));
-        assert!(!h.merge(ps(900)));
-        assert!(!h.merge(ps(500)));
-        assert_eq!(h.earliest(), Some(ps(500)));
-        assert!(h.merge(ps(200)));
-        assert_eq!(h.earliest(), Some(ps(200)));
-    }
-
-    #[test]
     fn merge_min_folds_options() {
         assert_eq!(merge_min(None, None), None);
         assert_eq!(merge_min(Some(ps(5)), None), Some(ps(5)));

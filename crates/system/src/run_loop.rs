@@ -712,8 +712,8 @@ impl System {
         // `None` by construction), so the wake sets are the whole walk.
         // Cheaper horizons (busy cores, the common case while simulated
         // work is in flight) come first, so a due component costs one
-        // probe. Merge *order* never affects the result — a horizon is a
-        // pure minimum.
+        // probe. Merge *order* never affects which edge runs next: a
+        // horizon past the next edge is a pure minimum.
         for i in self.wake.cores.iter() {
             if horizon.merge_opt(self.cores[i].next_event_time(now)) {
                 return horizon.earliest();
