@@ -105,15 +105,12 @@ fn load_plan(path: &str) -> FaultPlan {
 }
 
 /// Metrics that differ between the two sides at the divergent edge,
-/// rendered one per line (`process.*` excluded: process-wide atomics).
+/// rendered one per line.
 fn metric_diff(a: &System, b: &System) -> String {
     let ra = a.metrics_registry();
     let rb = b.metrics_registry();
     let mut out = String::new();
     for (k, va) in ra.iter() {
-        if k.starts_with("process.") {
-            continue;
-        }
         let vb = rb.get(k).unwrap_or(0);
         if va != vb {
             out.push_str(&format!("  {k}: a={va} b={vb}\n"));

@@ -47,5 +47,5 @@ fn main() {
     println!("# measured proxy/slow gap @100 MHz: {:.1}x", p100 / s100);
     duet_bench::maybe_write_trace("fig10");
     duet_bench::maybe_run_faulted("fig10");
-    tp.report("fig10");
+    tp.report("fig10", points.iter().map(|p| (p.stats, p.sim_ps)));
 }

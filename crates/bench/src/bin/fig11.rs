@@ -49,5 +49,5 @@ fn main() {
     );
     duet_bench::maybe_write_trace("fig11");
     duet_bench::maybe_run_faulted("fig11");
-    tp.report("fig11");
+    tp.report("fig11", points.iter().map(|p| (p.stats, p.sim_ps)));
 }

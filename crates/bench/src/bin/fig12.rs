@@ -203,5 +203,5 @@ fn main() {
     );
     duet_bench::maybe_write_trace("fig12");
     duet_bench::maybe_run_faulted("fig12");
-    tp.report("fig12");
+    tp.report("fig12", results.iter().map(|r| (r.stats, r.sim_ps)));
 }

@@ -91,7 +91,7 @@ fn main() {
         }
         println!();
     }
-    // `--trace <path>` / `DUET_TRACE`: re-run one representative cell
+    // `--trace <path>`: re-run one representative cell
     // (proxy-cached CPU pull @ 100 MHz) with full event tracing and dump
     // the Chrome trace-event JSON. The traced rerun is bit-identical to
     // the untraced sweep cell above — instrumentation is read-only.
@@ -110,5 +110,5 @@ fn main() {
         }
     }
     duet_bench::maybe_run_faulted("fig9");
-    tp.report("fig9");
+    tp.report("fig9", points.iter().map(|p| (p.stats, p.sim_ps)));
 }

@@ -4,11 +4,9 @@
 //!
 //! Run: `cargo run --release -p duet-bench --bin table1`
 
-use duet_bench::Throughput;
 use duet_fpga::area::{base_tile_area_mm2, table1, AreaModel};
 
 fn main() {
-    let tp = Throughput::start();
     println!("# Table I: Area and Typical Frequency of Dolly Components");
     println!(
         "{:<26} {:<26} {:>10} {:>10} {:>12} {:>12}",
@@ -46,5 +44,4 @@ fn main() {
     );
     duet_bench::maybe_write_trace("table1");
     duet_bench::maybe_run_faulted("table1");
-    tp.report("table1");
 }

@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release -p duet-bench --bin table2 [--threads N]`
 
-use duet_bench::{parallel_map, Throughput};
+use duet_bench::parallel_map;
 use duet_fpga::area::base_tile_area_mm2;
 use duet_fpga::fabric::{FabricSpec, NetlistSummary};
 use duet_fpga::ports::SoftAccelerator;
@@ -50,7 +50,6 @@ impl Design {
 }
 
 fn main() {
-    let tp = Throughput::start();
     // (design, paper MHz, paper norm area, paper CLB util, paper BRAM util)
     let designs: [(Design, f64, f64, f64, f64); 10] = [
         (Design::Tangent, 282.0, 0.47, 0.84, 0.0),
@@ -87,5 +86,4 @@ fn main() {
     println!("# Paper note: accelerators run at 8%-28% of the 1 GHz processor clock.");
     duet_bench::maybe_write_trace("table2");
     duet_bench::maybe_run_faulted("table2");
-    tp.report("table2");
 }

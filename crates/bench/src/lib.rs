@@ -5,46 +5,51 @@
 //! Every figure/table harness runs many *independent* simulations (one per
 //! (configuration, variant) cell). [`parallel_map`] fans them out across a
 //! scoped thread pool — results come back in input order, so the printed
-//! tables are byte-identical to a sequential run — and each binary ends
-//! with a `throughput:` line giving edges/sec and simulated-ns/sec.
+//! tables are byte-identical to a sequential run — and each simulating
+//! binary ends with a `throughput:` line giving edges/sec and
+//! simulated-ns/sec over the systems its cells ran.
 //!
-//! Thread count: `--threads N` on the command line, else the
-//! `DUET_BENCH_THREADS` environment variable, else all available cores.
+//! Thread count: `--threads N` on the command line, else all available
+//! cores.
 //!
-//! Tracing: every harness accepts `--trace <path>` (or `--trace=<path>`,
-//! or the `DUET_TRACE` environment variable) and writes a Chrome
-//! trace-event JSON of a representative traced run to that path —
-//! loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
+//! Tracing: every harness accepts `--trace <path>` (or `--trace=<path>`)
+//! and writes a Chrome trace-event JSON of a representative traced run to
+//! that path — loadable in `chrome://tracing` or
+//! <https://ui.perfetto.dev>.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// The worker-thread count for [`parallel_map`]: `--threads N` (or
-/// `--threads=N`) from the command line, else `DUET_BENCH_THREADS`, else
-/// [`std::thread::available_parallelism`]. `0` from either source also
-/// means "auto" (available parallelism). Always at least 1. Each
-/// simulation runs on one thread, so this is the host thread count.
-pub fn configured_threads() -> usize {
-    let auto = || std::thread::available_parallelism().map_or(1, |n| n.get());
+use duet_system::RunStats;
+
+/// The value of command-line flag `--<name>`, given as `--<name> v` or
+/// `--<name>=v`; the first occurrence wins.
+fn flag(name: &str) -> Option<String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
-        if a == "--threads" {
-            if let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) {
-                return if n == 0 { auto() } else { n };
+        if let Some(v) = a.strip_prefix("--").and_then(|a| a.strip_prefix(name)) {
+            if v.is_empty() {
+                return args.next();
             }
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            if let Ok(n) = v.parse::<usize>() {
-                return if n == 0 { auto() } else { n };
+            if let Some(v) = v.strip_prefix('=') {
+                return Some(v.to_string());
             }
         }
     }
-    if let Ok(v) = std::env::var("DUET_BENCH_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return if n == 0 { auto() } else { n };
-        }
+    None
+}
+
+/// The worker-thread count for [`parallel_map`]: `--threads N` (or
+/// `--threads=N`) from the command line, else
+/// [`std::thread::available_parallelism`]. `0` also means "auto"
+/// (available parallelism). Always at least 1. Each simulation runs on
+/// one thread, so this is the host thread count.
+pub fn configured_threads() -> usize {
+    match flag("threads").and_then(|v| v.parse::<usize>().ok()) {
+        Some(n) if n > 0 => n,
+        _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
-    auto()
 }
 
 /// Applies `f` to every item on a scoped thread pool and returns the
@@ -85,24 +90,13 @@ where
 }
 
 /// The trace output path, if the user asked for one: `--trace <path>` (or
-/// `--trace=<path>`) from the command line, else the `DUET_TRACE`
-/// environment variable. `None` means tracing stays disabled (the
-/// zero-overhead default).
+/// `--trace=<path>`) from the command line. `None` means tracing stays
+/// disabled (the zero-overhead default).
 pub fn configured_trace_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            if let Some(p) = args.next() {
-                return Some(p);
-            }
-        } else if let Some(p) = a.strip_prefix("--trace=") {
-            return Some(p.to_string());
-        }
-    }
-    std::env::var("DUET_TRACE").ok().filter(|p| !p.is_empty())
+    flag("trace")
 }
 
-/// Honors `--trace <path>` / `DUET_TRACE` for harnesses whose own sweep
+/// Honors `--trace <path>` for harnesses whose own sweep
 /// does not capture traces: re-runs one representative scenario (the
 /// proxy-cached Fig. 9 round trip at 250 MHz) with tracing enabled and
 /// writes its Chrome trace-event JSON to the configured path. No-op when
@@ -129,23 +123,13 @@ pub fn maybe_write_trace(label: &str) -> Option<String> {
 }
 
 /// The fault-plan path, if the user asked for one: `--faults <path>` (or
-/// `--faults=<path>`) from the command line, else the `DUET_FAULTS`
-/// environment variable. `None` means no fault injection (the default).
+/// `--faults=<path>`) from the command line. `None` means no fault
+/// injection (the default).
 pub fn configured_fault_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--faults" {
-            if let Some(p) = args.next() {
-                return Some(p);
-            }
-        } else if let Some(p) = a.strip_prefix("--faults=") {
-            return Some(p.to_string());
-        }
-    }
-    std::env::var("DUET_FAULTS").ok().filter(|p| !p.is_empty())
+    flag("faults")
 }
 
-/// Honors `--faults <plan>` / `DUET_FAULTS` on the figure harnesses:
+/// Honors `--faults <plan>` on the figure harnesses:
 /// loads the [`duet_system::FaultPlan`] text file, runs one representative
 /// accelerated scenario (the quickstart popcount on Dolly-P1M1) under that
 /// plan with the runtime checkers live, and prints the outcome plus every
@@ -212,13 +196,11 @@ pub fn maybe_run_faulted(label: &str) -> Option<String> {
     Some(path)
 }
 
-/// Measures wall time and simulation-throughput counters across a
-/// harness's working section; [`Throughput::report`] prints the standard
-/// `throughput:` line.
+/// Measures wall time across a harness's working section;
+/// [`Throughput::report`] prints the standard `throughput:` line for the
+/// runs that section did.
 pub struct Throughput {
     start: Instant,
-    edges0: u64,
-    sim_ps0: u64,
 }
 
 impl Default for Throughput {
@@ -228,28 +210,27 @@ impl Default for Throughput {
 }
 
 impl Throughput {
-    /// Starts the clock and snapshots the process-wide counters.
+    /// Starts the clock.
     pub fn start() -> Self {
-        let (edges0, sim_ps0) = duet_system::metrics::snapshot();
         Throughput {
             start: Instant::now(),
-            edges0,
-            sim_ps0,
         }
     }
 
     /// Prints `# <label> throughput: X edges/sec, Y simulated-ns/sec
-    /// (wall Zs, T threads)` from the counter deltas since `start`.
-    pub fn report(&self, label: &str) {
+    /// (wall Zs, T threads)` over the wall time since `start`. `runs`
+    /// yields each run's statistics and final simulated time (ps); a
+    /// run's edges are its fast plus slow edges, skipped ones included.
+    pub fn report(&self, label: &str, runs: impl IntoIterator<Item = (RunStats, u64)>) {
         let wall = self.start.elapsed();
-        let (edges, sim_ps) = duet_system::metrics::snapshot();
-        let line = duet_system::metrics::throughput_line(
-            edges.saturating_sub(self.edges0),
-            sim_ps.saturating_sub(self.sim_ps0),
-            wall,
-        );
+        let (edges, sim_ps) = runs.into_iter().fold((0u64, 0u64), |(e, t), (s, ps)| {
+            (e + s.fast_edges + s.slow_edges, t + ps)
+        });
+        let secs = wall.as_secs_f64().max(1e-9);
         println!(
-            "# {label} {line} (wall {:.3}s, {} threads)",
+            "# {label} throughput: {:.3e} edges/sec, {:.3e} simulated-ns/sec (wall {:.3}s, {} threads)",
+            edges as f64 / secs,
+            (sim_ps as f64 / 1000.0) / secs,
             wall.as_secs_f64(),
             configured_threads()
         );

@@ -35,11 +35,6 @@ pub enum ConfigError {
         /// The offending `memory_hubs` count.
         memory_hubs: usize,
     },
-    /// The Duet / FPSoC variants model an eFPGA; `has_fpga` must be set.
-    VariantRequiresFpga {
-        /// The offending variant.
-        variant: Variant,
-    },
     /// The eFPGA clock must be a positive, finite frequency.
     InvalidFpgaClock {
         /// The offending frequency in MHz.
@@ -58,9 +53,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::HubsWithoutFpga { memory_hubs } => {
                 write!(f, "{memory_hubs} memory hub(s) configured without an eFPGA")
-            }
-            ConfigError::VariantRequiresFpga { variant } => {
-                write!(f, "variant {variant:?} requires an eFPGA (has_fpga = true)")
             }
             ConfigError::InvalidFpgaClock { mhz } => {
                 write!(
@@ -81,8 +73,6 @@ pub struct SystemConfig {
     pub processors: usize,
     /// Number of Memory Hubs (`m` of Dolly-PpMm).
     pub memory_hubs: usize,
-    /// Whether an eFPGA (and hence a C-tile) exists.
-    pub has_fpga: bool,
     /// eFPGA clock in MHz.
     pub fpga_mhz: f64,
     /// Architecture variant.
@@ -112,7 +102,6 @@ impl SystemConfig {
         SystemConfig {
             processors: p,
             memory_hubs: m,
-            has_fpga: true,
             fpga_mhz,
             variant: Variant::Duet,
             clock: Clock::ghz1(),
@@ -138,7 +127,6 @@ impl SystemConfig {
         SystemConfig {
             processors: p,
             memory_hubs: 0,
-            has_fpga: false,
             fpga_mhz: 100.0,
             variant: Variant::ProcOnly,
             clock: Clock::ghz1(),
@@ -164,6 +152,12 @@ impl SystemConfig {
         Self::proc_only(256)
     }
 
+    /// Whether an eFPGA (and hence a C-tile) exists: every variant but
+    /// the processor-only baseline has one.
+    pub fn has_fpga(&self) -> bool {
+        self.variant != Variant::ProcOnly
+    }
+
     /// Checks the configuration for inconsistencies that would make the
     /// assembled system malformed. `System::new` calls this and refuses to
     /// build on error.
@@ -171,19 +165,12 @@ impl SystemConfig {
         if self.processors == 0 {
             return Err(ConfigError::NoProcessors);
         }
-        if !self.has_fpga {
-            if self.memory_hubs > 0 {
-                return Err(ConfigError::HubsWithoutFpga {
-                    memory_hubs: self.memory_hubs,
-                });
-            }
-            if self.variant != Variant::ProcOnly {
-                return Err(ConfigError::VariantRequiresFpga {
-                    variant: self.variant,
-                });
-            }
+        if !self.has_fpga() && self.memory_hubs > 0 {
+            return Err(ConfigError::HubsWithoutFpga {
+                memory_hubs: self.memory_hubs,
+            });
         }
-        if self.has_fpga && !(self.fpga_mhz.is_finite() && self.fpga_mhz > 0.0) {
+        if self.has_fpga() && !(self.fpga_mhz.is_finite() && self.fpga_mhz > 0.0) {
             return Err(ConfigError::InvalidFpgaClock { mhz: self.fpga_mhz });
         }
         Ok(())
@@ -203,7 +190,7 @@ impl SystemConfig {
     pub fn canonical_encode(&self, w: &mut duet_sim::SnapWriter) {
         w.len64(self.processors);
         w.len64(self.memory_hubs);
-        w.u8(u8::from(self.has_fpga));
+        w.u8(u8::from(self.has_fpga()));
         w.u64(self.fpga_mhz.to_bits());
         w.u8(match self.variant {
             Variant::Duet => 0,
@@ -240,7 +227,7 @@ impl SystemConfig {
 
     /// Total number of tiles: P-tiles + C-tile + M-tiles.
     pub fn tiles(&self) -> usize {
-        let fpga_tiles = if self.has_fpga {
+        let fpga_tiles = if self.has_fpga() {
             1 + self.memory_hubs.saturating_sub(1)
         } else {
             0
@@ -264,13 +251,13 @@ impl SystemConfig {
 
     /// NoC node of the C-tile (Control Hub + Memory Hub 0).
     pub fn ctile_node(&self) -> usize {
-        assert!(self.has_fpga, "no C-tile in a processor-only system");
+        assert!(self.has_fpga(), "no C-tile in a processor-only system");
         self.processors
     }
 
     /// NoC nodes of all Memory Hubs (hub 0 shares the C-tile).
     pub fn hub_nodes(&self) -> Vec<usize> {
-        if !self.has_fpga || self.memory_hubs == 0 {
+        if !self.has_fpga() || self.memory_hubs == 0 {
             return Vec::new();
         }
         let c = self.ctile_node();
@@ -375,15 +362,6 @@ mod tests {
         assert_eq!(
             c.validate(),
             Err(ConfigError::HubsWithoutFpga { memory_hubs: 2 })
-        );
-        c = SystemConfig::dolly(1, 1, 100.0);
-        c.has_fpga = false;
-        c.memory_hubs = 0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::VariantRequiresFpga {
-                variant: Variant::Duet
-            })
         );
         c = SystemConfig::dolly(1, 1, 0.0);
         assert_eq!(

@@ -50,7 +50,6 @@
 //! [`SystemConfig::faults`](config::SystemConfig) (see [`duet_verify`]).
 
 pub mod config;
-pub mod metrics;
 mod passes;
 mod run_loop;
 mod snapshot;

@@ -946,15 +946,14 @@ impl System {
     /// [`RunError::ProtocolViolation`] if a runtime checker trips; both
     /// carry a [`StallSnapshot`] naming the components that wedged.
     pub fn run_until_halt(&mut self, deadline: Time) -> Result<Time, RunError> {
-        let batch = self.begin_batch();
         while !self.all_halted() {
             let (t, _) = self.step_event(past(deadline));
             if let Some(e) = self.run_error(t, deadline, "all cores halted") {
-                self.end_batch(batch);
+                self.settle_sleeping_cores();
                 return Err(e);
             }
         }
-        self.end_batch(batch);
+        self.settle_sleeping_cores();
         Ok(self.now)
     }
 
@@ -973,17 +972,16 @@ impl System {
         deadline: Time,
         mut pred: impl FnMut(&System) -> bool,
     ) -> Result<Time, RunError> {
-        let batch = self.begin_batch();
         while !pred(self) {
             let (t, _) = self.step_event(past(deadline));
             if let Some(e) = self.run_error(t, deadline, "run_until predicate") {
-                self.end_batch(batch);
+                self.settle_sleeping_cores();
                 return Err(e);
             }
             // The predicate may read any statistic.
             self.settle_sleeping_cores();
         }
-        self.end_batch(batch);
+        self.settle_sleeping_cores();
         Ok(self.now)
     }
 
@@ -993,13 +991,12 @@ impl System {
     /// a checker violation detected here surfaces from the next
     /// `Result`-returning run call.
     pub fn run_until_time(&mut self, until: Time) -> Time {
-        let batch = self.begin_batch();
         while self.now < until && !self.all_halted() {
             // The loop stops on the first edge at or after `until`, so
             // only edges before it may be skipped.
             self.step_event(until);
         }
-        self.end_batch(batch);
+        self.settle_sleeping_cores();
         self.now
     }
 
@@ -1009,15 +1006,14 @@ impl System {
     ///
     /// As for [`run_until_halt`](System::run_until_halt).
     pub fn quiesce(&mut self, deadline: Time) -> Result<Time, RunError> {
-        let batch = self.begin_batch();
         while !self.is_quiescent() {
             let (t, _) = self.step_event(past(deadline));
             if let Some(e) = self.run_error(t, deadline, "all queues drained") {
-                self.end_batch(batch);
+                self.settle_sleeping_cores();
                 return Err(e);
             }
         }
-        self.end_batch(batch);
+        self.settle_sleeping_cores();
         Ok(self.now)
     }
 

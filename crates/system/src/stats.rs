@@ -21,14 +21,12 @@ pub struct RunStats {
 }
 
 /// Whether a [`System::metrics_registry`] entry is a function of the
-/// simulated run alone. Dropped: the process-wide throughput atomics
-/// (`process.*`, shared by every run in the process), `run.executed_edges`
-/// (host edge-skip accounting) and `link.*.rejected_pushes` (counts
-/// attempts, which differ across edge-skip modes). Service payloads and
-/// determinism fingerprints keep exactly the metrics this accepts.
+/// simulated run alone. Dropped: `run.executed_edges` (host edge-skip
+/// accounting) and `link.*.rejected_pushes` (counts attempts, which differ
+/// across edge-skip modes). Service payloads and determinism fingerprints
+/// keep exactly the metrics this accepts.
 pub fn is_simulated_metric(name: &str) -> bool {
-    !(name.starts_with("process.")
-        || name == "run.executed_edges"
+    !(name == "run.executed_edges"
         || (name.starts_with("link.") && name.ends_with(".rejected_pushes")))
 }
 
@@ -110,11 +108,13 @@ impl System {
     }
 
     /// One unified, deterministically-ordered metrics namespace subsuming
-    /// [`RunStats`], per-component event counters, per-link occupancy
-    /// counters, and the process-wide throughput atomics. Names are
-    /// dot-separated (`run.fast_edges`, `mesh.injected`,
-    /// `l2.n0.misses`, `link.inject@n1.pushes`, `process.edges`); iteration
+    /// [`RunStats`], per-component event counters and per-link occupancy
+    /// counters. Names are dot-separated (`run.fast_edges`,
+    /// `mesh.injected`, `l2.n0.misses`, `link.inject@n1.pushes`); iteration
     /// over the registry is sorted, so reports diff stably across runs.
+    /// The registry describes this system alone: another system running in
+    /// the same process, before or alongside it, changes none of its
+    /// entries.
     ///
     /// `link.*.rejected_pushes` counts *attempts* and may differ across
     /// edge-skip modes (see [`link_reports`](System::link_reports)); every
@@ -220,27 +220,6 @@ impl System {
         r.push("verify.noc_violations", self.noc_checker.violations());
         r.push("verify.adapter_violations", self.adapter_violations);
         r.push("verify.violations", self.checker_violations());
-
-        let (edges, sim_ps) = crate::metrics::snapshot();
-        r.push("process.edges", edges);
-        r.push("process.sim_ps", sim_ps);
         r.finish()
-    }
-
-    /// Snapshot of (edges retired, sim time) at run-loop entry.
-    pub(crate) fn begin_batch(&self) -> (u64, duet_sim::Time) {
-        (self.stats.fast_edges + self.stats.slow_edges, self.now)
-    }
-
-    /// Ends a run loop: settles the stall counters of sleeping cores and
-    /// publishes the loop's edge/sim-time deltas to the process-wide
-    /// throughput counters (skipped edges count: they were retired).
-    pub(crate) fn end_batch(&mut self, (edges0, t0): (u64, duet_sim::Time)) {
-        self.settle_sleeping_cores();
-        let edges = (self.stats.fast_edges + self.stats.slow_edges).saturating_sub(edges0);
-        let sim_ps = self.now.saturating_sub(t0).as_ps();
-        if edges > 0 || sim_ps > 0 {
-            crate::metrics::record(edges, sim_ps);
-        }
     }
 }

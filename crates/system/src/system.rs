@@ -259,7 +259,7 @@ impl System {
 
     /// Attaches the soft accelerator (the programmed fabric design).
     pub fn attach_accelerator(&mut self, accel: Box<dyn SoftAccelerator>) {
-        assert!(self.cfg.has_fpga, "no eFPGA in this configuration");
+        assert!(self.cfg.has_fpga(), "no eFPGA in this configuration");
         self.accel = Some(accel);
     }
 

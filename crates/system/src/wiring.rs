@@ -51,7 +51,7 @@ impl System {
         let shards = (0..nodes)
             .map(|n| L3Shard::new(cfg.dir_config(), n).interleaved(nodes, n))
             .collect();
-        let adapter = cfg.has_fpga.then(|| {
+        let adapter = cfg.has_fpga().then(|| {
             DuetAdapter::new(
                 cfg.adapter_config(),
                 cfg.ctile_node(),

@@ -1,11 +1,12 @@
 //! The unified metrics namespace.
 //!
 //! Counters in the simulator historically lived in several disconnected
-//! places: `RunStats` on the system, per-link push/pop/reject counters,
-//! per-component stats structs, and the process-wide throughput atomics.
-//! [`MetricsRegistry`] subsumes them into one `name → value` map with
-//! deterministic (sorted) iteration, so reports and regression diffs are
-//! stable across runs and edge-skip modes.
+//! places: `RunStats` on the system, per-link push/pop/reject counters and
+//! per-component stats structs. [`MetricsRegistry`] subsumes them into one
+//! `name → value` map with deterministic (sorted) iteration, so reports
+//! and regression diffs are stable across runs and edge-skip modes. A
+//! system's registry describes that system alone; nothing in it is shared
+//! with other systems in the process.
 //!
 //! A registry is one name arena (every name back to back in a `String`)
 //! and one entry vector sorted by name, so filling it allocates per

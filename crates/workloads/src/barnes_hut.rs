@@ -703,6 +703,8 @@ pub fn run(variant: BenchVariant, p: usize, n: usize, seed: u64) -> AppResult {
         fpga_mhz: BH_MHZ,
         runtime,
         correct,
+        stats: sys.stats(),
+        sim_ps: sys.now().as_ps(),
     }
 }
 

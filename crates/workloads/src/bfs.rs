@@ -484,6 +484,8 @@ pub fn run(variant: BenchVariant, p: usize, v: u32, avg_deg: u32, seed: u64) -> 
         fpga_mhz: BFS_MHZ,
         runtime,
         correct,
+        stats: sys.stats(),
+        sim_ps: sys.now().as_ps(),
     }
 }
 

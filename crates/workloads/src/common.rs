@@ -1,7 +1,7 @@
 //! Shared driver types for the seven application benchmarks of Fig. 12.
 
 use duet_sim::Time;
-use duet_system::{SystemConfig, Variant};
+use duet_system::{RunStats, SystemConfig, Variant};
 
 /// Which system a benchmark instance ran on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,6 +65,10 @@ pub struct AppResult {
     pub runtime: Time,
     /// Whether the computed result matched the reference.
     pub correct: bool,
+    /// The run's statistics, for throughput reports.
+    pub stats: RunStats,
+    /// Simulated time at the end of the run (after quiesce), picoseconds.
+    pub sim_ps: u64,
 }
 
 impl AppResult {
@@ -88,6 +92,8 @@ mod tests {
             fpga_mhz: 100.0,
             runtime: Time::from_ps(ps),
             correct: true,
+            stats: RunStats::default(),
+            sim_ps: ps,
         };
         let base = mk(1000);
         let fast = mk(250);
@@ -98,9 +104,9 @@ mod tests {
     fn variant_configs() {
         let d = BenchVariant::Duet.system_config(2, 1, 150.0);
         assert_eq!(d.variant, Variant::Duet);
-        assert!(d.has_fpga);
+        assert!(d.has_fpga());
         let p = BenchVariant::ProcOnly.system_config(2, 0, 150.0);
-        assert!(!p.has_fpga);
+        assert!(!p.has_fpga());
         assert!(BenchVariant::Duet.push_mode());
         assert!(!BenchVariant::Fpsoc.push_mode());
     }

@@ -731,6 +731,8 @@ pub fn run(variant: BenchVariant, v: u32, avg_deg: u32, seed: u64) -> AppResult 
         fpga_mhz: DIJKSTRA_MHZ,
         runtime,
         correct,
+        stats: sys.stats(),
+        sim_ps: sys.now().as_ps(),
     }
 }
 

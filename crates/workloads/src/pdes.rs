@@ -628,6 +628,8 @@ pub fn run(variant: BenchVariant, p: usize, width: u32, layers: u32, seed: u64) 
         fpga_mhz: PDES_MHZ,
         runtime,
         correct,
+        stats: sys.stats(),
+        sim_ps: sys.now().as_ps(),
     }
 }
 

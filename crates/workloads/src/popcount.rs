@@ -295,6 +295,8 @@ pub fn run(variant: BenchVariant, n: u64, seed: u64) -> AppResult {
         fpga_mhz: POPCOUNT_MHZ,
         runtime,
         correct: scorer.check(&sys),
+        stats: sys.stats(),
+        sim_ps: sys.now().as_ps(),
     }
 }
 

@@ -517,6 +517,8 @@ pub fn run(variant: BenchVariant, slice: u64, n: u64, seed: u64) -> AppResult {
         fpga_mhz: mhz,
         runtime,
         correct,
+        stats: sys.stats(),
+        sim_ps: sys.now().as_ps(),
     }
 }
 

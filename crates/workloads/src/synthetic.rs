@@ -20,7 +20,7 @@ use duet_fpga::ports::{FabricPorts, FpgaRespKind, SoftAccelerator};
 use duet_fpga::regfile::FabricRegFile;
 use duet_mem::types::Width;
 use duet_sim::{LatencyBreakdown, Time};
-use duet_system::{System, SystemConfig, Variant};
+use duet_system::{RunStats, System, SystemConfig, Variant};
 use duet_trace::TraceConfig;
 
 /// Soft-register assignments of the scratchpad design.
@@ -409,6 +409,10 @@ pub struct LatencyPoint {
     /// Per-link occupancy/stall snapshot of the whole component graph at
     /// the end of the measurement (see [`System::link_reports`]).
     pub links: Vec<(String, duet_sim::LinkReport)>,
+    /// The system's run statistics, for throughput reports.
+    pub stats: RunStats,
+    /// Simulated time at the end of the run, picoseconds.
+    pub sim_ps: u64,
 }
 
 /// Builds a system configured for a mechanism, with the scratchpad
@@ -541,6 +545,8 @@ pub fn measure_latency_traced(
                 total,
                 breakdown,
                 links: sys.link_reports(),
+                stats: sys.stats(),
+                sim_ps: sys.now().as_ps(),
             }
         }
         Mechanism::EfpgaPullSlow | Mechanism::EfpgaPullProxy => {
@@ -579,6 +585,8 @@ pub fn measure_latency_traced(
                 total,
                 breakdown,
                 links: sys.link_reports(),
+                stats: sys.stats(),
+                sim_ps: sys.now().as_ps(),
             }
         }
         Mechanism::CpuPullSlow | Mechanism::CpuPullProxy => {
@@ -627,6 +635,8 @@ pub fn measure_latency_traced(
                 total,
                 breakdown: bd,
                 links: sys.link_reports(),
+                stats: sys.stats(),
+                sim_ps: sys.now().as_ps(),
             }
         }
     };
@@ -645,6 +655,10 @@ pub struct BandwidthPoint {
     pub bytes: u64,
     /// Elapsed time of the measured phase.
     pub elapsed: Time,
+    /// The system's run statistics, for throughput reports.
+    pub stats: RunStats,
+    /// Simulated time at the end of the run, picoseconds.
+    pub sim_ps: u64,
 }
 
 impl BandwidthPoint {
@@ -786,6 +800,8 @@ pub fn measure_bandwidth(mechanism: Mechanism, fpga_mhz: f64, nwords: u64) -> Ba
         fpga_mhz,
         bytes,
         elapsed,
+        stats: sys.stats(),
+        sim_ps: sys.now().as_ps(),
     }
 }
 
@@ -798,6 +814,10 @@ pub struct ContentionPoint {
     pub processors: usize,
     /// Per-processor bandwidth, MB/s.
     pub per_proc_mbps: f64,
+    /// The system's run statistics, for throughput reports.
+    pub stats: RunStats,
+    /// Simulated time at the end of the run, picoseconds.
+    pub sim_ps: u64,
 }
 
 /// Measures one Fig. 11 point: `p` processors hammer the same soft
@@ -810,7 +830,6 @@ pub fn measure_contention(shadow: bool, p: usize, pairs_per_cpu: u64) -> Content
     };
     let (mut sys, _events) = build_system(mechanism, p, 500.0);
     let base = sys.config().mmio_base;
-    let clock = sys.config().clock;
     let mut a = Asm::new();
     a.label("main");
     a.li(regs::T[0], reg_addr(base, sp_reg::DATA));
@@ -832,11 +851,12 @@ pub fn measure_contention(shadow: bool, p: usize, pairs_per_cpu: u64) -> Content
         .unwrap_or_else(|e| panic!("{e}"));
     let total_bytes = (p as u64) * pairs_per_cpu * 8 * 2;
     let per_proc = total_bytes as f64 / p as f64 / (t.as_ps() as f64 * 1e-12) / 1e6;
-    let _ = clock;
     ContentionPoint {
         shadow,
         processors: p,
         per_proc_mbps: per_proc,
+        stats: sys.stats(),
+        sim_ps: sys.now().as_ps(),
     }
 }
 

@@ -29,7 +29,7 @@ fn fingerprint(sys: &System, halt: Time, quiesced: Time, mem: &[(u64, usize)]) -
         s.push_str(&format!("core{i}={:?}\n", sys.core(i).stats()));
         s.push_str(&format!("l2_{i}={:?}\n", sys.l2(i).stats()));
     }
-    if sys.config().has_fpga {
+    if sys.config().has_fpga() {
         let a = sys.adapter();
         s.push_str(&format!("ctl={:?}\n", a.control.stats()));
         for (h, hub) in a.hubs.iter().enumerate() {

@@ -90,9 +90,8 @@ fn run_cell(
         }
     };
     // Rejected pushes count *attempts* (retries differ while a frozen link
-    // is polled), process-wide atomics accumulate across runs in one test
-    // binary, and executed_edges counts only non-skipped edges — all vary
-    // by design across modes.
+    // is polled) and executed_edges counts only non-skipped edges — both
+    // vary by design across modes.
     for (name, value) in sys.metrics_registry().iter() {
         if is_simulated_metric(name) {
             fp.push_str(&format!("{name}={value}\n"));
@@ -588,7 +587,7 @@ fn replay_from_checkpoint_preceding_failure_reproduces_it() {
     let metrics = |s: &System| {
         s.metrics_registry()
             .iter()
-            .filter(|(k, _)| !k.starts_with("process.") && *k != "run.executed_edges")
+            .filter(|(k, _)| *k != "run.executed_edges")
             .map(|(k, v)| format!("{k}={v}\n"))
             .collect::<String>()
     };

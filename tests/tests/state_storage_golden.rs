@@ -37,7 +37,7 @@ fn fingerprint(sys: &System, halt: Time, quiesced: Time, mem: &[(u64, usize)]) -
         s.push_str(&format!("core{i}={:?}\n", sys.core(i).stats()));
         s.push_str(&format!("l2_{i}={:?}\n", sys.l2(i).stats()));
     }
-    if sys.config().has_fpga {
+    if sys.config().has_fpga() {
         let a = sys.adapter();
         s.push_str(&format!("ctl={:?}\n", a.control.stats()));
         for (h, hub) in a.hubs.iter().enumerate() {
@@ -165,14 +165,13 @@ fn run_fingerprint(build: impl Fn() -> System, skip: bool, mem: &[(u64, usize)])
     fingerprint(&sys, halt, quiesced, mem)
 }
 
-/// The metrics dump minus the host counters: the `process.*` namespace
-/// holds process-wide throughput atomics shared by every system in the
-/// process, and `run.executed_edges` counts only the edges this system
-/// executed itself (a restored one never ran the first half).
+/// The metrics dump minus the host counter `run.executed_edges`, which
+/// counts only the edges this system executed itself (a restored one
+/// never ran the first half).
 fn per_run_metrics(sys: &System) -> String {
     sys.metrics_registry()
         .iter()
-        .filter(|(k, _)| !k.starts_with("process.") && *k != "run.executed_edges")
+        .filter(|(k, _)| *k != "run.executed_edges")
         .map(|(k, v)| format!("{k} = {v}\n"))
         .collect()
 }

@@ -25,9 +25,8 @@ use duet_workloads::BenchVariant;
 /// participates except the host-side ones [`is_simulated_metric`] drops.
 fn fingerprint(sys: &System, halt: Time, quiesced: Time, mem: &[(u64, usize)]) -> String {
     let mut s = format!("halt={halt} quiesced={quiesced} now={}\n", sys.now());
-    // Process-wide atomics accumulate across runs in one test binary,
-    // executed_edges counts only non-skipped edges, and rejected pushes
-    // count attempts — all vary by design across runs/skip modes.
+    // executed_edges counts only non-skipped edges and rejected pushes
+    // count attempts — both vary by design across skip modes.
     for (name, value) in sys.metrics_registry().iter() {
         if is_simulated_metric(name) {
             s.push_str(&format!("{name}={value}\n"));
@@ -293,6 +292,62 @@ fn metrics_registry_names_are_unique_and_sorted() {
         }
         assert_eq!(reg.get("run.sim_ps"), Some(sys.now().as_ps()));
     }
+}
+
+/// A registry is a function of its own system: running a different system
+/// in the same process afterwards changes none of the first one's
+/// entries, the first one's registry equals that of the same run repeated
+/// on its own, and no entry is process-wide.
+#[test]
+fn a_registry_describes_only_its_own_system() {
+    let popcount = || {
+        let mut sys =
+            duet_workloads::popcount::prepare(BenchVariant::Duet, 6, 42, FaultPlan::empty()).0;
+        sys.run_until_halt(Time::from_us(2_000))
+            .unwrap_or_else(|e| panic!("{e}"));
+        sys.quiesce(Time::from_us(2_100))
+            .unwrap_or_else(|e| panic!("{e}"));
+        sys
+    };
+    let a = popcount();
+    let before = a.metrics_registry().to_string();
+
+    // System B: four processor-only cores stream stores over one region.
+    let mut b = System::new(SystemConfig::proc_only(4)).expect("valid config");
+    let mut asm = Asm::new();
+    asm.label("main");
+    asm.li(regs::T[0], 0x9000);
+    asm.li(regs::T[2], 0x9000 + 0x400);
+    asm.label("loop");
+    asm.sd(regs::T[1], regs::T[0], 0);
+    asm.addi(regs::T[0], regs::T[0], 16);
+    asm.blt(regs::T[0], regs::T[2], "loop");
+    asm.fence();
+    asm.halt();
+    let prog = Arc::new(asm.assemble().unwrap());
+    for c in 0..4 {
+        b.load_program(c, prog.clone(), "main");
+    }
+    b.run_until_halt(Time::from_us(2_000))
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert!(b.stats().fast_edges > 0, "system B ran");
+
+    assert_eq!(
+        a.metrics_registry().to_string(),
+        before,
+        "running system B changed system A's registry"
+    );
+    assert_eq!(
+        popcount().metrics_registry().to_string(),
+        before,
+        "a repeated run of A reports differently"
+    );
+    assert!(
+        a.metrics_registry()
+            .iter()
+            .all(|(k, _)| !k.starts_with("process.")),
+        "a registry holds a process-wide entry"
+    );
 }
 
 #[test]
