@@ -313,6 +313,18 @@ pub struct FabricPorts<'a> {
 /// take multiple ticks per result (pipeline depth / initiation interval)
 /// and interact with the system only through [`FabricPorts`].
 ///
+/// Two attestations let the engine skip eFPGA edges, and each gates
+/// something different:
+///
+/// * [`awaits_input`](SoftAccelerator::awaits_input) gates the *tick*.
+///   While it holds and no input is visible on any port, the engine skips
+///   [`tick`](SoftAccelerator::tick) and lets the design's slow edges go
+///   by unexecuted.
+/// * [`is_idle`](SoftAccelerator::is_idle) means "not busy". It drives
+///   the `AccelStart`/`AccelDone` trace events and the degradation
+///   watchdog, which only watches a busy design (and, while it does,
+///   samples every slow edge). An idle design awaits input by default.
+///
 /// The [`Snap`](duet_sim::Snap) supertrait carries the design's internal
 /// state (FSM phase, counters, soft caches, register endpoints) through
 /// system snapshots and forks: declare it with one
@@ -345,6 +357,22 @@ pub trait SoftAccelerator: duet_sim::Snap {
     /// `true` while internal work remains breaks cycle accuracy.
     fn is_idle(&self) -> bool {
         false
+    }
+
+    /// Whether the design attests that, with no input visible on any of its
+    /// ports, [`tick`](SoftAccelerator::tick) changes none of its state —
+    /// snapshot bytes included — and issues nothing. Unlike
+    /// [`is_idle`](SoftAccelerator::is_idle) it may hold while the design
+    /// is busy: a design whose loads are all issued and which only waits
+    /// for their fills awaits input.
+    ///
+    /// The engine skips the tick (and the slow edges it would pin) while
+    /// this holds and no input is pending; it still executes every slow
+    /// edge of a busy design while a degradation policy is armed, since
+    /// the watchdog samples progress there. Defaults to `is_idle()`, which
+    /// is always sound.
+    fn awaits_input(&self) -> bool {
+        self.is_idle()
     }
 }
 

@@ -458,7 +458,7 @@ impl System {
         self.sys_tracer.emit(now.as_ps(), EventKind::EdgeSlow, 0, 0);
         // Slow edges execute whenever they are due, but their *components*
         // are gated like fast-edge ones: a hub with no due event and an
-        // accelerator attesting idleness (with no fabric-bound input that
+        // accelerator awaiting input (with no fabric-bound input that
         // could wake it) would tick as provable no-ops.
         let gate = self.skip_enabled;
         if self.cfg.variant == Variant::Fpsoc {
@@ -504,16 +504,17 @@ impl System {
         if self.accel_hung(now) {
             return;
         }
-        if let (Some(a), Some(accel)) = (self.adapter.as_mut(), self.accel.as_mut()) {
-            if gate && accel.is_idle() && !a.fabric_input_pending() {
-                return;
-            }
+        let (Some(a), Some(accel)) = (self.adapter.as_mut(), self.accel.as_mut()) else {
+            return;
+        };
+        // A design awaiting input with none pending would tick as a no-op
+        // (its own attestation), so only the busy bookkeeping below runs.
+        if !(gate && accel.awaits_input() && !a.fabric_input_pending()) {
             if a.take_reset() {
                 accel.reset();
             }
-            let was_busy = self.accel_busy;
             let mut ports = a.fabric_ports(now);
-            if was_busy {
+            if self.accel_busy {
                 // A busy design facing a full request FIFO is stalled on
                 // backpressure this edge.
                 for (h, hub) in ports.hubs.iter().enumerate() {
@@ -524,28 +525,23 @@ impl System {
                 }
             }
             accel.tick(&mut ports);
-            drop(ports);
-            let busy = !accel.is_idle();
-            match (was_busy, busy) {
-                (false, true) => {
-                    // Arm the watchdog from the start edge: `watchdog_since`
-                    // may be stale from a long-idle stretch.
-                    self.watchdog_since = now;
-                    self.watchdog_sig = self
-                        .adapter
-                        .as_ref()
-                        .map(|a| a.progress_signature())
-                        .unwrap_or(0);
-                    self.accel_tracer
-                        .emit(now.as_ps(), EventKind::AccelStart, 0, 0);
-                }
-                (true, false) => self
-                    .accel_tracer
-                    .emit(now.as_ps(), EventKind::AccelDone, 0, 0),
-                _ => {}
-            }
-            self.accel_busy = busy;
         }
+        let busy = !accel.is_idle();
+        match (self.accel_busy, busy) {
+            (false, true) => {
+                // Arm the watchdog from the start edge: `watchdog_since`
+                // may be stale from a long-idle stretch.
+                self.watchdog_since = now;
+                self.watchdog_sig = a.progress_signature();
+                self.accel_tracer
+                    .emit(now.as_ps(), EventKind::AccelStart, 0, 0);
+            }
+            (true, false) => self
+                .accel_tracer
+                .emit(now.as_ps(), EventKind::AccelDone, 0, 0),
+            _ => {}
+        }
+        self.accel_busy = busy;
     }
 
     // ----- fault-injection helpers (duet-verify) -----
@@ -782,13 +778,18 @@ impl System {
         {
             return horizon.earliest();
         }
-        // The accelerator ticks on every slow edge. Unless it attests
-        // idleness — and no fabric-bound input sits in a CDC FIFO that
-        // could wake it — every slow edge must execute. A fenced
-        // accelerator never ticks again, so it pins nothing.
+        // The accelerator ticks on a slow edge unless it awaits input and
+        // none sits in a CDC FIFO. Two guards pin the next slow edge
+        // anyway: a busy design under a degrade policy (the watchdog
+        // samples progress on every slow edge), and a busy transition not
+        // yet recorded (its Start/Done bookkeeping runs on that edge). A
+        // fenced accelerator never ticks again, so it pins nothing.
         let accel_hot = !self.accel_fenced
             && self.accel.as_ref().is_some_and(|a| {
-                !a.is_idle()
+                let idle = a.is_idle();
+                !a.awaits_input()
+                    || self.accel_busy == idle
+                    || (!idle && self.cfg.faults.degrade.is_some())
                     || self
                         .adapter
                         .as_ref()

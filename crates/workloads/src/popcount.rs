@@ -143,6 +143,19 @@ impl SoftAccelerator for PopcountAccel {
     fn reset(&mut self) {
         self.cur = None;
     }
+
+    // `is_idle` keeps the default (always busy): the design's trace events
+    // and what the watchdog fences stay as they were.
+    fn awaits_input(&self) -> bool {
+        // With the register endpoint drained and no argument queued, a
+        // tick can only issue the next load or count a fill; once every
+        // load of the vector is issued, only a fill (input) moves it.
+        self.regs.is_quiescent()
+            && !self.regs.has_pending_write(0)
+            && self
+                .cur
+                .is_none_or(|_| self.issued == LINES_PER_VEC && self.fills < LINES_PER_VEC)
+    }
 }
 
 /// Generates `n` random vectors and their expected counts.
