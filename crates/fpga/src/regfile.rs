@@ -54,6 +54,9 @@ pub struct FabricRegFile {
     outbox: Vec<VecDeque<u64>>,
     pending_reads: VecDeque<(u64, u8)>,
     pending_acks: VecDeque<u64>,
+    /// Bit `r` set iff `outbox[r]` is non-empty. Derived: rebuilt on
+    /// restore and never serialized, so snapshot bytes do not carry it.
+    live: u32,
 }
 
 impl FabricRegFile {
@@ -68,7 +71,23 @@ impl FabricRegFile {
             outbox: (0..32).map(|_| VecDeque::new()).collect(),
             pending_reads: VecDeque::new(),
             pending_acks: VecDeque::new(),
+            live: 0,
         }
+    }
+
+    /// Queues `value` on `reg`'s outbox.
+    fn enqueue(&mut self, reg: usize, value: u64) {
+        self.outbox[reg].push_back(value);
+        self.live |= 1 << reg;
+    }
+
+    /// Pops the oldest value of `reg`'s outbox.
+    fn dequeue(&mut self, reg: usize) -> Option<u64> {
+        let v = self.outbox[reg].pop_front();
+        if self.outbox[reg].is_empty() {
+            self.live &= !(1 << reg);
+        }
+        v
     }
 
     /// Declares `reg` a result queue.
@@ -89,7 +108,7 @@ impl FabricRegFile {
     /// Releases one blocked barrier read on `reg` (or the next to arrive)
     /// with `value`.
     pub fn release_barrier(&mut self, reg: usize, value: u64) {
-        self.outbox[reg].push_back(value);
+        self.enqueue(reg, value);
     }
 
     /// Whether results are pushed (shadow mode).
@@ -109,7 +128,7 @@ impl FabricRegFile {
 
     /// Queues a result on `reg` for delivery to the processors.
     pub fn push_result(&mut self, reg: usize, value: u64) {
-        self.outbox[reg].push_back(value);
+        self.enqueue(reg, value);
         self.values[reg] = value;
     }
 
@@ -134,9 +153,7 @@ impl FabricRegFile {
     /// check [`has_pending_write`](FabricRegFile::has_pending_write) for
     /// every register it drains with `pop_write`.
     pub fn is_quiescent(&self) -> bool {
-        self.pending_reads.is_empty()
-            && self.pending_acks.is_empty()
-            && self.outbox.iter().all(|q| q.is_empty())
+        self.pending_reads.is_empty() && self.pending_acks.is_empty() && self.live == 0
     }
 
     /// Processes one eFPGA clock edge of register traffic: absorbs
@@ -169,16 +186,19 @@ impl FabricRegFile {
             self.pending_acks.pop_front();
         }
         // Deferred reads: Value regs answer immediately; Queue regs answer
-        // when a result exists (in order per register).
-        let mut still_pending = VecDeque::new();
-        while let Some((txn, reg)) = self.pending_reads.pop_front() {
+        // when a result exists (in order per register). Each read is popped
+        // and, if still unanswered, re-queued behind the rest.
+        for _ in 0..self.pending_reads.len() {
+            let Some((txn, reg)) = self.pending_reads.pop_front() else {
+                unreachable!("length checked");
+            };
             let r = reg as usize % 32;
             let answer = match self.kinds[r] {
                 FabricRegKind::Value => Some(self.values[r]),
                 FabricRegKind::Queue | FabricRegKind::Barrier => self.outbox[r].front().copied(),
                 // Non-blocking: 1-with-consume or 0 immediately.
                 FabricRegKind::TokenQueue => {
-                    if self.outbox[r].pop_front().is_some() {
+                    if self.dequeue(r).is_some() {
                         Some(1)
                     } else {
                         Some(0)
@@ -189,24 +209,28 @@ impl FabricRegFile {
                 Some(v) => {
                     if regs.read_resp(now, txn, v) {
                         if matches!(self.kinds[r], FabricRegKind::Queue | FabricRegKind::Barrier) {
-                            self.outbox[r].pop_front();
+                            self.dequeue(r);
                         }
                     } else if self.kinds[r] == FabricRegKind::TokenQueue && v == 1 {
                         // Could not send the reply: put the token back.
                         self.outbox[r].push_front(0);
-                        still_pending.push_back((txn, reg));
+                        self.live |= 1 << r;
+                        self.pending_reads.push_back((txn, reg));
                     } else {
-                        still_pending.push_back((txn, reg));
+                        self.pending_reads.push_back((txn, reg));
                     }
                 }
-                None => still_pending.push_back((txn, reg)),
+                None => self.pending_reads.push_back((txn, reg)),
             }
         }
-        self.pending_reads = still_pending;
         // Push-mode result delivery (barrier registers are always normal:
-        // their releases only answer reads).
+        // their releases only answer reads), over the non-empty outboxes
+        // in register order.
         if self.push_mode {
-            for r in 0..32 {
+            let mut live = self.live;
+            while live != 0 {
+                let r = live.trailing_zeros() as usize;
+                live &= live - 1;
                 if self.kinds[r] == FabricRegKind::Barrier {
                     continue;
                 }
@@ -214,7 +238,7 @@ impl FabricRegFile {
                     if !regs.push(now, r as u8, v) {
                         return;
                     }
-                    self.outbox[r].pop_front();
+                    self.dequeue(r);
                 }
             }
         }
@@ -224,10 +248,14 @@ impl FabricRegFile {
 duet_sim::pack_enum!(FabricRegKind { 0 => Value, 1 => Queue, 2 => Barrier, 3 => TokenQueue });
 duet_sim::snap_fields!(FabricRegFile {
     const push_mode, kinds, values, inbox, outbox, pending_reads, pending_acks
-} check |f| duet_sim::snapshot::ensure(
-    f.inbox.len() == 32 && f.outbox.len() == 32,
-    "regfile queue count mismatch"
-));
+} check |f| {
+    duet_sim::snapshot::ensure(
+        f.inbox.len() == 32 && f.outbox.len() == 32,
+        "regfile queue count mismatch",
+    )?;
+    f.live = (0..32).filter(|&r| !f.outbox[r].is_empty()).fold(0, |m, r| m | 1 << r);
+    Ok::<(), duet_sim::SnapError>(())
+});
 
 #[cfg(test)]
 mod tests {
@@ -359,6 +387,38 @@ mod tests {
         }
         assert_eq!(up.pop(t(15_000)), Some(RegUp::Push { reg: 4, value: 11 }));
         assert_eq!(up.pop(t(16_000)), Some(RegUp::Push { reg: 4, value: 12 }));
+    }
+
+    #[test]
+    fn restore_rebuilds_the_live_outbox_mask() {
+        use duet_sim::{Snap, SnapReader, SnapWriter};
+        let (mut down, mut up) = fifos();
+        let mut rf = FabricRegFile::new(true);
+        rf.set_queue(4);
+        for v in 0..9 {
+            rf.push_result(4, v);
+        }
+        let mut port = RegPort {
+            down: &mut down,
+            up: &mut up,
+        };
+        rf.tick(t(10_000), &mut port);
+        assert_eq!(rf.undelivered(4), 1, "the up FIFO holds eight");
+        let mut w = SnapWriter::new();
+        rf.save(&mut w);
+        let bytes = w.finish();
+        let mut fresh = FabricRegFile::new(true);
+        fresh.set_queue(4);
+        fresh.load(&mut SnapReader::new(&bytes)).unwrap();
+        assert!(!fresh.is_quiescent(), "a restored result is undelivered");
+        while up.pop(t(100_000)).is_some() {}
+        let mut port = RegPort {
+            down: &mut down,
+            up: &mut up,
+        };
+        fresh.tick(t(200_000), &mut port);
+        assert!(fresh.is_quiescent());
+        assert_eq!(up.pop(t(300_000)), Some(RegUp::Push { reg: 4, value: 8 }));
     }
 
     #[test]
