@@ -295,13 +295,18 @@ impl System {
 
     /// Writes bytes into the memory image (pre-run initialization).
     pub fn poke_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (k, &b) in bytes.iter().enumerate() {
-            let a = addr + k as u64;
+        // One read-modify-write per line the span touches.
+        let (mut a, mut rest) = (addr, bytes);
+        while !rest.is_empty() {
             let line = LineAddr::containing(a);
+            let off = LineAddr::offset(a);
+            let n = rest.len().min(LINE_BYTES - off);
             let home = self.home.home_of(line);
             let mut data = self.shards[home].peek_line(line);
-            data[LineAddr::offset(a)] = b;
+            data[off..off + n].copy_from_slice(&rest[..n]);
             self.shards[home].poke_line(line, data);
+            a += n as u64;
+            rest = &rest[n..];
         }
     }
 
