@@ -973,16 +973,17 @@ impl System {
         deadline: Time,
         mut pred: impl FnMut(&System) -> bool,
     ) -> Result<Time, RunError> {
+        // Every run entry point returns settled, so the state the first
+        // predicate check reads is too; after that, each step is settled
+        // exactly once, before the predicate (or the caller) reads it.
         while !pred(self) {
             let (t, _) = self.step_event(past(deadline));
-            if let Some(e) = self.run_error(t, deadline, "run_until predicate") {
-                self.settle_sleeping_cores();
+            let err = self.run_error(t, deadline, "run_until predicate");
+            self.settle_sleeping_cores();
+            if let Some(e) = err {
                 return Err(e);
             }
-            // The predicate may read any statistic.
-            self.settle_sleeping_cores();
         }
-        self.settle_sleeping_cores();
         Ok(self.now)
     }
 
