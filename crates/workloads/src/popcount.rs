@@ -75,6 +75,11 @@ impl PopcountAccel {
             cur: None,
         }
     }
+
+    /// The design's soft-register endpoint.
+    pub fn regs(&self) -> &FabricRegFile {
+        &self.regs
+    }
 }
 
 duet_sim::snap_fields!(PopcountAccel {
