@@ -368,7 +368,7 @@ impl DuetAdapter {
     /// CDC FIFOs: register traffic or a reset in the control hub's down
     /// path, or a memory response awaiting a fabric pop. While this holds,
     /// eFPGA edges must execute even for an accelerator reporting
-    /// [`is_idle`](duet_fpga::ports::SoftAccelerator::is_idle) — the input
+    /// [`awaits_input`](duet_fpga::ports::SoftAccelerator::awaits_input) — the input
     /// may wake it.
     pub fn fabric_input_pending(&self) -> bool {
         self.control.fabric_input_pending() || self.hubs.iter().any(|h| h.fabric_resp_pending())

@@ -345,12 +345,16 @@ pub trait SoftAccelerator: duet_sim::Snap {
     /// reset).
     fn reset(&mut self) {}
 
-    /// Whether the design attests that, with no input visible on any of its
-    /// ports, [`tick`](SoftAccelerator::tick) neither changes observable
-    /// state nor produces output. The engine uses this to skip provably-dead
-    /// eFPGA clock edges (event-horizon scheduling); it re-checks the ports
-    /// itself, so an implementation only vouches for its *internal* state:
-    /// no in-flight operation, no undelivered result, no unconsumed command.
+    /// Whether the design is not busy: no in-flight operation, no
+    /// undelivered result, no unconsumed command, so that with no input
+    /// visible on any of its ports [`tick`](SoftAccelerator::tick) neither
+    /// changes observable state nor produces output. It drives the
+    /// `AccelStart`/`AccelDone` trace events and the degradation watchdog,
+    /// and is the default of
+    /// [`awaits_input`](SoftAccelerator::awaits_input), through which the
+    /// engine skips provably-dead eFPGA clock edges. The engine re-checks
+    /// the ports itself, so an implementation only vouches for its
+    /// *internal* state.
     ///
     /// Returning `false` is always safe (every slow edge then executes, as
     /// exhaustive ticking would) — which is why it is the default. Returning

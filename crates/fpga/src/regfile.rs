@@ -149,7 +149,8 @@ impl FabricRegFile {
     /// Unconsumed argument writes (the inbox) are deliberately *not*
     /// counted: consuming them is the accelerator's decision, and many
     /// designs latch-and-ignore plain parameter registers. An accelerator's
-    /// [`is_idle`](crate::ports::SoftAccelerator::is_idle) must separately
+    /// [`is_idle`](crate::ports::SoftAccelerator::is_idle) or
+    /// [`awaits_input`](crate::ports::SoftAccelerator::awaits_input) must separately
     /// check [`has_pending_write`](FabricRegFile::has_pending_write) for
     /// every register it drains with `pop_write`.
     pub fn is_quiescent(&self) -> bool {

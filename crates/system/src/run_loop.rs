@@ -509,7 +509,8 @@ impl System {
         };
         // A design awaiting input with none pending would tick as a no-op
         // (its own attestation), so only the busy bookkeeping below runs.
-        if !(gate && accel.awaits_input() && !a.fabric_input_pending()) {
+        let gated = gate && accel.awaits_input() && !a.fabric_input_pending();
+        if !gated {
             if a.take_reset() {
                 accel.reset();
             }

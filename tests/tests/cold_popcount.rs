@@ -188,23 +188,19 @@ fn skip_on_equals_skip_off_under_a_degrade_armed_hang() {
 #[test]
 fn tracing_is_invisible_with_skip_on_and_off() {
     for variant in ACCEL_VARIANTS {
-        let run = |trace: bool, skip: bool| {
-            let (mut sys, check) = popcount::prepare(variant, 6, 42, FaultPlan::empty());
-            if trace {
-                sys.enable_tracing(&TraceConfig::default());
+        let build = |trace: bool| {
+            move || {
+                let (mut sys, check) = popcount::prepare(variant, 6, 42, FaultPlan::empty());
+                if trace {
+                    sys.enable_tracing(&TraceConfig::default());
+                }
+                (sys, check)
             }
-            sys.set_edge_skipping(skip);
-            finish(sys, &check, 6).0
         };
-        let baseline = run(false, false);
-        for (trace, skip) in [(false, true), (true, false), (true, true)] {
-            assert_eq!(
-                baseline,
-                run(trace, skip),
-                "{}: fingerprint diverged at trace={trace} skip={skip}",
-                variant.label()
-            );
-        }
+        let name = format!("popcount/{}", variant.label());
+        let plain = assert_skip_invisible(&name, &build(false), 6);
+        let traced = assert_skip_invisible(&format!("{name} traced"), &build(true), 6);
+        assert_eq!(plain, traced, "{name}: tracing changed the fingerprint");
     }
 }
 
