@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, VecDeque};
 use duet_fpga::ports::{RegDown, RegUp};
 use duet_mem::types::{MemOp, MemReq, MemResp};
 use duet_noc::NodeId;
-use duet_sim::{merge_min, Clock, ClockDomain, Component, Link, LinkReport, Time};
+use duet_sim::{merge_min, Clock, Component, Link, LinkReport, Time};
 use duet_trace::{EventKind, Tracer};
 
 use crate::msg::{DuetMsg, IrqCause};
@@ -890,10 +890,6 @@ duet_sim::snap_fields!(ControlHub {
 impl Component for ControlHub {
     fn name(&self) -> String {
         format!("ctl@n{}", self.node)
-    }
-
-    fn domain(&self) -> ClockDomain {
-        ClockDomain::Fast
     }
 
     fn tick(&mut self, now: Time) {

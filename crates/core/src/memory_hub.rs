@@ -30,9 +30,7 @@ use duet_mem::priv_cache::{CacheConfig, HomeMap, PrivCache};
 use duet_mem::tlb::{PagePerms, Ppn, Tlb, Translation, Vpn};
 use duet_mem::types::{LineAddr, MemReq};
 use duet_noc::NodeId;
-use duet_sim::{
-    merge_min, Clock, ClockDomain, Component, LatencyBreakdown, Link, LinkReport, Time,
-};
+use duet_sim::{merge_min, Clock, Component, LatencyBreakdown, Link, LinkReport, Time};
 use duet_trace::{EventKind, Tracer};
 
 use crate::msg::IrqCause;
@@ -619,14 +617,6 @@ duet_sim::snap_fields!(MemoryHub {
 impl Component for MemoryHub {
     fn name(&self) -> String {
         format!("hub{}@n{}", self.hub_index, self.node)
-    }
-
-    fn domain(&self) -> ClockDomain {
-        if self.cfg.proxy.slow_domain {
-            ClockDomain::Slow
-        } else {
-            ClockDomain::Fast
-        }
     }
 
     fn tick(&mut self, now: Time) {

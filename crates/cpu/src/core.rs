@@ -137,10 +137,6 @@ struct Spin {
     period: Time,
     insts: u64,
     hits: u64,
-    /// Debug builds: a copy of the core ticked on every edge, and the last
-    /// edge it was ticked at, that each catch-up must reproduce.
-    #[cfg(debug_assertions)]
-    twin: Option<Box<(Core, Time)>>,
 }
 
 /// The timing core. Owns its L1D; talks to the tile through a request queue
@@ -419,7 +415,7 @@ impl Core {
     /// have counted a memory-stall cycle: true for a core blocked on memory
     /// (draining with a store in flight, or retrying a store against the
     /// full buffer), false for a halted or issue-limited one.
-    pub fn stalls_when_skipped(&self, now: Time) -> bool {
+    fn stalls_when_skipped(&self, now: Time) -> bool {
         match self.wait {
             Wait::Load(..) | Wait::Amo(..) | Wait::MmioLoad(..) | Wait::MmioStore(..) => true,
             Wait::Drain => self.drain_needed(),
@@ -431,7 +427,8 @@ impl Core {
     /// Accounts for `edges` clock edges that were skipped while
     /// [`next_event_time`](Core::next_event_time) reported nothing due,
     /// reproducing exactly the statistics [`tick`](Core::tick) would have
-    /// recorded ([`stalls_when_skipped`](Core::stalls_when_skipped) each).
+    /// recorded: a memory-stall cycle each while the core is blocked on
+    /// memory, none while it is halted or issue-limited.
     ///
     /// `now` is the skipped edge itself, or any instant from the last
     /// executed edge before the skipped run to its end: the horizon never
@@ -490,8 +487,6 @@ impl Core {
                     period: self.next_issue - p.at,
                     insts: self.stats.instret - p.instret,
                     hits: self.stats.load_hits - p.load_hits,
-                    #[cfg(debug_assertions)]
-                    twin: None,
                 });
                 return;
             }
@@ -519,14 +514,6 @@ impl Core {
         let Some(mut spin) = self.spin.take() else {
             return;
         };
-        #[cfg(debug_assertions)]
-        if spin.twin.is_none() {
-            // Nothing touches a spinning core before its first catch-up, so
-            // this is still the core that confirmed the spin. Edges before
-            // the anchor only find it waiting for `next_issue`.
-            let before_anchor = spin.anchor - Time::from_ps(1);
-            spin.twin = Some(Box::new((self.clone(), before_anchor)));
-        }
         while self.next_issue <= limit {
             if self.next_issue == spin.anchor {
                 // At the loop head: skip to one whole iteration before the
@@ -548,30 +535,7 @@ impl Core {
                 spin.anchor = self.next_issue;
             }
         }
-        #[cfg(debug_assertions)]
-        if let Some(twin) = spin.twin.as_deref_mut() {
-            twin.0.replay_edges(&mut twin.1, limit);
-            assert_eq!(
-                snap_bytes(&twin.0),
-                snap_bytes(self),
-                "core {}: catch-up to {limit:?} differs from ticking every edge",
-                self.cfg.hart_id
-            );
-        }
         self.spin = Some(spin);
-    }
-
-    /// Debug builds: ticks every edge after `*last` up to `limit`.
-    #[cfg(debug_assertions)]
-    fn replay_edges(&mut self, last: &mut Time, limit: Time) {
-        loop {
-            let edge = self.cfg.clock.next_edge_after(*last);
-            if edge > limit {
-                break;
-            }
-            self.tick(edge);
-            *last = edge;
-        }
     }
 
     /// Advances the core by one clock edge.
@@ -848,8 +812,8 @@ duet_sim::snap_fields!(Core {
     Ok(())
 });
 
-/// A core's snapshot bytes, for the catch-up replay check.
-#[cfg(any(test, debug_assertions))]
+/// A core's snapshot bytes, for the catch-up tests.
+#[cfg(test)]
 fn snap_bytes(core: &Core) -> Vec<u8> {
     let mut w = duet_sim::SnapWriter::new();
     duet_sim::Snap::save(core, &mut w);

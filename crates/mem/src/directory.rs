@@ -18,9 +18,7 @@
 use std::collections::VecDeque;
 
 use duet_noc::NodeId;
-use duet_sim::{
-    Clock, ClockDomain, Component, LatencyBreakdown, LineMap, Link, LinkReport, ShardMem, Time,
-};
+use duet_sim::{Clock, Component, LatencyBreakdown, LineMap, Link, LinkReport, ShardMem, Time};
 use duet_trace::{mesi, pack_mesi, EventKind, Tracer};
 
 use crate::array::CacheArray;
@@ -687,10 +685,6 @@ duet_sim::snap_fields!(L3Shard { dir, backing, l3_tags, incoming, out, stats } c
 impl Component for L3Shard {
     fn name(&self) -> String {
         format!("l3@n{}", self.node)
-    }
-
-    fn domain(&self) -> ClockDomain {
-        ClockDomain::Fast
     }
 
     fn tick(&mut self, now: Time) {

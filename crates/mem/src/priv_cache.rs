@@ -17,9 +17,7 @@
 use std::collections::VecDeque;
 
 use duet_noc::NodeId;
-use duet_sim::{
-    merge_min, Clock, ClockDomain, Component, LatencyBreakdown, LineMap, Link, LinkReport, Time,
-};
+use duet_sim::{merge_min, Clock, Component, LatencyBreakdown, LineMap, Link, LinkReport, Time};
 use duet_trace::{EventKind, Tracer};
 
 use crate::array::CacheArray;
@@ -870,14 +868,6 @@ impl PrivCache {
 impl Component for PrivCache {
     fn name(&self) -> String {
         format!("cache@n{}", self.node)
-    }
-
-    fn domain(&self) -> ClockDomain {
-        if self.cfg.slow_domain {
-            ClockDomain::Slow
-        } else {
-            ClockDomain::Fast
-        }
     }
 
     fn tick(&mut self, now: Time) {

@@ -42,8 +42,8 @@ use std::fmt::Write;
 
 use duet_sim::snapshot::ensure;
 use duet_sim::{
-    merge_min, pack_enum, pack_struct, BitSet, Clock, ClockDomain, Component, LinkReport,
-    LinkStats, Pack, PushError, Snap, SnapError, SnapReader, SnapWriter, Time,
+    merge_min, pack_enum, pack_struct, BitSet, Clock, Component, LinkReport, LinkStats, Pack,
+    PushError, Snap, SnapError, SnapReader, SnapWriter, Time,
 };
 use duet_trace::{pack_hop, pack_noc, EventKind, Tracer};
 
@@ -771,10 +771,6 @@ impl<P> Mesh<P> {
 impl<P> Component for Mesh<P> {
     fn name(&self) -> String {
         "mesh".to_string()
-    }
-
-    fn domain(&self) -> ClockDomain {
-        ClockDomain::Fast
     }
 
     fn tick(&mut self, now: Time) {

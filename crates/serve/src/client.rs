@@ -233,16 +233,11 @@ impl RetryPolicy {
             .base_ms
             .saturating_mul(1u64 << attempt.min(16))
             .min(self.max_ms);
-        let mut z = self
-            .seed
-            .wrapping_add((attempt as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        let jitter = if exp == 0 {
-            0
-        } else {
-            (z ^ (z >> 31)) % (exp / 2 + 1)
-        };
+        let z = duet_sim::splitmix64_finalize(
+            self.seed
+                .wrapping_add((attempt as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        );
+        let jitter = if exp == 0 { 0 } else { z % (exp / 2 + 1) };
         exp + jitter
     }
 }

@@ -342,13 +342,11 @@ impl<I: HostIo> FaultyIo<I> {
 
     /// SplitMix-style mix of the seed and an operation counter.
     fn mix(&self, op: u64) -> u64 {
-        let mut z = self
-            .plan
-            .seed
-            .wrapping_add(op.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        duet_sim::splitmix64_finalize(
+            self.plan
+                .seed
+                .wrapping_add(op.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        )
     }
 }
 

@@ -22,29 +22,6 @@
 use crate::link::LinkReport;
 use crate::time::Time;
 
-/// Which clock domain a component's `tick` is driven by.
-///
-/// The fast domain is the processor/NoC/cache side (1 GHz in the paper's
-/// Dolly SoC); the slow domain is the eFPGA fabric. Components that straddle
-/// the boundary (e.g. the FPSoC-variant Memory Hubs) declare the domain whose
-/// edges drive their `tick`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ClockDomain {
-    /// Ticked on fast-clock (processor-side) edges.
-    Fast,
-    /// Ticked on slow-clock (eFPGA-side) edges.
-    Slow,
-}
-
-impl std::fmt::Display for ClockDomain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClockDomain::Fast => write!(f, "fast"),
-            ClockDomain::Slow => write!(f, "slow"),
-        }
-    }
-}
-
 /// A node in the component graph: anything ticked on clock edges.
 ///
 /// The `next_event_time` / `is_active` pair is the load-bearing contract:
@@ -58,11 +35,6 @@ pub trait Component {
     /// Stable, human-readable instance name (e.g. `core0`, `l2@n1`, `mesh`).
     /// Used to prefix link names in reports and to label registry entries.
     fn name(&self) -> String;
-
-    /// The clock domain whose edges drive [`Component::tick`].
-    fn domain(&self) -> ClockDomain {
-        ClockDomain::Fast
-    }
 
     /// Advances the component across one edge of its domain at time `now`.
     fn tick(&mut self, now: Time);

@@ -57,11 +57,11 @@ pub mod time;
 
 pub use bitset::BitSet;
 pub use clock::{Clock, DualClock, EdgeDomain};
-pub use component::{ClockDomain, Component};
+pub use component::Component;
 pub use fifo::{AsyncFifo, PushError};
 pub use horizon::{merge_min, Horizon};
 pub use link::{Link, LinkReport, LinkStats};
-pub use rng::SimRng;
+pub use rng::{splitmix64_finalize, SimRng};
 pub use shard::EpochBarrier;
 pub use snapshot::{Pack, Snap, SnapError, SnapHasher, SnapReader, SnapWriter};
 pub use stats::LatencyBreakdown;

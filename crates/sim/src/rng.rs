@@ -23,6 +23,16 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
+/// The SplitMix64 finalizer: a full-avalanche 64-bit mix, constant across
+/// platforms and runs. Callers add their own increment (SplitMix64 proper
+/// adds the golden ratio `0x9E37_79B9_7F4A_7C15`) before calling it.
+#[inline]
+pub fn splitmix64_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 impl SimRng {
     /// Creates a generator from a seed. Any seed (including 0) is valid.
     pub fn new(seed: u64) -> Self {
@@ -30,10 +40,7 @@ impl SimRng {
         let mut sm = seed;
         let mut next = || {
             sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            splitmix64_finalize(sm)
         };
         let s = [next(), next(), next(), next()];
         SimRng { s }

@@ -57,10 +57,7 @@ const INITIAL_CAP: usize = 16;
 /// across platforms and runs.
 #[inline]
 fn mix(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    crate::rng::splitmix64_finalize(key.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 impl<V> Default for LineMap<V> {

@@ -22,6 +22,24 @@
 //! every fast edge that each set still covers what the polled predicates
 //! call due.
 //!
+//! # The twin
+//!
+//! Debug builds keep one oracle for every way a core sleeps — on a load,
+//! an AMO or an MMIO, a drain, a full store buffer, a spin. Putting a core
+//! to sleep stores a copy of it, its *twin*; each settle ticks the twin on
+//! every fast edge the core slept through and asserts that its `Snap`
+//! bytes — registers, pc, `next_issue`, statistics, the L1 with its LRU
+//! stamps — equal the settled core's. Waking drops the twin.
+//!
+//! The one outside input a sleeping core takes without being woken is a
+//! back-invalidation into a non-spinner's L1, in the L2 pass; each one is
+//! applied to the twin as well. (The twin is ticked only when the core is
+//! settled, so it takes the invalidation before the edges it has not yet
+//! been ticked through. On a correct sleeper those edges only count
+//! stalls, which an invalidation does not touch.) Anything else that
+//! changes a sleeping core must wake it first, as `core_mut` does, or the
+//! next settle panics. Release builds hold no twins.
+//!
 //! # Deferred core MMIOs
 //!
 //! The core pass does not send a core's MMIO request: it waits in
@@ -40,7 +58,6 @@ use crate::system::System;
 
 /// Which components the next pass must visit: L2s and cores by core index,
 /// L3 shards by node.
-#[derive(Debug, Default)]
 pub(crate) struct WakeSets {
     /// L2s that are active or hold a `core_held` request.
     pub(crate) l2: BitSet,
@@ -49,11 +66,11 @@ pub(crate) struct WakeSets {
     /// Cores whose `next_event_time` is not `None`.
     pub(crate) cores: BitSet,
     /// Per core, meaningful while it is asleep: the fast-edge index up to
-    /// which its `mem_stall_cycles` already account for the sleep.
+    /// which its state already accounts for the sleep.
     settled: Vec<u64>,
-    /// Debug builds only: what per-edge accounting makes of each sleeping
-    /// core's `mem_stall_cycles`, to check the index arithmetic against.
-    shadow: Vec<u64>,
+    /// Debug builds only: per sleeping core, a copy of it ticked on every
+    /// edge it sleeps through, that each settle must reproduce.
+    twins: Vec<Option<Box<Core>>>,
 }
 
 impl WakeSets {
@@ -67,7 +84,7 @@ impl WakeSets {
             l3: BitSet::full(nodes),
             cores: BitSet::full(cores),
             settled: vec![0; cores],
-            shadow: vec![0; cores],
+            twins: vec![None; cores],
         }
     }
 
@@ -77,6 +94,7 @@ impl WakeSets {
     fn wake_core(&mut self, k: usize, core: &mut Core, now: Time, through: u64) {
         if self.cores.insert(k) {
             self.settle(k, core, now, through);
+            self.twins[k] = None;
         }
         core.forget_spin();
     }
@@ -88,20 +106,44 @@ impl WakeSets {
         if core.is_spinning() {
             core.catch_up(core.config().clock.nth_edge(through));
         }
+        if cfg!(debug_assertions) {
+            self.check_twin(k, core, through);
+        }
         self.settled[k] = through;
-        debug_assert_eq!(
-            core.stats().mem_stall_cycles,
-            self.shadow[k],
-            "core {k}: stall cycles settled over a sleep differ from per-edge accounting"
+    }
+
+    /// Ticks core `k`'s twin over the edges settled after `settled[k]`, up
+    /// to `through`, and asserts that it equals the settled `core`.
+    fn check_twin(&mut self, k: usize, core: &Core, through: u64) {
+        let Some(twin) = self.twins[k].as_deref_mut() else {
+            return;
+        };
+        let clock = core.config().clock;
+        for e in self.settled[k] + 1..=through {
+            twin.tick(clock.nth_edge(e));
+        }
+        assert!(
+            snap_bytes(twin) == snap_bytes(core),
+            "core {k}: settling edges {}..={through} differs from ticking every edge",
+            self.settled[k] + 1
         );
     }
 
-    /// Takes core `k`, whose stall count is exact through edge `edge`, out
-    /// of the set.
+    /// Takes core `k`, whose state is exact through edge `edge`, out of
+    /// the set.
     fn sleep_core(&mut self, k: usize, core: &Core, edge: u64) {
         self.settled[k] = edge;
-        self.shadow[k] = core.stats().mem_stall_cycles;
+        if cfg!(debug_assertions) {
+            self.twins[k] = Some(Box::new(core.clone()));
+        }
     }
+}
+
+/// A core's snapshot bytes: everything a tick can change.
+fn snap_bytes(core: &Core) -> Vec<u8> {
+    let mut w = duet_sim::SnapWriter::new();
+    duet_sim::Snap::save(core, &mut w);
+    w.finish()
 }
 
 impl System {
@@ -152,25 +194,15 @@ impl System {
         self.wake = WakeSets::all_awake(self.cores.len(), self.shards.len());
     }
 
-    /// Debug builds, after every fast edge and every horizon jump (`edges`
-    /// fast edges just retired): each wake set covers what the polled
-    /// predicates call due, and the per-edge shadow of every sleeping
-    /// core's stall count advances for `settle` to compare against.
-    pub(crate) fn check_wake_sets(&mut self, edges: u64) {
-        let now = self.now;
-        let wake = &mut self.wake;
+    /// Debug builds, after every fast edge and every horizon jump: each
+    /// wake set covers what the polled predicates call due.
+    pub(crate) fn check_wake_sets(&self) {
+        let (now, wake) = (self.now, &self.wake);
         for (i, core) in self.cores.iter().enumerate() {
-            if !wake.cores.contains(i) {
-                assert_eq!(
-                    core.next_event_time(now),
-                    None,
-                    "core {i} is due but asleep"
-                );
-                // (Not for the edge it fell asleep on, which it ticked.)
-                if wake.settled[i] + edges <= self.stats.fast_edges {
-                    wake.shadow[i] += edges * u64::from(core.stalls_when_skipped(now));
-                }
-            }
+            assert!(
+                wake.cores.contains(i) || core.next_event_time(now).is_none(),
+                "core {i} is due but asleep"
+            );
             assert!(
                 wake.l2.contains(i) || !(self.l2s[i].is_active() || self.core_held[i].is_some()),
                 "L2 {i} is due but asleep"
@@ -220,6 +252,10 @@ impl System {
             }
             for (line, _) in invalidations {
                 self.cores[k].back_invalidate(line);
+                // A sleeping non-spinner's twin takes it too.
+                if let Some(twin) = self.wake.twins[k].as_deref_mut() {
+                    twin.back_invalidate(line);
+                }
             }
             while let Some(resp) = self.l2s[k].pop_cpu_resp(now) {
                 // The core's own pass comes later this edge, so it slept
@@ -337,5 +373,95 @@ impl System {
             }
         }
         false
+    }
+}
+
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use std::sync::Arc;
+
+    use duet_cpu::asm::Asm;
+    use duet_cpu::isa::regs;
+
+    use crate::{System, SystemConfig};
+
+    fn system(cores: usize) -> System {
+        let mut sys = System::new(SystemConfig::proc_only(cores)).expect("valid config");
+        sys.set_edge_skipping(true);
+        sys
+    }
+
+    #[test]
+    #[should_panic(expected = "core 0: settling edges")]
+    fn a_core_changed_behind_the_wake_sets_fails_the_twin_check() {
+        let mut sys = system(1);
+        let mut a = Asm::new();
+        a.label("main");
+        a.li(regs::S[0], 0x1000);
+        a.ld(regs::T[0], regs::S[0], 0);
+        a.halt();
+        sys.load_program(0, Arc::new(a.assemble().unwrap()), "main");
+        // Step until the core sleeps on the load's miss.
+        for edges in 0.. {
+            assert!(edges < 100, "core 0 never slept");
+            if !sys.wake.cores.contains(0) {
+                break;
+            }
+            sys.step_edge();
+        }
+        // Not through `core_mut`, which would wake it first.
+        sys.cores[0].set_reg(regs::S[5], 7);
+        sys.step_edge();
+    }
+
+    /// Core 1's stores take back the line core 0 reloads before each
+    /// miss it sleeps on, so back-invalidations reach core 0's L1 while
+    /// it sleeps; its twin must see each one too.
+    #[test]
+    fn a_sleeping_core_back_invalidated_settles_equal_to_its_twin() {
+        let mut sys = system(2);
+        let mut a = Asm::new();
+        let (shared, miss, i) = (regs::S[0], regs::S[1], regs::S[2]);
+        a.label("reader");
+        a.li(shared, 0x1000);
+        a.li(miss, 0x10_0000);
+        a.li(i, 0);
+        a.label("r_loop");
+        a.ld(regs::T[0], shared, 0);
+        a.ld(regs::T[1], miss, 0);
+        a.addi(miss, miss, 0x1000);
+        a.addi(i, i, 1);
+        a.li(regs::T[2], 40);
+        a.blt(i, regs::T[2], "r_loop");
+        a.halt();
+        a.label("writer");
+        a.li(shared, 0x1000);
+        a.li(i, 0);
+        a.label("w_loop");
+        a.sd(i, shared, 0);
+        a.addi(i, i, 1);
+        a.li(regs::T[2], 4000);
+        a.blt(i, regs::T[2], "w_loop");
+        a.halt();
+        let prog = Arc::new(a.assemble().unwrap());
+        sys.load_program(0, prog.clone(), "reader");
+        sys.load_program(1, prog, "writer");
+        let mut asleep_invalidations = 0;
+        for _ in 0..50_000 {
+            let asleep = !sys.wake.cores.contains(0) && !sys.cores[0].is_spinning();
+            let before = sys.core(0).l1_stats().invalidations;
+            sys.step_edge();
+            if asleep {
+                asleep_invalidations += sys.core(0).l1_stats().invalidations - before;
+            }
+            if sys.core(0).is_halted() && sys.core(1).is_halted() {
+                break;
+            }
+        }
+        assert!(sys.core(0).is_halted() && sys.core(1).is_halted());
+        assert!(
+            asleep_invalidations > 0,
+            "no back-invalidation reached core 0 while it slept"
+        );
     }
 }

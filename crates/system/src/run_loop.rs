@@ -406,7 +406,7 @@ impl System {
         self.send_deferred_mmio();
         self.stats.fast_edges += 1;
         if cfg!(debug_assertions) {
-            self.check_wake_sets(1);
+            self.check_wake_sets();
         }
     }
 
@@ -824,7 +824,7 @@ impl System {
                     self.stats.fast_edges += fast;
                     self.stats.slow_edges += slow;
                     if cfg!(debug_assertions) {
-                        self.check_wake_sets(fast);
+                        self.check_wake_sets();
                     }
                     self.sys_tracer
                         .emit(self.now.as_ps(), EventKind::HorizonSkip, fast, slow);
